@@ -81,6 +81,18 @@ class TestMaxcount:
     def test_columns(self, point_file):
         assert cap(["maxcount", point_file(COLUMNS11)]) == (0, "1196\n")
 
+    def test_quad_trace(self, point_file):
+        # maximal mode starts at the floor's step and stops at the last
+        # non-empty vector
+        rc, out = cap(["maxcount", point_file(QUAD), "--trace"])
+        assert rc == 0
+        assert out == (
+            "V_2 = 1*R1([0 1] 3)\n"
+            "V_3 = 1*R0([0 3]) + 1*R7(0 [1 2] 3)\n"
+            "V_4 = 2*R2([0 2] 3)\n"
+            "2\n"
+        )
+
 
 class TestRegion:
     def test_squeeze(self, point_file):
@@ -102,6 +114,38 @@ class TestRegion:
         assert lines[-1] == "12*s^8 + 16*s^7 + 5*s^6"
         assert lines[:-1]
         assert all(line.startswith("V_") for line in lines[:-1])
+
+    def test_maximal_trace(self, point_file):
+        path = point_file(SQUEEZE)
+        rc, out = cap(
+            ["region", path, "--floor", "0,1,7",
+             "--ceiling", "0,2,3,5,6,7", "--maximal", "--trace"]
+        )
+        assert rc == 0
+        assert out == (
+            "V_2 = 1*R1([0 1] 7)\n"
+            "V_3 = 1*R73(0 [1 4] 7)\n"
+            "V_4 = 1*R8([0 4] 7) + 1*R77(0 [1 3] 4 7) + 1*R169(0 1 [4 6] 7)\n"
+            "V_5 = 1*R0([0 7]) + 2*R12([0 3] 4 7) + 1*R79(0 [1 2] 3 4 7)"
+            " + 1*R104(0 [4 6] 7) + 1*R133(0 1 [3 7]) + 1*R185(0 1 [4 5] 6 7)"
+            " + 1*R237(0 1 3 [4 6] 7)\n"
+            "V_6 = 1*R4([0 3] 7) + 3*R14([0 2] 3 4 7) + 2*R68(0 [3 7])"
+            " + 1*R113(0 [1 5] 6 7) + 1*R120(0 [4 5] 6 7) + 2*R165(0 1 [3 6] 7)"
+            " + 2*R172(0 3 [4 6] 7) + 1*R199(0 1 2 [3 7])"
+            " + 1*R253(0 1 3 [4 5] 6 7) + 1*R303(0 1 2 3 [4 6] 7)\n"
+            "V_7 = 1*R6([0 2] 3 7) + 5*R100(0 [3 6] 7) + 1*R117(0 [1 3] 5 6 7)"
+            " + 1*R131(0 1 [2 7]) + 3*R134(0 2 [3 7]) + 3*R181(0 1 [3 5] 6 7)"
+            " + 2*R188(0 3 [4 5] 6 7) + 2*R231(0 1 2 [3 6] 7)"
+            " + 3*R238(0 2 3 [4 6] 7) + 1*R319(0 1 2 3 [4 5] 6 7)\n"
+            "V_8 = 1*R52([0 3] 5 6 7) + 4*R66(0 [2 7]) + 7*R116(0 [3 5] 6 7)"
+            " + 1*R119(0 [1 2] 3 5 6 7) + 3*R163(0 1 [2 6] 7)"
+            " + 7*R166(0 2 [3 6] 7) + 3*R247(0 1 2 [3 5] 6 7)"
+            " + 3*R254(0 2 3 [4 5] 6 7)\n"
+            "V_9 = 8*R48([0 5] 6 7) + 2*R54([0 2] 3 5 6 7) + 11*R98(0 [2 6] 7)"
+            " + 7*R179(0 1 [2 5] 6 7) + 10*R182(0 2 [3 5] 6 7)\n"
+            "V_10 = 8*R50([0 2] 5 6 7) + 23*R114(0 [2 5] 6 7)\n"
+            "12\n"
+        )
 
     def test_bad_path_values(self, point_file, capsys):
         path = point_file(SQUEEZE)
