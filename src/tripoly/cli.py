@@ -6,7 +6,8 @@ use any order.  Paths for the region verbs are comma-separated 0-based
 positions in the sweep order of the file's points.
 
 Exit codes: 0 on success, 1 on any input problem, 2 when a brute-force
-guard refuses the instance.
+guard refuses the instance, 3 when an internal invariant breaks (and
+no result is printed).
 """
 from __future__ import annotations
 
@@ -404,6 +405,9 @@ def run(argv: Sequence[str], out=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .planar import Point, lower_hull, on_segment, orient
 
@@ -196,8 +196,6 @@ def successors(
     roof: DecoratedRoof,
     *,
     immediate: bool = False,
-    orient3: Callable[[int, int, int], int] | None = None,
-    minimal3: Callable[[int, int, int], bool] | None = None,
 ) -> list[DecoratedRoof]:
     """All decorated roofs reachable by one move at or past the marker.
 
@@ -209,10 +207,6 @@ def successors(
     swept by the move must additionally be minimal, i.e. contain no
     other host point.
     """
-    if orient3 is None:
-        orient3 = lambda i, j, k: orient(points[i], points[j], points[k])
-    if minimal3 is None:
-        minimal3 = lambda i, j, k: closed_triangle_empty(points, i, j, k)
     idx = roof.indices
     d = roof.d
     w = len(idx) - 1
@@ -220,10 +214,14 @@ def successors(
     for k in range(d, w):
         a, b = idx[k], idx[k + 1]
         for q in range(a + 1, b):
-            if orient3(a, b, q) > 0 and (not immediate or minimal3(a, q, b)):
+            if orient(points[a], points[b], points[q]) > 0 and (
+                not immediate or closed_triangle_empty(points, a, q, b)
+            ):
                 out.append(DecoratedRoof(idx[: k + 1] + (q,) + idx[k + 1 :], k))
     for k in range(max(d - 1, 0), w - 1):
         a, m, b = idx[k], idx[k + 1], idx[k + 2]
-        if orient3(a, b, m) < 0 and (not immediate or minimal3(a, m, b)):
+        if orient(points[a], points[b], points[m]) < 0 and (
+            not immediate or closed_triangle_empty(points, a, m, b)
+        ):
             out.append(DecoratedRoof(idx[: k + 1] + idx[k + 2 :], k))
     return out

@@ -1,10 +1,37 @@
 """Transfer iteration sweeping a region by decorated roofs.
 
-The host is a sequence of points in sweep order.  A state vector maps
-decorated-roof codes to multiplicities; one transfer step replaces every
-state by the sum of its successor states.  Fresh states are injected
-from the floor of the region, and whenever a state's skyline reaches the
-ceiling it pays off into the accumulating polynomial.
+The host is a sequence of points P_0..P_n in sweep order.  A state
+vector maps decorated-roof codes to multiplicities; one transfer step
+replaces every state by the sum of its successor states.  Fresh states
+are injected from the floor of the region, and whenever a state's
+skyline reaches the ceiling it pays off into the accumulating result.
+
+A state is the integer code ``d << (n - 1) | bits`` of
+:mod:`tripoly.roofs`: bit i - 1 of ``bits`` flags interior point i as a
+roof point, and d is the roof position of the marked segment.  The sweep
+never decodes a state.  It walks the interior bits with ``bits & -bits``
+and ``bit_length()`` from position d - 1 onwards, and a successor is one
+bit set (an insertion into a segment) or cleared (a merge of a wedge)
+plus its new marker.  Two tables, filled lazily per host, decide the
+moves: the insertion candidates of each segment (a, b) and the merge
+legality of each triple (a, m, b).  In immediate mode both also demand
+that the swept triangle holds no other host point.
+
+One loop serves three modes, which differ in the tables they keep:
+
+* maximal (immediate moves, all points used): every move adds one
+  triangle, so by Euler's formula a code can be reached at one step
+  only and is expanded exactly once.  This mode keeps no successor and
+  no match table; a state matches the ceiling when its bits equal the
+  ceiling's bits, so a payoff reads the few codes with those bits.
+* complete (any moves, optional points): codes recur at many steps, so
+  the successor tuple of each code is kept.  A table keyed by ``bits``
+  decides the ceiling match, and a table keyed by the roof prefix up to
+  the last on-ceiling point at or before the marker decides whether a
+  successor is a dead end, i.e. touches the ceiling along a path the
+  ceiling does not follow.  Both compare corner paths exactly.
+* edge (complete moves, no ceiling): every state pays off with its
+  length ``popcount(bits) + 1``; the successor table is kept.
 
 Exponent bookkeeping runs in half units of s: a state reached at step k
 with a roof of length L (segments) accounts for (2 + k + L)/2 used
@@ -30,7 +57,7 @@ from .planar import (
     sweep_key,
     upper_hull,
 )
-from .roofs import DecoratedRoof, decode, encode, skyline_points
+from .roofs import DecoratedRoof, decode, encode
 
 TraceFn = Callable[[int, dict[int, int], dict[int, int]], None]
 
@@ -53,8 +80,8 @@ def _path_prefix(part: Sequence[Point], corners: Sequence[Point]) -> bool:
     return last == corners[j] or on_segment(last, corners[j - 1], corners[j])
 
 
-class _Engine:
-    """Cached successor machine over a fixed host point sequence."""
+class _Sweep:
+    """Bitmask successor machine over a fixed host point sequence."""
 
     def __init__(
         self,
@@ -65,114 +92,184 @@ class _Engine:
         prune: bool = False,
     ):
         self.points = tuple(points)
-        self.n = len(self.points) - 1
+        n = self.n = len(self.points) - 1
+        self.shift = n - 1
+        self.mask = (1 << (n - 1)) - 1
         self.immediate = immediate
-        self.ceiling = tuple(ceiling) if ceiling is not None else None
-        self.prune = bool(prune) and self.ceiling is not None
-        if self.ceiling is not None:
-            self.ceiling_corners = path_corners(self.ceiling)
-            self.on_ceiling = tuple(
-                point_on_path(p, self.ceiling) for p in self.points
-            )
-            self.ceiling_set = frozenset(
-                i for i, hit in enumerate(self.on_ceiling) if hit
-            )
-        else:
-            self.ceiling_corners = None
-            self.on_ceiling = None
-            self.ceiling_set = None
-        self._orient_cache: dict[tuple[int, int, int], int] = {}
-        self._minimal_cache: dict[tuple[int, int, int], bool] = {}
+        self.prune = bool(prune) and ceiling is not None
+        size = n + 1
+        self._ins: list[tuple[int, ...] | None] = [None] * (size * size)
+        self._merge: list[bool | None] = [None] * (size * size * size)
         self._succ: dict[int, tuple[int, ...]] = {}
-        self._match: dict[int, tuple[bool, int]] = {}
-
-    def _orient3(self, i: int, j: int, k: int) -> int:
-        key = (i, j, k)
-        s = self._orient_cache.get(key)
-        if s is None:
-            p = self.points
-            s = orient(p[i], p[j], p[k])
-            self._orient_cache[key] = s
-        return s
-
-    def _minimal3(self, i: int, j: int, k: int) -> bool:
-        key = (i, j, k)
-        s = self._minimal_cache.get(key)
-        if s is None:
-            s = roofmod.closed_triangle_empty(self.points, i, j, k)
-            self._minimal_cache[key] = s
-        return s
-
-    def _dead_end(self, roof: DecoratedRoof) -> bool:
-        """Frozen-prefix test: the roof touches the ceiling at or before
-        its marker along a path the ceiling does not follow."""
-        idx = roof.indices
-        for pos in range(roof.d, -1, -1):
-            if self.on_ceiling[idx[pos]]:
-                prefix = path_corners(
-                    tuple(self.points[i] for i in idx[: pos + 1])
-                )
-                return not _path_prefix(prefix, self.ceiling_corners)
-        return False
-
-    def successor_codes(self, code: int) -> tuple[int, ...]:
-        out = self._succ.get(code)
-        if out is None:
-            roof = decode(code, self.n)
-            nxt = roofmod.successors(
-                self.points,
-                roof,
-                immediate=self.immediate,
-                orient3=self._orient3,
-                minimal3=self._minimal3,
+        self.ceiling_bits: int | None = None
+        if ceiling is not None:
+            self.ceiling_corners = path_corners(tuple(ceiling))
+            self.ceiling_bits = sum(
+                1 << (i - 1)
+                for i in range(1, n)
+                if point_on_path(self.points[i], ceiling)
             )
-            if self.prune:
-                nxt = [r for r in nxt if not self._dead_end(r)]
-            out = tuple(sorted(encode(r, self.n) for r in nxt))
-            self._succ[code] = out
-        return out
+            self._match: dict[int, int] = {}
+            self._dead: dict[int, bool] = {}
+
+    # -- lazily filled tables --------------------------------------------
+
+    def _insertions(self, a: int, b: int) -> tuple[int, ...]:
+        """Bits of the points q that may be inserted into segment (a, b)."""
+        p = self.points
+        return tuple(
+            1 << (q - 1)
+            for q in range(a + 1, b)
+            if orient(p[a], p[b], p[q]) > 0
+            and (not self.immediate or roofmod.closed_triangle_empty(p, a, q, b))
+        )
+
+    def _mergeable(self, a: int, m: int, b: int) -> bool:
+        p = self.points
+        return orient(p[a], p[b], p[m]) < 0 and (
+            not self.immediate or roofmod.closed_triangle_empty(p, a, m, b)
+        )
+
+    def _roof_points(self, bits: int) -> tuple[Point, ...]:
+        return tuple(self.points[i] for i in decode(bits, self.n).indices)
+
+    def _match_length(self, bits: int) -> int:
+        """Roof length when the skyline is the ceiling, else 0."""
+        if path_corners(self._roof_points(bits)) != self.ceiling_corners:
+            return 0
+        return bits.bit_count() + 1
+
+    def _dead_prefix(self, prefix: int) -> bool:
+        """Frozen-prefix test: the roof points up to the highest bit of
+        ``prefix``, an on-ceiling point (or P_0 when ``prefix`` is 0),
+        leave the ceiling's path."""
+        part = path_corners(self._roof_points(prefix)[:-1])
+        return not _path_prefix(part, self.ceiling_corners)
+
+    # -- moves ---------------------------------------------------------------
+
+    def successors(self, code: int) -> tuple[int, ...]:
+        """Codes reachable by one move at or past the marker.
+
+        Inserting q into the segment at position k >= d gives marker k;
+        merging the middle point of the wedge at position k >= d - 1
+        gives marker k.  With pruning, moves at positions whose frozen
+        prefix is a dead end are dropped.
+        """
+        n = self.n
+        size = n + 1
+        d = code >> self.shift
+        bits = code & self.mask
+        ins, merge = self._ins, self._merge
+        # a is the roof point at position k; b the next one, with bit lowb
+        k = d - 1 if d else 0
+        a = 0
+        rest = bits
+        for _ in range(k):
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length()
+        lowb = rest & -rest
+        b = lowb.bit_length() if lowb else n
+        head = (k << self.shift) | bits  # this roof with marker k
+        step = 1 << self.shift
+        prune = self.prune
+        dead = False
+        if prune:
+            on = self.ceiling_bits
+            table = self._dead
+            # the frozen prefix ends at the last on-ceiling roof point at
+            # or before a, or at P_0 when there is none
+            last = (bits & on & ((1 << a) - 1)).bit_length()
+            prefix = bits & ((1 << last) - 1)
+            dead = table.get(prefix)
+            if dead is None:
+                dead = table[prefix] = self._dead_prefix(prefix)
+        out = []
+        while True:
+            if k >= d and not dead:
+                key = a * size + b
+                cand = ins[key]
+                if cand is None:
+                    cand = ins[key] = self._insertions(a, b)
+                for qbit in cand:
+                    out.append(head | qbit)
+            if b == n:
+                break
+            rest ^= lowb
+            lowc = rest & -rest
+            c = lowc.bit_length() if lowc else n
+            if not dead:
+                key = (a * size + b) * size + c
+                ok = merge[key]
+                if ok is None:
+                    ok = merge[key] = self._mergeable(a, b, c)
+                if ok:
+                    out.append(head ^ lowb)
+            if prune and lowb & on:
+                # b becomes the last on-ceiling point of the prefix
+                prefix = bits & ((lowb << 1) - 1)
+                dead = table.get(prefix)
+                if dead is None:
+                    dead = table[prefix] = self._dead_prefix(prefix)
+            a, b, lowb = b, c, lowc
+            k += 1
+            head += step
+        return tuple(out)
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
+        get = out.get
+        table = self._succ
+        keep = not self.immediate  # maximal mode reaches each code once
         for code, mult in vec.items():
-            for nxt in self.successor_codes(code):
-                out[nxt] = out.get(nxt, 0) + mult
+            succ = table.get(code)
+            if succ is None:
+                succ = self.successors(code)
+                if keep:
+                    table[code] = succ
+            for nxt in succ:
+                out[nxt] = get(nxt, 0) + mult
         return out
 
-    def _match_info(self, code: int) -> tuple[bool, int]:
-        info = self._match.get(code)
-        if info is None:
-            roof = decode(code, self.n)
-            length = len(roof.indices) - 1
-            if self.immediate:
-                ok = frozenset(roof.indices) == self.ceiling_set
-            else:
-                sky = path_corners(skyline_points(self.points, roof))
-                ok = sky == self.ceiling_corners
-            info = (ok, length)
-            self._match[code] = info
-        return info
-
-    def w_image(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """Half-exponent -> coefficient over states whose skyline is the
-        ceiling; the half exponent of a matching state is its length."""
+    def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """Roof length -> total multiplicity of the states that pay off."""
         out: dict[int, int] = {}
-        for code, mult in vec.items():
-            ok, length = self._match_info(code)
-            if ok:
+        mask = self.mask
+        if self.ceiling_bits is None:
+            for code, mult in vec.items():
+                length = (code & mask).bit_count() + 1
                 out[length] = out.get(length, 0) + mult
+        elif self.immediate:
+            bits = self.ceiling_bits
+            length = bits.bit_count() + 1
+            total = 0
+            for d in range(length):
+                total += vec.get((d << self.shift) | bits, 0)
+            if total:
+                out[length] = total
+        else:
+            # a roof through a point off the ceiling path cannot have the
+            # ceiling's corners: dropping a corner on the segment joining
+            # its neighbours keeps the path's point set
+            off = mask ^ self.ceiling_bits
+            table = self._match
+            for code, mult in vec.items():
+                bits = code & mask
+                if bits & off:
+                    continue
+                length = table.get(bits)
+                if length is None:
+                    length = table[bits] = self._match_length(bits)
+                if length:
+                    out[length] = out.get(length, 0) + mult
         return out
 
 
-def initial_vectors(
+def _floor_indices(
     points: Sequence[Point], floor: Sequence[Point]
-) -> dict[int, dict[int, int]]:
-    """Floor states by injection step.
-
-    Every roof made of the floor corners plus any subset of the other
-    host points lying on the floor path starts the iteration with marker
-    0, entering at the step equal to its length.
-    """
+) -> tuple[list[int], list[int]]:
+    """Host indices of the floor corners and of the other floor points."""
     pts = tuple(points)
     n = len(pts) - 1
     pos = {p: i for i, p in enumerate(pts)}
@@ -189,6 +286,20 @@ def initial_vectors(
         for i, p in enumerate(pts)
         if i not in corner_idx and point_on_path(p, floor)
     ]
+    return corner_idx, optional
+
+
+def initial_vectors(
+    points: Sequence[Point], floor: Sequence[Point]
+) -> dict[int, dict[int, int]]:
+    """Floor states by injection step.
+
+    Every roof made of the floor corners plus any subset of the other
+    host points lying on the floor path starts the iteration with marker
+    0, entering at the step equal to its length.
+    """
+    n = len(points) - 1
+    corner_idx, optional = _floor_indices(points, floor)
     out: dict[int, dict[int, int]] = {}
     for r in range(len(optional) + 1):
         for extra in combinations(optional, r):
@@ -209,8 +320,8 @@ def apply_transfer(
     prune: bool = False,
 ) -> dict[int, int]:
     """One transfer step applied to a state vector (codes -> counts)."""
-    eng = _Engine(points, ceiling=ceiling, immediate=immediate, prune=prune)
-    return eng.apply(vec)
+    sweep = _Sweep(points, ceiling=ceiling, immediate=immediate, prune=prune)
+    return sweep.apply(vec)
 
 
 def render_vector(points: Sequence[Point], vec: Mapping[int, int]) -> str:
@@ -228,6 +339,41 @@ def _step_bound(points: Sequence[Point], kmax: int) -> int:
     return kmax + 2 * (max(xs) - min(xs)) * (max(ys) - min(ys)) + 4
 
 
+def _run(
+    sweep: _Sweep,
+    init: Mapping[int, Mapping[int, int]],
+    trace: TraceFn | None,
+) -> dict[tuple[int, int], int]:
+    """The transfer loop: payoffs keyed by (step, roof length).
+
+    Complete and edge runs report every step from 1 until the vector
+    empties, that last empty step included.  A maximal run starts at
+    its single floor state and stops at its last non-empty vector.
+    """
+    kmax = max(init)
+    bound = _step_bound(sweep.points, kmax)
+    paid: dict[tuple[int, int], int] = {}
+    vec: dict[int, int] = {}
+    k = kmax - 1 if sweep.immediate else 0
+    while vec or k < kmax:
+        k += 1
+        if k > bound:
+            raise AssertionError("transfer iteration failed to terminate")
+        vec = sweep.apply(vec)
+        for code, mult in init.get(k, {}).items():
+            vec[code] = vec.get(code, 0) + mult
+        if not vec and sweep.immediate:
+            break
+        w = sweep.payoff(vec)
+        if trace is not None:
+            trace(k, dict(vec), dict(w))
+        for length, mult in w.items():
+            if (k + length) % 2:
+                raise AssertionError("odd vertex count in a paid-off state")
+            paid[k, length] = mult
+    return paid
+
+
 def _run_complete(
     host: Sequence[Point],
     floor: Sequence[Point],
@@ -236,58 +382,12 @@ def _run_complete(
     prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS:
-    eng = _Engine(host, ceiling=ceiling, immediate=False, prune=prune)
-    init = initial_vectors(host, floor)
-    kmax = max(init)
-    bound = _step_bound(host, kmax)
+    sweep = _Sweep(host, ceiling=ceiling, prune=prune)
     total: dict[int, int] = {}
-    vec: dict[int, int] = {}
-    k = 0
-    while vec or k < kmax:
-        k += 1
-        if k > bound:
-            raise AssertionError("transfer iteration failed to terminate")
-        vec = eng.apply(vec)
-        for code, mult in init.get(k, {}).items():
-            vec[code] = vec.get(code, 0) + mult
-        w = eng.w_image(vec)
-        if trace is not None:
-            trace(k, dict(vec), dict(w))
-        for length, coeff in w.items():
-            h = 2 + k + length
-            if h % 2:
-                raise AssertionError("odd vertex count in a ceiling state")
-            total[h // 2] = total.get(h // 2, 0) + coeff
+    for (k, length), coeff in _run(sweep, initial_vectors(host, floor), trace).items():
+        h = (2 + k + length) // 2
+        total[h] = total.get(h, 0) + coeff
     return PolyS(total)
-
-
-def _run_max(
-    host: Sequence[Point],
-    floor: Sequence[Point],
-    ceiling: Sequence[Point],
-    *,
-    trace: TraceFn | None = None,
-) -> int:
-    eng = _Engine(host, ceiling=ceiling, immediate=True, prune=False)
-    start = tuple(
-        i for i, p in enumerate(host) if point_on_path(p, floor)
-    )
-    if start[0] != 0 or start[-1] != eng.n:
-        raise ValueError("floor must join the first and last host points")
-    k = len(start) - 1
-    vec = {encode(DecoratedRoof(start, 0), eng.n): 1}
-    bound = _step_bound(host, k)
-    total = 0
-    while vec:
-        w = eng.w_image(vec)
-        if trace is not None:
-            trace(k, dict(vec), dict(w))
-        total += sum(w.values())
-        vec = eng.apply(vec)
-        k += 1
-        if k > bound:
-            raise AssertionError("transfer iteration failed to terminate")
-    return total
 
 
 def max_region_count_points(
@@ -299,7 +399,11 @@ def max_region_count_points(
 ) -> int:
     """Maximal triangulations of the region between two paths, hosting
     exactly the given points (all of which must be used)."""
-    return _run_max(points, floor, ceiling, trace=trace)
+    sweep = _Sweep(points, ceiling=ceiling, immediate=True)
+    corner_idx, optional = _floor_indices(points, floor)
+    start = tuple(sorted(corner_idx + optional))
+    init = {len(start) - 1: {encode(DecoratedRoof(start, 0), sweep.n): 1}}
+    return sum(_run(sweep, init, trace).values())
 
 
 def _region_host(
@@ -368,7 +472,9 @@ def region_poly(
     if maximal:
         if prune:
             raise ValueError("dead-end pruning applies to complete runs only")
-        return _run_max(host, floor_path, ceiling_path, trace=trace)
+        return max_region_count_points(
+            host, floor_path, ceiling_path, trace=trace
+        )
     if prune is None:
         prune = True
     return _run_complete(
@@ -412,7 +518,9 @@ def max_config_count(
             "the configuration must have at least three non-collinear points"
         )
     host = config.points
-    return _run_max(host, lower_hull(host), upper_hull(host), trace=trace)
+    return max_region_count_points(
+        host, lower_hull(host), upper_hull(host), trace=trace
+    )
 
 
 def complete_edge_poly_tm(
@@ -425,37 +533,8 @@ def complete_edge_poly_tm(
     all covering roofs over all sub-edges.
     """
     host = tuple(edge.points)
-    eng = _Engine(host)
     init = initial_vectors(host, lower_hull(host))
-    kmax = max(init)
-    bound = _step_bound(host, kmax)
-    acc: dict[tuple[int, int], int] = {}
-    vec: dict[int, int] = {}
-    lengths: dict[int, int] = {}
-    k = 0
-    while vec or k < kmax:
-        k += 1
-        if k > bound:
-            raise AssertionError("transfer iteration failed to terminate")
-        vec = eng.apply(vec)
-        for code, mult in init.get(k, {}).items():
-            vec[code] = vec.get(code, 0) + mult
-        step: dict[int, int] = {}
-        for code, mult in vec.items():
-            length = lengths.get(code)
-            if length is None:
-                length = len(decode(code, eng.n).indices) - 1
-                lengths[code] = length
-            step[length] = step.get(length, 0) + mult
-        if trace is not None:
-            trace(k, dict(vec), dict(step))
-        for length, mult in step.items():
-            h = k + length
-            if h % 2:
-                raise AssertionError("odd vertex count in an edge state")
-            key = (h, length)
-            acc[key] = acc.get(key, 0) + mult
     out = PolyST()
-    for (h, length), mult in sorted(acc.items()):
-        out = out + mult * PolyST.from_t(maximal_edge_basis(length), h)
+    for (k, length), mult in sorted(_run(_Sweep(host), init, trace).items()):
+        out = out + mult * PolyST.from_t(maximal_edge_basis(length), k + length)
     return out

@@ -324,6 +324,17 @@ class TestOracleVerbs:
         )
 
 
+class TestInternalError:
+    def test_broken_sweep_exits_with_code_3(self, point_file, capsys, monkeypatch):
+        # a step bound of 0 makes the sweep give up at its first step
+        monkeypatch.setattr("tripoly.transfer._step_bound", lambda *args: 0)
+        rc, out = cap(["maxcount", point_file(QUAD)])
+        assert (rc, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "internal error: transfer iteration failed to terminate\n"
+        )
+
+
 class TestSelftest:
     EXPECTED = (
         "ok   weighted pentagon count\n"

@@ -1,0 +1,132 @@
+"""Differential checks of the transfer sweep on generated configurations.
+
+The sweep is compared with the brute-force oracle on small degenerate and
+random point sets, with its own maximal mode on larger ones, and with
+itself on copies scaled by 10^40.  Its bitmask moves are compared, state
+by state, with the tuple-based moves of :func:`tripoly.roofs.successors`.
+The generators are seeded, so every run checks the same configurations.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from tripoly.oracle import oracle_complete_poly, oracle_region_poly
+from tripoly.planar import Configuration, path_corners, point_on_path
+from tripoly.roofs import decode, encode, successors
+from tripoly.transfer import (
+    _path_prefix,
+    _Sweep,
+    complete_config_poly,
+    max_config_count,
+    region_poly,
+)
+
+HUGE = 10**40
+
+
+def lattice_subsets(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:
+    """Subsets of a 4x4 lattice: collinear runs and shared x columns."""
+    rng = random.Random(seed)
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    out = []
+    while len(out) < count:
+        pts = tuple(rng.sample(grid, rng.randint(5, 9)))
+        if not Configuration(pts).all_collinear():
+            out.append(pts)
+    return out
+
+
+def random_sets(
+    count: int, seed: int, lo: int, hi: int, box: int
+) -> list[tuple[tuple[int, int], ...]]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        pts: set[tuple[int, int]] = set()
+        size = rng.randint(lo, hi)
+        while len(pts) < size:
+            pts.add((rng.randrange(box), rng.randrange(box)))
+        if not Configuration(pts).all_collinear():
+            out.append(tuple(pts))
+    return out
+
+
+def scaled(pts):
+    return tuple((x * HUGE, y * HUGE) for x, y in pts)
+
+
+def hull_regions(cfg: Configuration) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Regions between the lower hull and the upper hull with one of its
+    points dropped, as sweep-order index paths."""
+    index = {p: i for i, p in enumerate(cfg.points)}
+    floor = tuple(index[p] for p in cfg.lower_boundary())
+    upper = tuple(index[p] for p in cfg.upper_boundary())
+    return [(floor, upper[:j] + upper[j + 1 :]) for j in range(1, len(upper) - 1)]
+
+
+SMALL = lattice_subsets(12, seed=1) + random_sets(12, seed=2, lo=5, hi=9, box=12)
+LARGE = random_sets(4, seed=3, lo=12, hi=13, box=40)
+
+
+@pytest.mark.parametrize("pts", SMALL)
+def test_poly_and_regions_match_the_oracle(pts):
+    cfg = Configuration(pts)
+    poly = complete_config_poly(cfg)
+    assert poly == oracle_complete_poly(cfg)
+    assert poly.leading() == max_config_count(cfg)
+    big = Configuration(scaled(pts))
+    assert complete_config_poly(big) == poly
+    for floor, ceiling in hull_regions(cfg):
+        got = region_poly(cfg, floor, ceiling)
+        assert got == oracle_region_poly(cfg, floor, ceiling), (floor, ceiling)
+        assert region_poly(cfg, floor, ceiling, maximal=True) == got.leading()
+        assert region_poly(big, floor, ceiling) == got
+
+
+@pytest.mark.parametrize("pts", LARGE)
+def test_leading_coefficient_is_the_maximal_count(pts):
+    cfg = Configuration(pts)
+    count = max_config_count(cfg)
+    assert complete_config_poly(cfg).leading() == count
+    assert max_config_count(Configuration(scaled(pts))) == count
+
+
+def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
+    """Successor codes from decoded roofs, dropping with ``prune`` every
+    roof whose prefix up to its last on-ceiling point at or before the
+    marker leaves the ceiling's path."""
+    n = len(points) - 1
+
+    def dead(roof):
+        for pos in range(roof.d, -1, -1):
+            if point_on_path(points[roof.indices[pos]], ceiling):
+                part = path_corners(tuple(points[i] for i in roof.indices[: pos + 1]))
+                return not _path_prefix(part, path_corners(ceiling))
+        return False
+
+    nxt = successors(points, decode(code, n), immediate=immediate)
+    return sorted(encode(r, n) for r in nxt if not (prune and dead(r)))
+
+
+@pytest.mark.parametrize("pts", SMALL[::3])
+def test_bitmask_moves_match_the_decoded_moves(pts):
+    cfg = Configuration(pts)
+    host, ceiling = cfg.points, cfg.upper_boundary()
+    n = len(host) - 1
+    codes = [
+        d << (n - 1) | bits
+        for bits in range(1 << (n - 1))
+        for d in range(bits.bit_count() + 1)
+    ]
+    for mode in (
+        {"ceiling": ceiling, "prune": True},
+        {"ceiling": ceiling, "prune": False},
+        {"ceiling": ceiling, "immediate": True},
+        {},
+    ):
+        sweep = _Sweep(host, **mode)
+        for code in codes:
+            got = sorted(sweep.successors(code))
+            assert got == reference_successors(host, code, **mode), (mode, code)

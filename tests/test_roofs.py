@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tripoly.planar import NearEdge, orient
+from tripoly.planar import NearEdge
 from tripoly.roofs import (
     DecoratedRoof,
     closed_triangle_empty,
@@ -248,17 +248,6 @@ class TestSuccessors:
         assert successors(pts, roof, immediate=True) == [
             DecoratedRoof((0, 2, 3), 0)
         ]
-
-    def test_predicate_injection_matches_default(self):
-        roof = DecoratedRoof((0, 1, 3, 6, 7, 9, 10, 12), 2)
-        orient3 = lambda i, j, k: orient(EDGE12[i], EDGE12[j], EDGE12[k])
-        minimal3 = lambda i, j, k: closed_triangle_empty(EDGE12, i, j, k)
-        assert successors(EDGE12, roof, orient3=orient3) == successors(
-            EDGE12, roof
-        )
-        assert successors(
-            EDGE12, roof, immediate=True, minimal3=minimal3
-        ) == successors(EDGE12, roof, immediate=True)
 
     def test_new_marker_freezes_everything_left(self):
         # after a move at position k every successor's marker equals k
