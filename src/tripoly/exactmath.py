@@ -15,6 +15,14 @@ Four sparse polynomial flavours cover the whole pipeline:
 The central linear functional ``catalan_pair_t`` sends ``t^n`` to the
 Catalan number ``C_{n-2}`` for ``n >= 2`` and annihilates ``1`` and
 ``t``; the other pairings are variable-wise variants of it.
+
+The product of two ``PolyST`` runs on CPython's big-int multiply by
+Kronecker substitution: per ``s`` half-exponent, the ``t`` coefficients
+are packed into one int as fields of W bits, the packed groups multiply
+pairwise, and the sums per output half-exponent unpack field by field.
+No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
+so W is that bound's bit length plus a sign bit, rounded up to whole
+bytes; no field carries into the next and the product is exact.
 """
 from __future__ import annotations
 
@@ -193,6 +201,56 @@ def _st_sort_key(key: tuple[int, int]) -> tuple:
     return (-(s_half + 2 * t_exp), -s_half)
 
 
+def _pack_by_s(
+    c: Mapping[tuple[int, int], int], t0: int, width: int
+) -> dict[int, int]:
+    """Per s half-exponent, the t-coefficients packed as one int whose
+    field j (``width`` bits wide, signed) holds the coefficient of t^(t0 + j)."""
+    out: dict[int, int] = {}
+    for (h, t), v in c.items():
+        out[h] = out.get(h, 0) + (v << (width * (t - t0)))
+    return out
+
+
+def _packed_product(
+    a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """Exact product of two (s, t) coefficient dicts by Kronecker packing.
+
+    Every coefficient of the product is bounded by |c| <= ||a||_1 ||b||_1,
+    so fields of that many bits plus a sign bit, rounded up to bytes,
+    never carry into each other.  Products of packed groups are summed
+    per output s half-exponent; adding 2^(width - 1) to every field makes
+    all fields non-negative, and the bytes of the sum read them back.
+    """
+    if not a or not b:
+        return {}
+    bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
+    nbytes = (bound.bit_length() + 8) // 8
+    width = 8 * nbytes
+    ta = min(t for _, t in a)
+    tb = min(t for _, t in b)
+    fields = max(t for _, t in a) - ta + max(t for _, t in b) - tb + 1
+    pa = _pack_by_s(a, ta, width)
+    pb = _pack_by_s(b, tb, width)
+    sums: dict[int, int] = {}
+    for h1, x in pa.items():
+        for h2, y in pb.items():
+            h = h1 + h2
+            sums[h] = sums.get(h, 0) + x * y
+    half = 1 << (width - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * fields, "little")
+    out: dict[tuple[int, int], int] = {}
+    t0 = ta + tb
+    for h, packed in sums.items():
+        raw = (packed + offset).to_bytes(nbytes * fields, "little")
+        for j in range(fields):
+            v = int.from_bytes(raw[j * nbytes : (j + 1) * nbytes], "little") - half
+            if v:
+                out[h, t0 + j] = v
+    return out
+
+
 class PolyST:
     """Sparse integer polynomial in (s, t) with s exponents in half units."""
 
@@ -225,12 +283,7 @@ class PolyST:
         if isinstance(other, int):
             return PolyST({e: v * other for e, v in self.c.items()})
         if isinstance(other, PolyST):
-            out: dict[tuple[int, int], int] = {}
-            for (h1, t1), v1 in self.c.items():
-                for (h2, t2), v2 in other.c.items():
-                    k = (h1 + h2, t1 + t2)
-                    out[k] = out.get(k, 0) + v1 * v2
-            return PolyST(out)
+            return PolyST(_packed_product(self.c, other.c))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -321,10 +374,12 @@ def complete_edge_basis(n: int) -> PolyST:
     """Complete basis pbar_n = sum_{k=1}^n binom(n-1, k-1) p_k s^k."""
     if n < 1:
         raise ValueError(f"edge weight must be >= 1, got {n}")
-    out = PolyST()
+    out: dict[tuple[int, int], int] = {}
     for k in range(1, n + 1):
-        out = out + comb(n - 1, k - 1) * PolyST.from_t(maximal_edge_basis(k), 2 * k)
-    return out
+        c = comb(n - 1, k - 1)
+        for t, v in maximal_edge_basis(k).c.items():
+            out[2 * k, t] = c * v
+    return PolyST(out)
 
 
 def catalan_pair_t(q: PolyT) -> int:
@@ -354,12 +409,14 @@ def series_pair_uw(r: PolySUW) -> PolyST:
     Each term c * s^a u^j w^n becomes c * C_n * p_j * s^a.  A term with
     j = 0 has no edge-basis image and is rejected.
     """
-    out = PolyST()
-    for (s, u, w), v in sorted(r.c.items()):
+    out: dict[tuple[int, int], int] = {}
+    for (s, u, w), v in r.c.items():
         if u == 0:
             raise ValueError("state term with u-degree 0 cannot be paired")
-        out = out + (v * catalan(w)) * PolyST.from_t(maximal_edge_basis(u), 2 * s)
-    return out
+        c = v * catalan(w)
+        for t, b in maximal_edge_basis(u).c.items():
+            out[2 * s, t] = out.get((2 * s, t), 0) + c * b
+    return PolyST(out)
 
 
 def solve_integer_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:

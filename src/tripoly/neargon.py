@@ -40,7 +40,9 @@ from .planar import (
     order_type_equivalent,
 )
 from .roofs import covering_roofs, sub_edges
-from .transfer import complete_edge_poly_tm, max_region_count_points
+from .transfer import complete_edge_poly_tm, max_roof_counts
+# bench/tracer.py wraps max_region_count_points in this namespace
+from .transfer import max_region_count_points  # noqa: F401
 
 EDGE_METHODS = ("auto", "tm", "roofs", "convex")
 
@@ -89,22 +91,23 @@ def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
     Every sub-edge keeps the lower-hull corners; each of its covering
     roofs contributes its basis polynomial weighted by the number of
     maximal triangulations of the region between the lower boundary of
-    the sub-edge and the skyline of the roof.
+    the sub-edge and the skyline of the roof.  One maximal sweep per
+    sub-edge, with no ceiling, gives these counts for all its roofs.
     """
     pts = edge.points
-    out = PolyST()
+    out: dict[tuple[int, int], int] = {}
     for idxs in sub_edges(pts):
         sub = tuple(pts[i] for i in idxs)
         h = 2 * (len(sub) - 1)
-        floor = lower_hull(sub)
-        for roof_idx in covering_roofs(sub):
-            sky = tuple(sub[i] for i in roof_idx)
-            tau = max_region_count_points(sub, floor, sky)
-            if tau:
-                out = out + tau * PolyST.from_t(
-                    maximal_edge_basis(len(roof_idx) - 1), h
-                )
-    return EdgePolynomial(edge.weight, out)
+        roofs = covering_roofs(sub)
+        by_length: dict[int, int] = {}
+        for roof_idx, tau in zip(roofs, max_roof_counts(sub, lower_hull(sub), roofs)):
+            length = len(roof_idx) - 1
+            by_length[length] = by_length.get(length, 0) + tau
+        for length, tau in by_length.items():
+            for t, v in maximal_edge_basis(length).c.items():
+                out[h, t] = out.get((h, t), 0) + tau * v
+    return EdgePolynomial(edge.weight, PolyST(out))
 
 
 def convex_edge_states(

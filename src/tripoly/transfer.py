@@ -33,6 +33,13 @@ One loop serves three modes, which differ in the tables they keep:
 * edge (complete moves, no ceiling): every state pays off with its
   length ``popcount(bits) + 1``; the successor table is kept.
 
+An immediate sweep without a ceiling is the maximal mode run for every
+ceiling at once.  Its payoff also adds each state's multiplicity to a
+table keyed by ``bits``: as each code is reached at one step only, the
+entry of a roof, summed over its markers, is the maximal count of the
+region between the floor and that roof.  One sweep from a floor thus
+gives the count under every roof it reaches.
+
 Exponent bookkeeping runs in half units of s: a state reached at step k
 with a roof of length L (segments) accounts for (2 + k + L)/2 used
 vertices, an even half because every move changes k + L by zero or two.
@@ -102,6 +109,11 @@ class _Sweep:
         self._merge: list[bool | None] = [None] * (size * size * size)
         self._succ: dict[int, tuple[int, ...]] = {}
         self.ceiling_bits: int | None = None
+        # roof bits -> maximal count, filled by an immediate run without
+        # a ceiling
+        self.reached: dict[int, int] | None = (
+            {} if immediate and ceiling is None else None
+        )
         if ceiling is not None:
             self.ceiling_corners = path_corners(tuple(ceiling))
             self.ceiling_bits = sum(
@@ -237,9 +249,13 @@ class _Sweep:
         out: dict[int, int] = {}
         mask = self.mask
         if self.ceiling_bits is None:
+            reached = self.reached
             for code, mult in vec.items():
-                length = (code & mask).bit_count() + 1
+                bits = code & mask
+                length = bits.bit_count() + 1
                 out[length] = out.get(length, 0) + mult
+                if reached is not None:
+                    reached[bits] = reached.get(bits, 0) + mult
         elif self.immediate:
             bits = self.ceiling_bits
             length = bits.bit_count() + 1
@@ -390,6 +406,15 @@ def _run_complete(
     return PolyS(total)
 
 
+def _maximal_start(
+    sweep: _Sweep, floor: Sequence[Point]
+) -> dict[int, dict[int, int]]:
+    """The single floor state of a maximal run: every floor point used."""
+    corner_idx, optional = _floor_indices(sweep.points, floor)
+    start = tuple(sorted(corner_idx + optional))
+    return {len(start) - 1: {encode(DecoratedRoof(start, 0), sweep.n): 1}}
+
+
 def max_region_count_points(
     points: Sequence[Point],
     floor: Sequence[Point],
@@ -400,10 +425,27 @@ def max_region_count_points(
     """Maximal triangulations of the region between two paths, hosting
     exactly the given points (all of which must be used)."""
     sweep = _Sweep(points, ceiling=ceiling, immediate=True)
-    corner_idx, optional = _floor_indices(points, floor)
-    start = tuple(sorted(corner_idx + optional))
-    init = {len(start) - 1: {encode(DecoratedRoof(start, 0), sweep.n): 1}}
-    return sum(_run(sweep, init, trace).values())
+    return sum(_run(sweep, _maximal_start(sweep, floor), trace).values())
+
+
+def max_roof_counts(
+    points: Sequence[Point],
+    floor: Sequence[Point],
+    roofs: Sequence[Sequence[int]],
+    *,
+    trace: TraceFn | None = None,
+) -> list[int]:
+    """Maximal counts of the regions between the floor and each roof.
+
+    Each roof is a covering roof over the points, an index sequence from
+    0 to n; its count equals that of :func:`max_region_count_points`
+    with the roof's points as ceiling.  One sweep without a ceiling
+    yields all of them.
+    """
+    sweep = _Sweep(points, immediate=True)
+    _run(sweep, _maximal_start(sweep, floor), trace)
+    reached, n = sweep.reached, sweep.n
+    return [reached.get(encode(DecoratedRoof(tuple(r), 0), n), 0) for r in roofs]
 
 
 def _region_host(
@@ -534,7 +576,8 @@ def complete_edge_poly_tm(
     """
     host = tuple(edge.points)
     init = initial_vectors(host, lower_hull(host))
-    out = PolyST()
-    for (k, length), mult in sorted(_run(_Sweep(host), init, trace).items()):
-        out = out + mult * PolyST.from_t(maximal_edge_basis(length), k + length)
-    return out
+    out: dict[tuple[int, int], int] = {}
+    for (k, length), mult in _run(_Sweep(host), init, trace).items():
+        for t, v in maximal_edge_basis(length).c.items():
+            out[k + length, t] = out.get((k + length, t), 0) + mult * v
+    return PolyST(out)

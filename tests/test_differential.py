@@ -4,6 +4,8 @@ The sweep is compared with the brute-force oracle on small degenerate and
 random point sets, with its own maximal mode on larger ones, and with
 itself on copies scaled by 10^40.  Its bitmask moves are compared, state
 by state, with the tuple-based moves of :func:`tripoly.roofs.successors`.
+The covering-roofs route of a near-edge is compared with the transfer
+route, and its per-roof maximal counts with one ceiling sweep per roof.
 The generators are seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
@@ -12,14 +14,25 @@ import random
 
 import pytest
 
+from tripoly.neargon import covering_roof_edge_poly
 from tripoly.oracle import oracle_complete_poly, oracle_region_poly
-from tripoly.planar import Configuration, path_corners, point_on_path
-from tripoly.roofs import decode, encode, successors
+from tripoly.planar import (
+    Configuration,
+    NearEdge,
+    factorize,
+    lower_hull,
+    path_corners,
+    point_on_path,
+)
+from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
     _path_prefix,
     _Sweep,
     complete_config_poly,
+    complete_edge_poly_tm,
     max_config_count,
+    max_region_count_points,
+    max_roof_counts,
     region_poly,
 )
 
@@ -130,3 +143,34 @@ def test_bitmask_moves_match_the_decoded_moves(pts):
         for code in codes:
             got = sorted(sweep.successors(code))
             assert got == reference_successors(host, code, **mode), (mode, code)
+
+
+def random_edges(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:
+    """Near-edges of weight 1-8 with heights in [-2, 2]: collinear runs on
+    and off the chord, and every fourth edge scaled by 10^40."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        w = rng.randint(1, 8)
+        pts = [(0, 0)] + [(x, rng.randint(-2, 2)) for x in range(1, w)] + [(w, 0)]
+        out.append(scaled(pts) if i % 4 == 3 else tuple(pts))
+    return out
+
+
+def test_covering_roofs_route_matches_the_transfer_route():
+    factors = [f for pts in random_edges(400, seed=4) for f in factorize(NearEdge(pts))]
+    assert len(factors) > 400
+    for f in factors:
+        assert covering_roof_edge_poly(f).complete == complete_edge_poly_tm(f), f.points
+
+
+@pytest.mark.parametrize("pts", [e for e in random_edges(12, seed=5) if len(e) > 6][:4])
+def test_roof_table_matches_one_ceiling_sweep_per_roof(pts):
+    for idxs in sub_edges(pts):
+        sub = tuple(pts[i] for i in idxs)
+        floor = lower_hull(sub)
+        roofs = covering_roofs(sub)
+        want = [
+            max_region_count_points(sub, floor, tuple(sub[i] for i in r)) for r in roofs
+        ]
+        assert max_roof_counts(sub, floor, roofs) == want, sub

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: polynomials, pairings and linear solving."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -144,6 +145,81 @@ class TestPolyST:
         a = PolyST.from_t(tmono(1), 2)
         b = PolyST.from_t(tmono(2), 4)
         assert (a * b).c == {(6, 3): 1}
+
+
+def schoolbook_st(a: PolyST, b: PolyST) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for (h1, t1), v1 in a.c.items():
+        for (h2, t2), v2 in b.c.items():
+            k = (h1 + h2, t1 + t2)
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def random_st(rng: random.Random) -> PolyST:
+    """Sparse (s, t) polynomial with signed coefficients from tiny to
+    10^40 and 2^64 - 1, odd and even s half-exponents, sometimes empty
+    or constant."""
+    shape = rng.random()
+    if shape < 0.05:
+        return PolyST()
+    sizes = (1, 3, 10**40, 2**64 - 1, 2**64)
+    if shape < 0.1:
+        return PolyST({(0, 0): rng.choice((-1, 1)) * rng.choice(sizes)})
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        size = rng.choice(sizes)
+        terms[rng.randrange(9), rng.randrange(7)] = rng.choice((-1, 1)) * rng.randint(1, size)
+    return PolyST(terms)
+
+
+class TestPackedProduct:
+    def test_matches_the_schoolbook_product(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            a, b = random_st(rng), random_st(rng)
+            assert (a * b).c == schoolbook_st(a, b), (a, b)
+
+    def test_dense_all_ones(self):
+        for n in (1, 2, 5, 16):
+            ones = PolyST({(h, t): 1 for h in range(3) for t in range(n)})
+            sq = ones * ones
+            assert sq.c == schoolbook_st(ones, ones)
+            assert sq.c[2, n - 1] == 3 * n  # the most products meet here
+            big = PolyST({(h, t): -(2**64 - 1) for h in range(3) for t in range(n)})
+            assert (big * big).c == schoolbook_st(big, big)
+            assert (big * ones).c == schoolbook_st(big, ones)
+
+    def test_products_at_the_bound(self):
+        # a monomial times a monomial reaches |c| = ||a||_1 ||b||_1; these
+        # products sit just below and at a power of two next to a byte edge
+        for bits in (7, 8, 63, 64, 135, 136):
+            for c in (2**bits - 1, 2**bits):
+                for sign in (1, -1):
+                    a = PolyST({(1, 3): sign * c})
+                    b = PolyST({(2, 0): 1})
+                    assert (a * b).c == {(3, 3): sign * c}
+                    assert (b * a).c == {(3, 3): sign * c}
+                    spread = PolyST({(1, 0): sign * c, (1, 2): -c})
+                    assert (spread * b).c == schoolbook_st(spread, b)
+
+    def test_empty_and_constant_operands(self):
+        p = PolyST({(3, 2): -5, (1, 0): 10**40})
+        assert (p * PolyST()).c == {}
+        assert (PolyST() * p).c == {}
+        assert (p * PolyST({(0, 0): 1})) == p
+        assert (PolyST({(0, 0): -3}) * p).c == {(3, 2): 15, (1, 0): -3 * 10**40}
+
+    def test_cancellation_drops_zero_terms(self):
+        a = PolyST({(0, 1): 1, (0, 0): 1})
+        b = PolyST({(0, 1): 1, (0, 0): -1})
+        assert (a * b).c == {(0, 2): 1, (0, 0): -1}
+
+    def test_int_scaling_is_unchanged(self):
+        p = PolyST({(3, 2): -5, (1, 0): 7})
+        assert (3 * p).c == {(3, 2): -15, (1, 0): 21}
+        assert (p * 3).c == (3 * p).c
+        assert (0 * p).c == {}
 
 
 class TestEdgeBasis:

@@ -97,7 +97,6 @@ class TestEdgeMethods:
         for a in range(1, 6):
             assert edge_poly(straight_edge(a)).complete == complete_edge_basis(a)
 
-    @pytest.mark.slow
     def test_methods_agree_on_a_wide_edge(self):
         edge = NearEdge(EDGE12)
         assert (
