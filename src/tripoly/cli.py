@@ -187,7 +187,8 @@ def _run_verb(args: argparse.Namespace, out) -> int:
             poly = complete_config_poly(cfg, trace=trace)
             print(_json_s(poly) if args.json else poly.text(), file=out)
         else:
-            count = max_config_count(cfg, trace=trace)
+            # a maximal trace lists the unpruned sweep, dead ends included
+            count = max_config_count(cfg, prune=not args.trace, trace=trace)
             print(_json_count(count) if args.json else count, file=out)
         return 0
 
@@ -200,7 +201,12 @@ def _run_verb(args: argparse.Namespace, out) -> int:
             host, _, _ = _region_host(cfg, floor, ceiling)
             trace = _tracer(out, host)
         result = region_poly(
-            cfg, floor, ceiling, maximal=args.maximal, trace=trace
+            cfg,
+            floor,
+            ceiling,
+            maximal=args.maximal,
+            prune=not (args.trace and args.maximal),
+            trace=trace,
         )
         if args.maximal:
             print(_json_count(result) if args.json else result, file=out)

@@ -24,6 +24,15 @@ One loop serves three modes, which differ in the tables they keep:
   only and is expanded exactly once.  This mode keeps no successor and
   no match table; a state matches the ceiling when its bits equal the
   ceiling's bits, so a payoff reads the few codes with those bits.
+  Its dead-end test is one compare: with c the last on-ceiling roof
+  point at or before the start of the move walk, the state is dead when
+  its bits up to c differ from the ceiling's.  This is exact: the roof
+  before c changes only after c is merged away, and a merged point lies
+  strictly under the roof from then on, so it is never inserted again
+  and the roof can never become the ceiling.  The compared prefix only
+  grows along the walk, so the walk stops at the first dead position.
+  By Euler's formula such a run pays off at one step only, which
+  :func:`max_region_count_points` checks.
 * complete (any moves, optional points): codes recur at many steps, so
   the successor tuple of each code is kept.  A table keyed by ``bits``
   decides the ceiling match, and a table keyed by the roof prefix up to
@@ -103,7 +112,6 @@ class _Sweep:
         self.shift = n - 1
         self.mask = (1 << (n - 1)) - 1
         self.immediate = immediate
-        self.prune = bool(prune) and ceiling is not None
         size = n + 1
         self._ins: list[tuple[int, ...] | None] = [None] * (size * size)
         self._merge: list[bool | None] = [None] * (size * size * size)
@@ -115,14 +123,17 @@ class _Sweep:
             {} if immediate and ceiling is None else None
         )
         if ceiling is not None:
-            self.ceiling_corners = path_corners(tuple(ceiling))
             self.ceiling_bits = sum(
                 1 << (i - 1)
                 for i in range(1, n)
                 if point_on_path(self.points[i], ceiling)
             )
-            self._match: dict[int, int] = {}
-            self._dead: dict[int, bool] = {}
+            if not immediate:
+                self.ceiling_corners = path_corners(tuple(ceiling))
+                self._match: dict[int, int] = {}
+                self._dead: dict[int, bool] = {}
+        # with no interior point on the ceiling no prefix is ever a dead end
+        self.prune = bool(prune and self.ceiling_bits)
 
     # -- lazily filled tables --------------------------------------------
 
@@ -166,7 +177,9 @@ class _Sweep:
         Inserting q into the segment at position k >= d gives marker k;
         merging the middle point of the wedge at position k >= d - 1
         gives marker k.  With pruning, moves at positions whose frozen
-        prefix is a dead end are dropped.
+        prefix is a dead end are dropped; in immediate mode the frozen
+        prefix only grows along the walk, so the walk stops at the first
+        dead one.
         """
         n = self.n
         size = n + 1
@@ -185,18 +198,29 @@ class _Sweep:
         b = lowb.bit_length() if lowb else n
         head = (k << self.shift) | bits  # this roof with marker k
         step = 1 << self.shift
-        prune = self.prune
         dead = False
-        if prune:
+        watch = 0  # roof bits at which the frozen prefix changes
+        if self.prune:
             on = self.ceiling_bits
-            table = self._dead
             # the frozen prefix ends at the last on-ceiling roof point at
             # or before a, or at P_0 when there is none
             last = (bits & on & ((1 << a) - 1)).bit_length()
-            prefix = bits & ((1 << last) - 1)
-            dead = table.get(prefix)
-            if dead is None:
-                dead = table[prefix] = self._dead_prefix(prefix)
+            if self.immediate:
+                # a maximal payoff needs bits == on exactly: the walk is
+                # dead from the first on-ceiling roof point at or past
+                # the lowest mismatch
+                diff = bits ^ on
+                if diff & ((1 << last) - 1):
+                    return ()
+                watch = bits & on & -(diff & -diff)
+                watch &= -watch
+            else:
+                watch = on
+                table = self._dead
+                prefix = bits & ((1 << last) - 1)
+                dead = table.get(prefix)
+                if dead is None:
+                    dead = table[prefix] = self._dead_prefix(prefix)
         out = []
         while True:
             if k >= d and not dead:
@@ -218,7 +242,9 @@ class _Sweep:
                     ok = merge[key] = self._mergeable(a, b, c)
                 if ok:
                     out.append(head ^ lowb)
-            if prune and lowb & on:
+            if lowb & watch:
+                if self.immediate:
+                    break
                 # b becomes the last on-ceiling point of the prefix
                 prefix = bits & ((lowb << 1) - 1)
                 dead = table.get(prefix)
@@ -395,10 +421,10 @@ def _run_complete(
     floor: Sequence[Point],
     ceiling: Sequence[Point],
     *,
-    prune: bool = True,
+    prune: bool | None = None,
     trace: TraceFn | None = None,
 ) -> PolyS:
-    sweep = _Sweep(host, ceiling=ceiling, prune=prune)
+    sweep = _Sweep(host, ceiling=ceiling, prune=prune is not False)
     total: dict[int, int] = {}
     for (k, length), coeff in _run(sweep, initial_vectors(host, floor), trace).items():
         h = (2 + k + length) // 2
@@ -420,12 +446,23 @@ def max_region_count_points(
     floor: Sequence[Point],
     ceiling: Sequence[Point],
     *,
+    prune: bool | None = None,
     trace: TraceFn | None = None,
 ) -> int:
     """Maximal triangulations of the region between two paths, hosting
-    exactly the given points (all of which must be used)."""
-    sweep = _Sweep(points, ceiling=ceiling, immediate=True)
-    return sum(_run(sweep, _maximal_start(sweep, floor), trace).values())
+    exactly the given points (all of which must be used).
+
+    Dead-end pruning is on unless ``prune`` is False.
+    """
+    sweep = _Sweep(
+        points, ceiling=ceiling, immediate=True, prune=prune is not False
+    )
+    paid = _run(sweep, _maximal_start(sweep, floor), trace)
+    # Euler's formula fixes the triangle count under the ceiling
+    if len(paid) > 1:
+        steps = sorted(k for k, _ in paid)
+        raise AssertionError(f"maximal payoffs at several steps {steps}")
+    return sum(paid.values())
 
 
 def max_roof_counts(
@@ -511,17 +548,8 @@ def region_poly(
     them all.
     """
     host, floor_path, ceiling_path = _region_host(config, floor, ceiling)
-    if maximal:
-        if prune:
-            raise ValueError("dead-end pruning applies to complete runs only")
-        return max_region_count_points(
-            host, floor_path, ceiling_path, trace=trace
-        )
-    if prune is None:
-        prune = True
-    return _run_complete(
-        host, floor_path, ceiling_path, prune=prune, trace=trace
-    )
+    run = max_region_count_points if maximal else _run_complete
+    return run(host, floor_path, ceiling_path, prune=prune, trace=trace)
 
 
 def complete_config_poly(
@@ -539,8 +567,6 @@ def complete_config_poly(
         raise ValueError(
             "the configuration must have at least three non-collinear points"
         )
-    if prune is None:
-        prune = True
     host = config.points
     return _run_complete(
         host,
@@ -552,7 +578,10 @@ def complete_config_poly(
 
 
 def max_config_count(
-    config: Configuration, *, trace: TraceFn | None = None
+    config: Configuration,
+    *,
+    prune: bool | None = None,
+    trace: TraceFn | None = None,
 ) -> int:
     """Number of maximal triangulations (every point a vertex)."""
     if len(config) < 3 or config.all_collinear():
@@ -561,7 +590,7 @@ def max_config_count(
         )
     host = config.points
     return max_region_count_points(
-        host, lower_hull(host), upper_hull(host), trace=trace
+        host, lower_hull(host), upper_hull(host), prune=prune, trace=trace
     )
 
 

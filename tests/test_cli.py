@@ -334,6 +334,35 @@ class TestInternalError:
             "internal error: transfer iteration failed to terminate\n"
         )
 
+    def test_payoffs_at_two_steps_exit_with_code_3(
+        self, point_file, capsys, monkeypatch
+    ):
+        # park each ceiling roof for one step under a marker past its last
+        # segment, then give it back: no triangle is added, so it pays off
+        # again two steps later
+        from tripoly.transfer import _Sweep
+
+        real = _Sweep.successors
+
+        def stalling(self, code):
+            out = real(self, code)
+            bits = code & self.mask
+            top = bits.bit_count()
+            if bits == self.ceiling_bits:
+                d = code >> self.shift
+                if d < top:
+                    out += ((top + 1) << self.shift | bits,)
+                elif d > top:
+                    out += (top << self.shift | bits,)
+            return out
+
+        monkeypatch.setattr(_Sweep, "successors", stalling)
+        rc, out = cap(["maxcount", point_file(QUAD)])
+        assert (rc, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "internal error: maximal payoffs at several steps [4, 6]\n"
+        )
+
 
 class TestSelftest:
     EXPECTED = (

@@ -2,8 +2,11 @@
 
 The sweep is compared with the brute-force oracle on small degenerate and
 random point sets, with its own maximal mode on larger ones, and with
-itself on copies scaled by 10^40.  Its bitmask moves are compared, state
-by state, with the tuple-based moves of :func:`tripoly.roofs.successors`.
+itself on copies scaled by 10^40.  Maximal counts with dead-end pruning
+are compared with unpruned ones and the oracle, also under ceilings with
+collinear runs and with valley corners.  Its bitmask moves are compared,
+state by state, with the tuple-based moves of
+:func:`tripoly.roofs.successors`.
 The covering-roofs route of a near-edge is compared with the transfer
 route, and its per-roof maximal counts with one ceiling sweep per roof.
 The generators are seeded, so every run checks the same configurations.
@@ -15,18 +18,22 @@ import random
 import pytest
 
 from tripoly.neargon import covering_roof_edge_poly
-from tripoly.oracle import oracle_complete_poly, oracle_region_poly
+from tripoly.oracle import _count_fillings, oracle_complete_poly, oracle_region_poly
 from tripoly.planar import (
     Configuration,
     NearEdge,
     factorize,
     lower_hull,
+    orient,
     path_corners,
     point_on_path,
+    point_vs_path,
+    upper_hull,
 )
 from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
     _path_prefix,
+    _region_host,
     _Sweep,
     complete_config_poly,
     complete_edge_poly_tm,
@@ -106,15 +113,104 @@ def test_leading_coefficient_is_the_maximal_count(pts):
     assert max_config_count(Configuration(scaled(pts))) == count
 
 
+def ceiling_runs(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:
+    """Points under a row of at least three collinear points spanning the
+    x range, sheared to slope 1 on every other draw; 5-10 points with
+    shared x columns."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        w = rng.randint(3, 6)
+        row = {0, w, *rng.sample(range(1, w), rng.randint(1, min(w - 1, 4)))}
+        pts = {(x, w) for x in row}
+        size = rng.randint(len(pts) + 2, 10)
+        while len(pts) < size:
+            pts.add((rng.randint(0, w), rng.randrange(w)))
+        out.append(tuple((x, y + x * (i % 2)) for x, y in pts))
+    return out
+
+
+def valley_regions(
+    cfg: Configuration, count: int, seed: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Regions above the lower hull under random ceilings through points
+    strictly above it, each with a valley corner, where the sweep can
+    merge a ceiling point away."""
+    rng = random.Random(seed)
+    pts = cfg.points
+    index = {p: i for i, p in enumerate(pts)}
+    lower = cfg.lower_boundary()
+    floor = tuple(index[p] for p in lower)
+    inner = [i for i in range(1, len(pts) - 1) if point_vs_path(pts[i], lower) > 0]
+    out = []
+    for _ in range(40):
+        if len(out) == count or not inner:
+            break
+        mid = sorted(rng.sample(inner, rng.randint(1, min(4, len(inner)))))
+        ceiling = (0, *mid, len(pts) - 1)
+        path = [pts[i] for i in ceiling]
+        corners = path_corners(path)
+        if any(p[0] >= q[0] for p, q in zip(path, path[1:])) or not any(
+            orient(a, b, c) > 0 for a, b, c in zip(corners, corners[1:], corners[2:])
+        ):
+            continue
+        try:
+            _region_host(cfg, floor, ceiling)
+        except ValueError:
+            continue
+        if (floor, ceiling) not in out:
+            out.append((floor, ceiling))
+    return out
+
+
+MAXIMAL = SMALL + ceiling_runs(12, seed=6)
+MAXIMAL_LARGE = random_sets(3, seed=7, lo=13, hi=15, box=6) + random_sets(
+    3, seed=8, lo=13, hi=15, box=40
+)
+
+
+@pytest.mark.parametrize("pts", MAXIMAL)
+def test_pruned_maximal_counts_match_unpruned_and_oracle(pts):
+    cfg = Configuration(pts)
+    big = Configuration(scaled(pts))
+    host = cfg.points
+    want = _count_fillings(host, lower_hull(host), upper_hull(host))
+    for c in (cfg, big):
+        assert max_config_count(c) == max_config_count(c, prune=False) == want
+    regions = hull_regions(cfg) + valley_regions(cfg, 3, seed=len(pts))
+    for floor, ceiling in regions:
+        want = oracle_region_poly(cfg, floor, ceiling).leading()
+        for c in (cfg, big):
+            for prune in (True, False):
+                got = region_poly(c, floor, ceiling, maximal=True, prune=prune)
+                assert got == want, (floor, ceiling, prune)
+
+
+@pytest.mark.parametrize("pts", MAXIMAL_LARGE)
+def test_pruned_maximal_counts_match_unpruned_on_larger_sets(pts):
+    cfg = Configuration(pts)
+    assert max_config_count(cfg) == max_config_count(cfg, prune=False)
+    for floor, ceiling in hull_regions(cfg)[:2] + valley_regions(cfg, 3, seed=9):
+        assert region_poly(cfg, floor, ceiling, maximal=True) == region_poly(
+            cfg, floor, ceiling, maximal=True, prune=False
+        ), (floor, ceiling)
+
+
 def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
     """Successor codes from decoded roofs, dropping with ``prune`` every
-    roof whose prefix up to its last on-ceiling point at or before the
-    marker leaves the ceiling's path."""
+    roof whose frozen prefix, up to its last on-ceiling point at or before
+    the marker, is a dead end: in complete mode when that prefix leaves
+    the ceiling's path, in immediate mode when its points are not exactly
+    the ceiling's points up to there."""
     n = len(points) - 1
+    on = [i for i, p in enumerate(points) if ceiling and point_on_path(p, ceiling)]
 
     def dead(roof):
         for pos in range(roof.d, -1, -1):
-            if point_on_path(points[roof.indices[pos]], ceiling):
+            c = roof.indices[pos]
+            if c in on:
+                if immediate:
+                    return list(roof.indices[: pos + 1]) != [i for i in on if i <= c]
                 part = path_corners(tuple(points[i] for i in roof.indices[: pos + 1]))
                 return not _path_prefix(part, path_corners(ceiling))
         return False
@@ -123,10 +219,7 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
     return sorted(encode(r, n) for r in nxt if not (prune and dead(r)))
 
 
-@pytest.mark.parametrize("pts", SMALL[::3])
-def test_bitmask_moves_match_the_decoded_moves(pts):
-    cfg = Configuration(pts)
-    host, ceiling = cfg.points, cfg.upper_boundary()
+def check_moves(host, ceiling):
     n = len(host) - 1
     codes = [
         d << (n - 1) | bits
@@ -136,6 +229,7 @@ def test_bitmask_moves_match_the_decoded_moves(pts):
     for mode in (
         {"ceiling": ceiling, "prune": True},
         {"ceiling": ceiling, "prune": False},
+        {"ceiling": ceiling, "immediate": True, "prune": True},
         {"ceiling": ceiling, "immediate": True},
         {},
     ):
@@ -143,6 +237,21 @@ def test_bitmask_moves_match_the_decoded_moves(pts):
         for code in codes:
             got = sorted(sweep.successors(code))
             assert got == reference_successors(host, code, **mode), (mode, code)
+
+
+@pytest.mark.parametrize("pts", SMALL[::3])
+def test_bitmask_moves_match_the_decoded_moves(pts):
+    cfg = Configuration(pts)
+    check_moves(cfg.points, cfg.upper_boundary())
+
+
+@pytest.mark.parametrize("pts", ceiling_runs(6, seed=10))
+def test_bitmask_moves_match_under_ceiling_runs_and_valleys(pts):
+    cfg = Configuration(pts)
+    check_moves(cfg.points, cfg.upper_boundary())
+    for floor, ceiling in valley_regions(cfg, 2, seed=11):
+        host, _, path = _region_host(cfg, floor, ceiling)
+        check_moves(host, path)
 
 
 def random_edges(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:

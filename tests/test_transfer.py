@@ -165,16 +165,29 @@ class TestRegionPoly:
             cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=False
         ) == region_poly(cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=True)
 
-    def test_maximal_with_pruning_is_rejected(self):
+    def test_maximal_pruning_is_transparent(self):
         cfg, _, _ = squeeze_paths()
-        with pytest.raises(ValueError, match="complete runs"):
-            region_poly(
-                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, maximal=True, prune=True
+        for prune in (True, False):
+            count = region_poly(
+                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, maximal=True, prune=prune
             )
-        count = region_poly(
-            cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, maximal=True, prune=False
-        )
-        assert count == 12
+            assert count == 12
+
+    def test_traced_maximal_run_keeps_pruning(self):
+        cfg, _, _ = squeeze_paths()
+        sizes = {}
+        for prune in (None, False):
+            seen = sizes[prune] = []
+            region_poly(
+                cfg,
+                SQUEEZE_FLOOR,
+                SQUEEZE_CEILING,
+                maximal=True,
+                prune=prune,
+                trace=lambda k, vec, w: seen.append(len(vec)),
+            )
+        assert sizes[None] == [1, 1, 3, 5, 4, 4, 5, 4, 2]
+        assert sizes[False] == [1, 1, 3, 7, 10, 10, 8, 5, 2]
 
     def test_trace_w_images(self):
         cfg, _, _ = squeeze_paths()
