@@ -1,10 +1,9 @@
 """Transfer iteration sweeping a region by decorated roofs.
 
-The host is a sequence of points P_0..P_n in sweep order.  A state
-vector maps decorated-roof codes to multiplicities; one transfer step
-replaces every state by the sum of its successor states.  Fresh states
-are injected from the floor of the region, and whenever a state's
-skyline reaches the ceiling it pays off into the accumulating result.
+The host is a sequence of points P_0..P_n in sweep order.  A state is a
+decorated roof: fresh states are injected from the floor of the region,
+every move adds one triangle on top of the roof, and a state whose roof
+is the ceiling pays off into the result.
 
 A state is the integer code ``d << (n - 1) | bits`` of
 :mod:`tripoly.roofs`: bit i - 1 of ``bits`` flags interior point i as a
@@ -12,35 +11,73 @@ roof point, and d is the roof position of the marked segment.  The sweep
 never decodes a state.  It walks the interior bits with ``bits & -bits``
 and ``bit_length()`` from position d - 1 onwards, and a successor is one
 bit set (an insertion into a segment) or cleared (a merge of a wedge)
-plus its new marker.  Two tables, filled lazily per host, decide the
-moves: the insertion candidates of each segment (a, b) and the merge
-legality of each triple (a, m, b).  In immediate mode both also demand
-that the swept triangle holds no other host point.
+plus its new marker.  Two tables, filled lazily per host with exact
+``orient`` tests over the index range of the move, decide the moves: the
+insertions into each segment (a, b) and the merge of each triple
+(a, m, b).  An entry is the bit the move sets or clears plus
+``e << skip_shift``, e being the number of host points that the swept
+triangle newly covers besides the moved point, so a move carries e above
+the code it reaches.  Those points are skipped: they never become
+vertices.  A third table, filled up front, counts the points each
+segment covers, and e is a difference of those counts.  In immediate
+mode a move must sweep an empty closed triangle, so e is always 0 and
+that table is not needed.
 
-One loop serves three modes, which differ in the tables they keep:
+The sweep is one loop over codes in order of a potential.  A point is
+covered by a roof when it is not strictly above it, and
 
-* maximal (immediate moves, all points used): every move adds one
-  triangle, so by Euler's formula a code can be reached at one step
-  only and is expanded exactly once.  This mode keeps no successor and
-  no match table; a state matches the ceiling when its bits equal the
-  ceiling's bits, so a payoff reads the few codes with those bits.
-  Its dead-end test is one compare: with c the last on-ceiling roof
-  point at or before the start of the move walk, the state is dead when
-  its bits up to c differ from the ceiling's.  This is exact: the roof
-  before c changes only after c is merged away, and a merged point lies
-  strictly under the roof from then on, so it is never inserted again
-  and the roof can never become the ceiling.  The compared prefix only
-  grows along the walk, so the walk stops at the first dead position.
-  By Euler's formula such a run pays off at one step only, which
-  :func:`max_region_count_points` checks.
-* complete (any moves, optional points): codes recur at many steps, so
-  the successor tuple of each code is kept.  A table keyed by ``bits``
-  decides the ceiling match, and a table keyed by the roof prefix up to
-  the last on-ceiling point at or before the marker decides whether a
-  successor is a dead end, i.e. touches the ceiling along a path the
-  ceiling does not follow.  Both compare corner paths exactly.
+    Φ(bits) = 2 · (covered host points) − (roof points).
+
+An insertion covers its new roof point and a merge drops one, so every
+move raises Φ by 1 + 2e.  Φ depends on the bits alone and lies between 2
+and 2n, so the loop keeps one dict per value of Φ and expands every code
+exactly once, after every move into it has been made.  It needs no step
+bound and keeps no successor table.  This is the marked monotone-path
+aggregation of Alvarez & Seidel (SoCG 2013) run over the DAG of moves.
+
+A code's multiplicity is one packed int: its field j, ``width`` bits
+wide, counts the partial triangulations under the roof that skipped j
+points, and a move that skips e points adds the multiplicity shifted by
+e fields.  Along every move k − Φ + 2j stays constant, and a floor roof
+of length L enters the step-by-step iteration at step L, so field j of a
+code is the multiplicity that iteration gives it at step
+k = Φ − 2j − 1.  Payoffs are reported keyed by (k, roof length) and a
+``trace=`` callback sees the vectors V_k of that iteration, rebuilt after
+the sweep.  At a ceiling payoff every host point is covered, so
+Φ = 2(n + 1) − (roof points) and field j used n + 1 − j vertices; a run
+that pays off at any other potential raises ``AssertionError``.
+
+Field width.  A field counts pairs of a floor state and a move sequence
+from it.  There are at most 2^(n-1) floor states.  A state has at most
+n − 1 moves: an interior point off the roof can only be inserted into
+the segment whose index range holds it, and one on the roof can only be
+merged away.  A sequence has fewer than 2n moves, as each adds a
+triangle of a triangulation of at most n + 1 points.  A payoff sum adds
+at most one field per code, and there are fewer than n · 2^(n-1) codes.
+Every sum thus stays below 2^(2(n-1)) · n · (n − 1)^(2n), which fits in
+2(n − 1) + bitlen(n) + 2n · bitlen(n − 1) bits.
+
+Three modes share the loop:
+
+* maximal (immediate moves, all points used): e is always 0, so a
+  multiplicity is a plain int and each value of Φ is one step.  A state
+  matches the ceiling when its bits equal the ceiling's bits.
+* complete (any moves, optional points): a state matches the ceiling when
+  its roof has no point off the ceiling path and every interior corner
+  of it.
 * edge (complete moves, no ceiling): every state pays off with its
-  length ``popcount(bits) + 1``; the successor table is kept.
+  length ``popcount(bits) + 1``.
+
+Dead-end pruning compares bits.  Let the bad bits of a roof be its points
+off the ceiling path plus the ceiling points it needs and lacks: in
+maximal mode every on-ceiling point, in complete mode every ceiling
+corner.  A state matches the ceiling when it has no bad bit.  With c the
+last on-ceiling roof point at or before the walk's position, the frozen
+prefix up to c is dead when it holds a bad bit.  This is exact: the roof
+before c changes only after c is merged away, and a merged point lies
+strictly under the roof from then on, so it is never inserted again and
+the roof can never become the ceiling.  The prefix only grows along the
+walk, so the walk stops at the first dead position.
 
 An immediate sweep without a ceiling is the maximal mode run for every
 ceiling at once.  Its payoff also adds each state's multiplicity to a
@@ -48,15 +85,11 @@ table keyed by ``bits``: as each code is reached at one step only, the
 entry of a roof, summed over its markers, is the maximal count of the
 region between the floor and that roof.  One sweep from a floor thus
 gives the count under every roof it reaches.
-
-Exponent bookkeeping runs in half units of s: a state reached at step k
-with a roof of length L (segments) accounts for (2 + k + L)/2 used
-vertices, an even half because every move changes k + L by zero or two.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import roofs as roofmod
 from .exactmath import PolyS, PolyST, maximal_edge_basis
@@ -65,7 +98,6 @@ from .planar import (
     NearEdge,
     Point,
     lower_hull,
-    on_segment,
     orient,
     path_corners,
     point_on_path,
@@ -76,24 +108,6 @@ from .planar import (
 from .roofs import DecoratedRoof, decode, encode
 
 TraceFn = Callable[[int, dict[int, int], dict[int, int]], None]
-
-
-def _path_prefix(part: Sequence[Point], corners: Sequence[Point]) -> bool:
-    """True when the corner path ``part`` is an initial piece of ``corners``.
-
-    All corners must coincide except that the last point of ``part`` may
-    lie anywhere on the corresponding segment of the longer path.
-    """
-    if len(part) > len(corners):
-        return False
-    if len(part) == 1:
-        return part[0] == corners[0]
-    for i in range(len(part) - 1):
-        if part[i] != corners[i]:
-            return False
-    last = part[-1]
-    j = len(part) - 1
-    return last == corners[j] or on_segment(last, corners[j - 1], corners[j])
 
 
 class _Sweep:
@@ -112,10 +126,26 @@ class _Sweep:
         self.shift = n - 1
         self.mask = (1 << (n - 1)) - 1
         self.immediate = immediate
+        self.width = 2 * (n - 1) + n.bit_length() + 2 * n * (n - 1).bit_length()
         size = n + 1
+        # a move is the code it reaches plus e << skip_shift, e being the
+        # points it skips; codes stay below 1 << skip_shift
+        self.skip_shift = self.shift + n.bit_length()
         self._ins: list[tuple[int, ...] | None] = [None] * (size * size)
-        self._merge: list[bool | None] = [None] * (size * size * size)
-        self._succ: dict[int, tuple[int, ...]] = {}
+        self._merge: list[int | None] = [None] * (size * size * size)
+        # a * size + b -> host points strictly between a and b in sweep
+        # order that are not above the segment a -> b; complete moves
+        # count the points they skip from it
+        self._cover = cover = [0] * (size * size)
+        if not immediate:
+            p = self.points
+            for a in range(n - 1):
+                for b in range(a + 2, size):
+                    count = 0
+                    for r in range(a + 1, b):
+                        if orient(p[a], p[b], p[r]) <= 0:
+                            count += 1
+                    cover[a * size + b] = count
         self.ceiling_bits: int | None = None
         # roof bits -> maximal count, filled by an immediate run without
         # a ceiling
@@ -123,69 +153,77 @@ class _Sweep:
             {} if immediate and ceiling is None else None
         )
         if ceiling is not None:
-            self.ceiling_bits = sum(
+            on = self.ceiling_bits = sum(
                 1 << (i - 1)
                 for i in range(1, n)
                 if point_on_path(self.points[i], ceiling)
             )
-            if not immediate:
-                self.ceiling_corners = path_corners(tuple(ceiling))
-                self._match: dict[int, int] = {}
-                self._dead: dict[int, bool] = {}
+            # the bits a ceiling roof must have; the others off the ceiling
+            # path it must not
+            if immediate:
+                self.required = on
+            else:
+                corners = set(path_corners(tuple(ceiling))[1:-1])
+                self.required = sum(
+                    1 << (i - 1) for i in range(1, n) if self.points[i] in corners
+                )
+            self.care = (self.mask ^ on) | self.required
         # with no interior point on the ceiling no prefix is ever a dead end
         self.prune = bool(prune and self.ceiling_bits)
 
     # -- lazily filled tables --------------------------------------------
 
     def _insertions(self, a: int, b: int) -> tuple[int, ...]:
-        """Bits of the points q that may be inserted into segment (a, b)."""
+        """Moves into segment (a, b): the bit of each point q that may be
+        inserted, plus the points it skips shifted to ``skip_shift``."""
         p = self.points
-        return tuple(
-            1 << (q - 1)
-            for q in range(a + 1, b)
-            if orient(p[a], p[b], p[q]) > 0
-            and (not self.immediate or roofmod.closed_triangle_empty(p, a, q, b))
-        )
+        above = [q for q in range(a + 1, b) if orient(p[a], p[b], p[q]) > 0]
+        if self.immediate:
+            return tuple(
+                1 << (q - 1)
+                for q in above
+                if roofmod.closed_triangle_empty(p, a, q, b)
+            )
+        cover, size = self._cover, self.n + 1
+        moves = []
+        for q in above:
+            # the points that a -> q -> b covers and a -> b does not, but q
+            e = cover[a * size + q] + cover[q * size + b] - cover[a * size + b]
+            moves.append(1 << (q - 1) | e << self.skip_shift)
+        return tuple(moves)
 
-    def _mergeable(self, a: int, m: int, b: int) -> bool:
+    def _merge_move(self, a: int, m: int, b: int) -> int:
+        """Move merging m away from the wedge (a, m, b): the bit of m plus
+        the points it skips shifted to ``skip_shift``, or 0 when m cannot
+        be merged."""
         p = self.points
-        return orient(p[a], p[b], p[m]) < 0 and (
-            not self.immediate or roofmod.closed_triangle_empty(p, a, m, b)
-        )
-
-    def _roof_points(self, bits: int) -> tuple[Point, ...]:
-        return tuple(self.points[i] for i in decode(bits, self.n).indices)
-
-    def _match_length(self, bits: int) -> int:
-        """Roof length when the skyline is the ceiling, else 0."""
-        if path_corners(self._roof_points(bits)) != self.ceiling_corners:
+        if orient(p[a], p[b], p[m]) >= 0:
             return 0
-        return bits.bit_count() + 1
-
-    def _dead_prefix(self, prefix: int) -> bool:
-        """Frozen-prefix test: the roof points up to the highest bit of
-        ``prefix``, an on-ceiling point (or P_0 when ``prefix`` is 0),
-        leave the ceiling's path."""
-        part = path_corners(self._roof_points(prefix)[:-1])
-        return not _path_prefix(part, self.ceiling_corners)
+        if self.immediate:
+            empty = roofmod.closed_triangle_empty(p, a, m, b)
+            return 1 << (m - 1) if empty else 0
+        # m itself is one of the points that a -> b covers
+        cover, size = self._cover, self.n + 1
+        e = cover[a * size + b] - cover[a * size + m] - cover[m * size + b] - 1
+        return 1 << (m - 1) | e << self.skip_shift
 
     # -- moves ---------------------------------------------------------------
 
-    def successors(self, code: int) -> tuple[int, ...]:
-        """Codes reachable by one move at or past the marker.
+    def successors(self, code: int) -> list[int]:
+        """Moves at or past the marker, each the code it reaches plus the
+        points it skips shifted to ``skip_shift``.
 
         Inserting q into the segment at position k >= d gives marker k;
         merging the middle point of the wedge at position k >= d - 1
-        gives marker k.  With pruning, moves at positions whose frozen
-        prefix is a dead end are dropped; in immediate mode the frozen
-        prefix only grows along the walk, so the walk stops at the first
-        dead one.
+        gives marker k.  With pruning, the walk stops at the first
+        position whose frozen prefix is a dead end.
         """
         n = self.n
         size = n + 1
         d = code >> self.shift
         bits = code & self.mask
         ins, merge = self._ins, self._merge
+        out: list[int] = []
         # a is the roof point at position k; b the next one, with bit lowb
         k = d - 1 if d else 0
         a = 0
@@ -198,84 +236,56 @@ class _Sweep:
         b = lowb.bit_length() if lowb else n
         head = (k << self.shift) | bits  # this roof with marker k
         step = 1 << self.shift
-        dead = False
-        watch = 0  # roof bits at which the frozen prefix changes
+        watch = 0  # the roof bit past which the frozen prefix is dead
         if self.prune:
             on = self.ceiling_bits
+            # roof points off the ceiling path, and the ceiling points a
+            # ceiling roof needs that this one lacks
+            bad = (bits ^ self.required) & self.care
             # the frozen prefix ends at the last on-ceiling roof point at
             # or before a, or at P_0 when there is none
             last = (bits & on & ((1 << a) - 1)).bit_length()
-            if self.immediate:
-                # a maximal payoff needs bits == on exactly: the walk is
-                # dead from the first on-ceiling roof point at or past
-                # the lowest mismatch
-                diff = bits ^ on
-                if diff & ((1 << last) - 1):
-                    return ()
-                watch = bits & on & -(diff & -diff)
-                watch &= -watch
-            else:
-                watch = on
-                table = self._dead
-                prefix = bits & ((1 << last) - 1)
-                dead = table.get(prefix)
-                if dead is None:
-                    dead = table[prefix] = self._dead_prefix(prefix)
-        out = []
+            if bad & ((1 << last) - 1):
+                return out
+            watch = bits & on & -(bad & -bad)
+            watch &= -watch
         while True:
-            if k >= d and not dead:
+            if k >= d:
                 key = a * size + b
                 cand = ins[key]
                 if cand is None:
                     cand = ins[key] = self._insertions(a, b)
-                for qbit in cand:
-                    out.append(head | qbit)
+                for move in cand:
+                    out.append(head | move)
             if b == n:
                 break
             rest ^= lowb
             lowc = rest & -rest
             c = lowc.bit_length() if lowc else n
-            if not dead:
-                key = (a * size + b) * size + c
-                ok = merge[key]
-                if ok is None:
-                    ok = merge[key] = self._mergeable(a, b, c)
-                if ok:
-                    out.append(head ^ lowb)
+            key = (a * size + b) * size + c
+            move = merge[key]
+            if move is None:
+                move = merge[key] = self._merge_move(a, b, c)
+            if move:
+                out.append(head ^ move)
             if lowb & watch:
-                if self.immediate:
-                    break
-                # b becomes the last on-ceiling point of the prefix
-                prefix = bits & ((lowb << 1) - 1)
-                dead = table.get(prefix)
-                if dead is None:
-                    dead = table[prefix] = self._dead_prefix(prefix)
+                break
             a, b, lowb = b, c, lowc
             k += 1
             head += step
-        return tuple(out)
-
-    def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        get = out.get
-        table = self._succ
-        keep = not self.immediate  # maximal mode reaches each code once
-        for code, mult in vec.items():
-            succ = table.get(code)
-            if succ is None:
-                succ = self.successors(code)
-                if keep:
-                    table[code] = succ
-            for nxt in succ:
-                out[nxt] = get(nxt, 0) + mult
         return out
 
-    def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """Roof length -> total multiplicity of the states that pay off."""
+    def payoff(
+        self, vec: Mapping[int, int], reached: dict[int, int] | None = None
+    ) -> dict[int, int]:
+        """Roof length -> summed multiplicity of the states that pay off.
+
+        Without a ceiling every state pays off, and ``reached`` gains its
+        multiplicity under its roof bits.
+        """
         out: dict[int, int] = {}
         mask = self.mask
         if self.ceiling_bits is None:
-            reached = self.reached
             for code, mult in vec.items():
                 bits = code & mask
                 length = bits.bit_count() + 1
@@ -291,21 +301,26 @@ class _Sweep:
             if total:
                 out[length] = total
         else:
-            # a roof through a point off the ceiling path cannot have the
-            # ceiling's corners: dropping a corner on the segment joining
-            # its neighbours keeps the path's point set
-            off = mask ^ self.ceiling_bits
-            table = self._match
+            need, care = self.required, self.care
             for code, mult in vec.items():
                 bits = code & mask
-                if bits & off:
+                if (bits ^ need) & care:
                     continue
-                length = table.get(bits)
-                if length is None:
-                    length = table[bits] = self._match_length(bits)
-                if length:
-                    out[length] = out.get(length, 0) + mult
+                length = bits.bit_count() + 1
+                out[length] = out.get(length, 0) + mult
         return out
+
+
+def _fields(packed: int, width: int) -> Iterator[tuple[int, int]]:
+    """(j, value) of the non-zero fields of a packed multiplicity."""
+    mask = (1 << width) - 1
+    j = 0
+    while packed:
+        value = packed & mask
+        if value:
+            yield j, value
+        packed >>= width
+        j += 1
 
 
 def _floor_indices(
@@ -353,19 +368,6 @@ def initial_vectors(
     return out
 
 
-def apply_transfer(
-    points: Sequence[Point],
-    vec: Mapping[int, int],
-    *,
-    ceiling: Sequence[Point] | None = None,
-    immediate: bool = False,
-    prune: bool = False,
-) -> dict[int, int]:
-    """One transfer step applied to a state vector (codes -> counts)."""
-    sweep = _Sweep(points, ceiling=ceiling, immediate=immediate, prune=prune)
-    return sweep.apply(vec)
-
-
 def render_vector(points: Sequence[Point], vec: Mapping[int, int]) -> str:
     n = len(points) - 1
     parts = [
@@ -375,45 +377,97 @@ def render_vector(points: Sequence[Point], vec: Mapping[int, int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _step_bound(points: Sequence[Point], kmax: int) -> int:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return kmax + 2 * (max(xs) - min(xs)) * (max(ys) - min(ys)) + 4
-
-
 def _run(
     sweep: _Sweep,
     init: Mapping[int, Mapping[int, int]],
     trace: TraceFn | None,
 ) -> dict[tuple[int, int], int]:
-    """The transfer loop: payoffs keyed by (step, roof length).
+    """The sweep: payoffs keyed by (step, roof length).
 
-    Complete and edge runs report every step from 1 until the vector
-    empties, that last empty step included.  A maximal run starts at
-    its single floor state and stops at its last non-empty vector.
+    ``init`` holds the floor states by the step they enter at, as
+    :func:`initial_vectors` and :func:`_maximal_start` give them.  Codes
+    are expanded in order of potential, each one once.  Complete and edge
+    runs trace every step from 1 until the vector empties, that last
+    empty step included.  A maximal run traces from its single floor
+    state to its last non-empty vector.
     """
-    kmax = max(init)
-    bound = _step_bound(sweep.points, kmax)
+    width = sweep.width
+    top = 2 * (sweep.n + 1)
+    limit = top - 2  # the largest potential of a roof
+    buckets: list[dict[int, int]] = [{} for _ in range(limit + 2)]
+    # every floor roof covers the floor points and no other host point,
+    # and the one through all of them enters last
+    floor = max(init) + 1
+    for k, level in init.items():
+        # the roof has k + 1 points and skips the other floor points
+        bucket = buckets[2 * floor - k - 1]
+        for code, mult in level.items():
+            bucket[code] = bucket.get(code, 0) + (mult << width * (floor - k - 1))
     paid: dict[tuple[int, int], int] = {}
-    vec: dict[int, int] = {}
-    k = kmax - 1 if sweep.immediate else 0
-    while vec or k < kmax:
-        k += 1
-        if k > bound:
-            raise AssertionError("transfer iteration failed to terminate")
-        vec = sweep.apply(vec)
-        for code, mult in init.get(k, {}).items():
-            vec[code] = vec.get(code, 0) + mult
-        if not vec and sweep.immediate:
-            break
-        w = sweep.payoff(vec)
+    kept: list[tuple[int, dict[int, int]]] = []
+    expand = sweep.successors
+    shift = sweep.skip_shift
+    plain = 1 << shift  # moves below it skip no point
+    for phi in range(limit + 2):
+        bucket = buckets[phi]
+        if not bucket:
+            continue
+        if phi > limit:
+            raise AssertionError(f"a roof at potential {phi}, past {limit}")
+        buckets[phi] = {}
+        for length, total in sweep.payoff(bucket, sweep.reached).items():
+            if sweep.ceiling_bits is not None and phi != top - 1 - length:
+                raise AssertionError(
+                    f"ceiling payoff at potential {phi}, not {top - 1 - length}"
+                )
+            for j, mult in _fields(total, width):
+                key = (phi - 2 * j - 1, length)
+                paid[key] = paid.get(key, 0) + mult
         if trace is not None:
-            trace(k, dict(vec), dict(w))
-        for length, mult in w.items():
-            if (k + length) % 2:
-                raise AssertionError("odd vertex count in a paid-off state")
-            paid[k, length] = mult
+            kept.append((phi, bucket))
+        nxt = buckets[phi + 1]
+        get = nxt.get
+        if sweep.immediate:
+            # no immediate move skips a point
+            for code, mult in bucket.items():
+                for succ in expand(code):
+                    nxt[succ] = get(succ, 0) + mult
+            continue
+        for code, mult in bucket.items():
+            for succ in expand(code):
+                if succ < plain:
+                    nxt[succ] = get(succ, 0) + mult
+                    continue
+                e = succ >> shift
+                to = phi + 1 + 2 * e
+                if to > limit:
+                    raise AssertionError(f"a roof at potential {to}, past {limit}")
+                succ &= plain - 1
+                out = buckets[to]
+                out[succ] = out.get(succ, 0) + (mult << width * e)
+    if trace is not None:
+        _replay(sweep, kept, trace)
     return paid
+
+
+def _replay(
+    sweep: _Sweep, kept: Sequence[tuple[int, dict[int, int]]], trace: TraceFn
+) -> None:
+    """Call ``trace`` with the vector V_k of every step k and its payoffs."""
+    if sweep.immediate:
+        # no move skips a point: a potential is one step
+        steps = {phi - 1: bucket for phi, bucket in kept}
+        first, last = min(steps), max(steps)
+    else:
+        steps = {}
+        for phi, bucket in kept:
+            for code, packed in bucket.items():
+                for j, mult in _fields(packed, sweep.width):
+                    steps.setdefault(phi - 2 * j - 1, {})[code] = mult
+        first, last = 1, max(steps) + 1
+    for k in range(first, last + 1):
+        vec = steps.get(k, {})
+        trace(k, vec, sweep.payoff(vec))
 
 
 def _run_complete(
@@ -457,12 +511,7 @@ def max_region_count_points(
     sweep = _Sweep(
         points, ceiling=ceiling, immediate=True, prune=prune is not False
     )
-    paid = _run(sweep, _maximal_start(sweep, floor), trace)
-    # Euler's formula fixes the triangle count under the ceiling
-    if len(paid) > 1:
-        steps = sorted(k for k, _ in paid)
-        raise AssertionError(f"maximal payoffs at several steps {steps}")
-    return sum(paid.values())
+    return sum(_run(sweep, _maximal_start(sweep, floor), trace).values())
 
 
 def max_roof_counts(
@@ -511,12 +560,18 @@ def _region_host(
         raise ValueError("floor and ceiling must share their endpoints")
     if set(floor_idx[1:-1]) & set(ceiling_idx[1:-1]):
         raise ValueError("floor and ceiling share an interior point")
+    # unless both are the same segment, the paths meet away from their
+    # ends only where a corner of one lies on the other
     for c in path_corners(floor)[1:-1]:
-        if point_vs_path(c, ceiling) > 0:
-            raise ValueError(f"floor corner {c} lies above the ceiling")
+        side = point_vs_path(c, ceiling)
+        if side >= 0:
+            where = "above" if side else "on"
+            raise ValueError(f"floor corner {c} lies {where} the ceiling")
     for c in path_corners(ceiling)[1:-1]:
-        if point_vs_path(c, floor) < 0:
-            raise ValueError(f"ceiling corner {c} lies below the floor")
+        side = point_vs_path(c, floor)
+        if side <= 0:
+            where = "below" if side else "on"
+            raise ValueError(f"ceiling corner {c} lies {where} the floor")
     lo, hi = floor[0], floor[-1]
     host = [
         p

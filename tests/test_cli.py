@@ -21,6 +21,7 @@ from corpus import (
     PENTAGON_POLY,
     QUAD,
     SQUEEZE,
+    TRIANGLE_PLUS_CENTER,
 )
 
 UNIT = ((0, 0), (1, 0))
@@ -152,6 +153,19 @@ class TestRegion:
         rc, out = cap(["region", path, "--floor", "0,x", "--ceiling", "0,7"])
         assert rc == 1
         assert "--floor wants comma-separated integers" in capsys.readouterr().err
+
+    def test_pinched_region_is_refused(self, point_file, capsys):
+        # the ceiling's corner (2, 0) lies on the floor segment from (0, 0)
+        # to (3, 0), pinching the region to a strip of width zero
+        path = point_file(
+            [(0, 3), (0, 1), (0, 0), (1, 1), (2, 3), (2, 1), (2, 0), (3, 0)]
+        )
+        argv = ["region", path, "--floor", "0,2,7", "--ceiling", "0,6,7"]
+        for extra in ([], ["--maximal"], ["--trace"]):
+            assert cap(argv + extra) == (1, "")
+            assert capsys.readouterr().err == (
+                "error: ceiling corner (2, 0) lies on the floor\n"
+            )
 
 
 class TestEdgepoly:
@@ -326,12 +340,40 @@ class TestOracleVerbs:
 
 class TestInternalError:
     def test_broken_sweep_exits_with_code_3(self, point_file, capsys, monkeypatch):
-        # a step bound of 0 makes the sweep give up at its first step
-        monkeypatch.setattr("tripoly.transfer._step_bound", lambda *args: 0)
-        rc, out = cap(["maxcount", point_file(QUAD)])
+        # one point too few for every move that skips points: the
+        # triangulation without the centre pays off at a wrong potential
+        from tripoly.transfer import _Sweep
+
+        real = _Sweep.successors
+
+        def miscounting(self, code):
+            one = 1 << self.skip_shift
+            return [m - one if m >= one else m for m in real(self, code)]
+
+        monkeypatch.setattr(_Sweep, "successors", miscounting)
+        rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (
-            "internal error: transfer iteration failed to terminate\n"
+            "internal error: ceiling payoff at potential 4, not 6\n"
+        )
+
+    def test_potential_past_every_roof_exits_with_code_3(
+        self, point_file, capsys, monkeypatch
+    ):
+        # one point too many: the move skipping the centre overshoots
+        from tripoly.transfer import _Sweep
+
+        real = _Sweep.successors
+
+        def miscounting(self, code):
+            one = 1 << self.skip_shift
+            return [m + one if m >= one else m for m in real(self, code)]
+
+        monkeypatch.setattr(_Sweep, "successors", miscounting)
+        rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
+        assert (rc, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "internal error: a roof at potential 8, past 6\n"
         )
 
     def test_payoffs_at_two_steps_exit_with_code_3(
@@ -339,7 +381,7 @@ class TestInternalError:
     ):
         # park each ceiling roof for one step under a marker past its last
         # segment, then give it back: no triangle is added, so it pays off
-        # again two steps later
+        # again two steps later, at a potential its roof cannot have
         from tripoly.transfer import _Sweep
 
         real = _Sweep.successors
@@ -351,16 +393,16 @@ class TestInternalError:
             if bits == self.ceiling_bits:
                 d = code >> self.shift
                 if d < top:
-                    out += ((top + 1) << self.shift | bits,)
+                    out.append((top + 1) << self.shift | bits)
                 elif d > top:
-                    out += (top << self.shift | bits,)
+                    out.append(top << self.shift | bits)
             return out
 
         monkeypatch.setattr(_Sweep, "successors", stalling)
-        rc, out = cap(["maxcount", point_file(QUAD)])
+        rc, out = cap(["maxcount", point_file(COLUMNS11)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (
-            "internal error: maximal payoffs at several steps [4, 6]\n"
+            "internal error: ceiling payoff at potential 18, not 16\n"
         )
 
 

@@ -6,7 +6,9 @@ itself on copies scaled by 10^40.  Maximal counts with dead-end pruning
 are compared with unpruned ones and the oracle, also under ceilings with
 collinear runs and with valley corners.  Its bitmask moves are compared,
 state by state, with the tuple-based moves of
-:func:`tripoly.roofs.successors`.
+:func:`tripoly.roofs.successors`, together with the number of points
+each move skips, counted from the decoded roof paths.  Realized weighted
+polygons are compared with the weighted closed form.
 The covering-roofs route of a near-edge is compared with the transfer
 route, and its per-roof maximal counts with one ceiling sweep per roof.
 The generators are seeded, so every run checks the same configurations.
@@ -24,6 +26,7 @@ from tripoly.planar import (
     NearEdge,
     factorize,
     lower_hull,
+    on_segment,
     orient,
     path_corners,
     point_on_path,
@@ -32,7 +35,6 @@ from tripoly.planar import (
 )
 from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
-    _path_prefix,
     _region_host,
     _Sweep,
     complete_config_poly,
@@ -42,6 +44,7 @@ from tripoly.transfer import (
     max_roof_counts,
     region_poly,
 )
+from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
 
 HUGE = 10**40
 
@@ -196,8 +199,29 @@ def test_pruned_maximal_counts_match_unpruned_on_larger_sets(pts):
         ), (floor, ceiling)
 
 
+def _path_prefix(part, corners):
+    """True when the corner path ``part`` is an initial piece of ``corners``:
+    all corners coincide except that the last point of ``part`` may lie
+    anywhere on the corresponding segment of the longer path."""
+    if len(part) > len(corners):
+        return False
+    if len(part) == 1:
+        return part[0] == corners[0]
+    j = len(part) - 1
+    return list(part[:j]) == list(corners[:j]) and (
+        part[j] == corners[j] or on_segment(part[j], corners[j - 1], corners[j])
+    )
+
+
+def covered(points, roof):
+    """Host points on or under the path through a roof's points."""
+    path = tuple(points[i] for i in roof.indices)
+    return {i for i, p in enumerate(points) if point_vs_path(p, path) <= 0}
+
+
 def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
-    """Successor codes from decoded roofs, dropping with ``prune`` every
+    """(code, e) of the moves from decoded roofs, e being the host points
+    newly covered besides the moved point, dropping with ``prune`` every
     roof whose frozen prefix, up to its last on-ceiling point at or before
     the marker, is a dead end: in complete mode when that prefix leaves
     the ceiling's path, in immediate mode when its points are not exactly
@@ -215,8 +239,15 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
                 return not _path_prefix(part, path_corners(ceiling))
         return False
 
-    nxt = successors(points, decode(code, n), immediate=immediate)
-    return sorted(encode(r, n) for r in nxt if not (prune and dead(r)))
+    roof = decode(code, n)
+    before = covered(points, roof)
+    out = []
+    for r in successors(points, roof, immediate=immediate):
+        if prune and dead(r):
+            continue
+        moved = set(roof.indices) ^ set(r.indices)
+        out.append((encode(r, n), len(covered(points, r) - before - moved)))
+    return sorted(out)
 
 
 def check_moves(host, ceiling):
@@ -234,8 +265,10 @@ def check_moves(host, ceiling):
         {},
     ):
         sweep = _Sweep(host, **mode)
+        shift = sweep.skip_shift
         for code in codes:
-            got = sorted(sweep.successors(code))
+            moves = sweep.successors(code)
+            got = sorted((m & ((1 << shift) - 1), m >> shift) for m in moves)
             assert got == reference_successors(host, code, **mode), (mode, code)
 
 
@@ -252,6 +285,26 @@ def test_bitmask_moves_match_under_ceiling_runs_and_valleys(pts):
     for floor, ceiling in valley_regions(cfg, 2, seed=11):
         host, _, path = _region_host(cfg, floor, ceiling)
         check_moves(host, path)
+
+
+def weight_tuples(count: int, seed: int) -> list[tuple[int, ...]]:
+    """Side weights of convex polygons with 3-6 sides and at most 13
+    points: long sides put collinear runs on the hull."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ws = tuple(rng.randint(1, 6) for _ in range(rng.randint(3, 6)))
+        if sum(ws) <= 13:
+            out.append(ws)
+    return out
+
+
+@pytest.mark.parametrize("ws", weight_tuples(10, seed=12))
+def test_weighted_polygons_match_the_closed_form(ws):
+    # a triangulation may skip any side point, so the sweep fills many
+    # skip-count fields of its packed multiplicities
+    cfg = weighted_polygon_config(ws)
+    assert complete_config_poly(cfg).c == weighted_complete_poly(ws).c
 
 
 def random_edges(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:

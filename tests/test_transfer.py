@@ -7,7 +7,7 @@ from tripoly.exactmath import PolyST, PolyS, catalan, maximal_edge_basis
 from tripoly.planar import Configuration, NearEdge, lower_hull, upper_hull
 from tripoly.roofs import DecoratedRoof, covering_roofs, encode, skyline_points, sub_edges
 from tripoly.transfer import (
-    apply_transfer,
+    _Sweep,
     complete_config_poly,
     complete_edge_poly_tm,
     initial_vectors,
@@ -106,6 +106,18 @@ class TestInitialVectors:
                 assert code >> (n - 1) == 0
 
 
+def apply_transfer(points, vec, **mode):
+    """One transfer step of a state vector, summed from the moves of
+    ``_Sweep.successors`` whatever points they skip."""
+    sweep = _Sweep(points, **mode)
+    codes = (1 << sweep.skip_shift) - 1
+    out = {}
+    for code, mult in vec.items():
+        for move in sweep.successors(code):
+            out[move & codes] = out.get(move & codes, 0) + mult
+    return out
+
+
 class TestApplyTransfer:
     def test_edge_c_successor_table(self):
         for code, expected in EDGE_C_SUCCESSORS.items():
@@ -135,6 +147,8 @@ class TestApplyTransfer:
         for code in EDGE_C_SUCCESSORS:
             fast = apply_transfer(EDGE_C, {code: 1}, immediate=True)
             assert set(fast) <= set(apply_transfer(EDGE_C, {code: 1}))
+            sweep = _Sweep(EDGE_C, immediate=True)
+            assert max(sweep.successors(code), default=0) >> sweep.skip_shift == 0
 
 
 class TestRenderVector:
@@ -301,6 +315,43 @@ class TestConfigPolynomials:
     def test_prune_flag_is_transparent(self):
         cfg = Configuration(SQUEEZE)
         assert complete_config_poly(cfg, prune=False) == complete_config_poly(cfg)
+
+
+class TestSweepOrder:
+    def expansions(self, monkeypatch, run):
+        """Codes passed to ``_Sweep.successors`` and the state vectors
+        traced by ``run``."""
+        calls, vectors = [], []
+        real = _Sweep.successors
+
+        def counting(self, code):
+            calls.append(code)
+            return real(self, code)
+
+        monkeypatch.setattr(_Sweep, "successors", counting)
+        run(lambda k, vec, w: vectors.append(vec))
+        return calls, vectors
+
+    def test_complete_mode_expands_each_code_once(self, monkeypatch):
+        cfg = Configuration(COLUMNS11)
+        calls, vectors = self.expansions(
+            monkeypatch, lambda tap: complete_config_poly(cfg, trace=tap)
+        )
+        codes = {code for vec in vectors for code in vec}
+        assert sorted(calls) == sorted(codes)
+        # the step-by-step iteration meets most codes at several steps
+        assert sum(map(len, vectors)) > 2 * len(codes)
+
+    def test_edge_and_region_runs_expand_each_code_once(self, monkeypatch):
+        cfg, _, _ = squeeze_paths()
+        for run in (
+            lambda tap: complete_edge_poly_tm(NearEdge(EDGE_C), trace=tap),
+            lambda tap: region_poly(
+                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=False, trace=tap
+            ),
+        ):
+            calls, vectors = self.expansions(monkeypatch, run)
+            assert sorted(calls) == sorted({c for vec in vectors for c in vec})
 
 
 class TestRegionRows:
