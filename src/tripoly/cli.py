@@ -3,7 +3,9 @@
 Point files hold one ``x y`` pair per line (``#`` starts a comment).
 Near-edge files list their points left to right; configuration files may
 use any order.  Paths for the region verbs are comma-separated 0-based
-positions in the sweep order of the file's points.
+positions in the sweep order of the file's points; both verbs refuse a
+floor and a ceiling that meet between their endpoints or enclose no
+area.
 
 Exit codes: 0 on success, 1 on any input problem, 2 when a brute-force
 guard refuses the instance, 3 when an internal invariant breaks (and
@@ -22,7 +24,6 @@ from .exactmath import (
     PolyT,
     hankel_recover,
     maximal_edge_basis,
-    p_basis_coefficients,
 )
 from .neargon import (
     EDGE_METHODS,
@@ -33,9 +34,8 @@ from .neargon import (
     recover_edge_poly_from_counts,
 )
 from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly
-from .planar import Configuration, NearEdge, load_points
+from .planar import Configuration, NearEdge, load_points, region_host
 from .transfer import (
-    _region_host,
     complete_config_poly,
     complete_edge_poly_tm,
     max_config_count,
@@ -198,7 +198,7 @@ def _run_verb(args: argparse.Namespace, out) -> int:
         ceiling = _indices(args.ceiling, "ceiling")
         trace = None
         if args.trace:
-            host, _, _ = _region_host(cfg, floor, ceiling)
+            host, _, _ = region_host(cfg, floor, ceiling)
             trace = _tracer(out, host)
         result = region_poly(
             cfg,
@@ -282,18 +282,44 @@ def _run_verb(args: argparse.Namespace, out) -> int:
     raise ValueError(f"unknown verb {verb!r}")
 
 
+# The pinned examples of ``selftest``.  Near-edges are point tuples in
+# left-to-right order; EDGE_C with the fans added above it one at a time
+# pins down EDGE_C's maximal polynomial.
+EDGE_A = ((0, 0), (1, 1), (2, -1), (3, 1), (4, -1), (5, 0))
+EDGE_B = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
+EDGE_C = ((0, 0), (1, 2), (2, 1), (3, -1), (4, 1), (5, 0))
+FANS = ((1, 10), (2, 11), (3, 10))
+EDGE_A_PCOEFFS = {
+    5: {3: 14, 4: 7, 5: 1},
+    4: {2: 10, 3: 7, 4: 2},
+    3: {1: 2, 2: 2, 3: 1},
+}
+SQUEEZE = ((0, 3), (0, 1), (1, 3), (1, 2), (1, 1), (2, 2), (2, 1), (2, 0))
+SQUEEZE_FLOOR = (0, 1, 7)
+SQUEEZE_CEILING = (0, 2, 3, 5, 6, 7)
+# the near-gon glued from EDGE_A, EDGE_B and EDGE_C
+GON_POLY = {
+    14: 194939, 13: 338669, 12: 263615, 11: 119944,
+    10: 34773, 9: 6522, 8: 748, 7: 42,
+}
+# the weighted pentagon (1, 5, 2, 3, 4) and triangle (5, 4, 5)
+PENTAGON_POLY = {
+    15: 8046, 14: 37250, 13: 77467, 12: 95364, 11: 77048, 10: 42776,
+    9: 16584, 8: 4460, 7: 805, 6: 90, 5: 5,
+}
+TRIANGLE_POLY = {
+    14: 901, 13: 4825, 12: 11734, 11: 17130, 10: 16710, 9: 11466,
+    8: 5670, 7: 2034, 6: 525, 5: 95, 4: 11, 3: 1,
+}
+
+
 def _selftest(out) -> int:
-    EDGE_A = NearEdge(((0, 0), (1, 1), (2, -1), (3, 1), (4, -1), (5, 0)))
-    EDGE_B = NearEdge(((0, 0), (1, 1), (2, -1), (3, 1), (4, 0)))
-    EDGE_C = NearEdge(((0, 0), (1, 2), (2, 1), (3, -1), (4, 1), (5, 0)))
-    SQUEEZE = ((0, 3), (0, 1), (1, 3), (1, 2), (1, 1), (2, 2), (2, 1), (2, 0))
-    GON = {14: 194939, 13: 338669, 12: 263615, 11: 119944, 10: 34773,
-           9: 6522, 8: 748, 7: 42}
+    edges = tuple(NearEdge(e) for e in (EDGE_A, EDGE_B, EDGE_C))
+    edge_a, _, edge_c = edges
 
     def closure_counts() -> bool:
-        fans = ((1, 10), (2, 11), (3, 10))
         got = [
-            max_config_count(Configuration(EDGE_C.points + fans[:j]))
+            max_config_count(Configuration(EDGE_C + FANS[:j]))
             for j in (1, 2, 3)
         ]
         return got == [19, 87, 334]
@@ -313,35 +339,28 @@ def _selftest(out) -> int:
         ),
         (
             "weighted pentagon polynomial",
-            lambda: weighted_complete_poly((1, 5, 2, 3, 4)).c
-            == {15: 8046, 14: 37250, 13: 77467, 12: 95364, 11: 77048,
-                10: 42776, 9: 16584, 8: 4460, 7: 805, 6: 90, 5: 5},
+            lambda: weighted_complete_poly((1, 5, 2, 3, 4)).c == PENTAGON_POLY,
         ),
         (
             "weighted triangle polynomial",
-            lambda: weighted_complete_poly((5, 4, 5)).c
-            == {14: 901, 13: 4825, 12: 11734, 11: 17130, 10: 16710,
-                9: 11466, 8: 5670, 7: 2034, 6: 525, 5: 95, 4: 11, 3: 1},
+            lambda: weighted_complete_poly((5, 4, 5)).c == TRIANGLE_POLY,
         ),
         (
             "zigzag edge polynomial",
-            lambda: edge_poly(EDGE_A).p_coefficients()
-            == {5: {3: 14, 4: 7, 5: 1}, 4: {2: 10, 3: 7, 4: 2},
-                3: {1: 2, 2: 2, 3: 1}},
+            lambda: edge_poly(edge_a).p_coefficients() == EDGE_A_PCOEFFS,
         ),
         (
             "edge transfer iteration",
-            lambda: complete_edge_poly_tm(EDGE_C) == edge_poly(EDGE_C).complete,
+            lambda: complete_edge_poly_tm(edge_c) == edge_poly(edge_c).complete,
         ),
         (
             "three edge composition",
-            lambda: compose(tuple(edge_poly(e) for e in (EDGE_A, EDGE_B, EDGE_C))).c
-            == GON,
+            lambda: compose(tuple(edge_poly(e) for e in edges)).c == GON_POLY,
         ),
         (
             "squeezed region polynomial",
             lambda: region_poly(
-                Configuration(SQUEEZE), (0, 1, 7), (0, 2, 3, 5, 6, 7)
+                Configuration(SQUEEZE), SQUEEZE_FLOOR, SQUEEZE_CEILING
             ).c
             == {8: 12, 7: 16, 6: 5},
         ),
@@ -354,8 +373,7 @@ def _selftest(out) -> int:
         ),
         (
             "realized near-gon",
-            lambda: complete_config_poly(realize(NearGon((EDGE_A, EDGE_B, EDGE_C)))).c
-            == GON,
+            lambda: complete_config_poly(realize(NearGon(edges))).c == GON_POLY,
         ),
         (
             "oracle quadrilateral",
@@ -367,7 +385,7 @@ def _selftest(out) -> int:
         (
             "oracle region",
             lambda: oracle_region_poly(
-                Configuration(SQUEEZE), (0, 1, 7), (0, 2, 3, 5, 6, 7)
+                Configuration(SQUEEZE), SQUEEZE_FLOOR, SQUEEZE_CEILING
             ).c
             == {8: 12, 7: 16, 6: 5},
         ),

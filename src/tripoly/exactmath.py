@@ -2,7 +2,11 @@
 and the linear pairings against the Catalan generating series.
 
 Coefficients are plain Python ints, so everything is exact at any size.
-Four sparse polynomial flavours cover the whole pipeline:
+One sparse core, ``_Sparse``, holds a polynomial as a dict from exponent
+keys to non-zero coefficients and defines its sum, difference, integer
+scaling, product, equality and text once.  Four views of it cover the
+whole pipeline; each fixes only its keys, how a term prints and what it
+adds on top:
 
 * ``PolyT``   -- univariate in ``t``.
 * ``PolyS``   -- univariate in ``s``; a triangulation polynomial counts
@@ -16,10 +20,11 @@ The central linear functional ``catalan_pair_t`` sends ``t^n`` to the
 Catalan number ``C_{n-2}`` for ``n >= 2`` and annihilates ``1`` and
 ``t``; the other pairings are variable-wise variants of it.
 
-The product of two ``PolyST`` runs on CPython's big-int multiply by
-Kronecker substitution: per ``s`` half-exponent, the ``t`` coefficients
-are packed into one int as fields of W bits, the packed groups multiply
-pairwise, and the sums per output half-exponent unpack field by field.
+Products are schoolbook, term by term, except between two ``PolyST``,
+whose dense ``t`` runs make Kronecker substitution pay: per ``s``
+half-exponent, the ``t`` coefficients are packed into one int as fields
+of W bits, the packed groups multiply pairwise on CPython's big-int
+multiply, and the sums per output half-exponent unpack field by field.
 No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
 so W is that bound's bit length plus a sign bit, rounded up to whole
 bytes; no field carries into the next and the product is exact.
@@ -28,7 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Mapping, Sequence
 
 _CATALAN = [1]
 
@@ -50,24 +56,94 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _fmt_terms(terms: Iterable[tuple[int, str]]) -> str:
-    parts: list[str] = []
-    for coeff, body in terms:
-        frag = f"{abs(coeff)}*{body}" if body else f"{abs(coeff)}"
-        if not parts:
-            parts.append(frag if coeff >= 0 else f"-{frag}")
-        else:
-            parts.append(f"+ {frag}" if coeff >= 0 else f"- {frag}")
-    return " ".join(parts) if parts else "0"
+class _Sparse:
+    """Sparse integer polynomial: a dict from exponent keys to non-zero
+    coefficients.
 
-
-class PolyT:
-    """Sparse integer polynomial in t."""
+    A view fixes its keys through ``_add_exp`` (the exponent of a product
+    of two terms), the text of a term through ``_body`` and the order of
+    the terms through ``_order``.  The default view is univariate in
+    ``_var`` with int keys, printed from the highest power down.
+    """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
+    _var = ""
+    _add_exp = add
+
+    def __init__(self, coeffs: Mapping | None = None):
         self.c = {e: v for e, v in (coeffs or {}).items() if v}
+
+    def coeff(self, exp) -> int:
+        return self.c.get(exp, 0)
+
+    def degree(self) -> int:
+        return max(self.c) if self.c else -1
+
+    def _plus(self, other: "_Sparse", sign: int):
+        out = dict(self.c)
+        for e, v in other.c.items():
+            out[e] = out.get(e, 0) + sign * v
+        return type(self)(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _product(self, a: Mapping, b: Mapping) -> dict:
+        """Schoolbook product of two coefficient dicts."""
+        add_exp = self._add_exp
+        out: dict = {}
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                k = add_exp(e1, e2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return out
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({e: v * other for e, v in self.c.items()})
+        if type(other) is type(self):
+            return type(self)(self._product(self.c, other.c))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.c == other.c
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    @staticmethod
+    def _order(key):
+        return -key
+
+    def _body(self, key) -> str:
+        return f"{self._var}^{key}" if key else ""
+
+    def text(self) -> str:
+        parts: list[str] = []
+        for key in sorted(self.c, key=self._order):
+            coeff, body = self.c[key], self._body(key)
+            frag = f"{abs(coeff)}*{body}" if body else f"{abs(coeff)}"
+            if not parts:
+                parts.append(frag if coeff >= 0 else f"-{frag}")
+            else:
+                parts.append(f"+ {frag}" if coeff >= 0 else f"- {frag}")
+        return " ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}[{self.text()}]"
+
+
+class PolyT(_Sparse):
+    """Sparse integer polynomial in t."""
+
+    __slots__ = ()
+    _var = "t"
 
     @classmethod
     def term(cls, coeff: int, exp: int) -> "PolyT":
@@ -77,44 +153,12 @@ class PolyT:
     def t(cls) -> "PolyT":
         return cls({1: 1})
 
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
-
-    def coeff(self, exp: int) -> int:
-        return self.c.get(exp, 0)
-
     def shift(self, k: int) -> "PolyT":
         """Multiply by t^k (k may be negative if no exponent drops below 0)."""
         out = {e + k: v for e, v in self.c.items()}
         if any(e < 0 for e in out):
             raise ValueError("shift would create a negative exponent")
         return PolyT(out)
-
-    def __add__(self, other: "PolyT") -> "PolyT":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return PolyT(out)
-
-    def __sub__(self, other: "PolyT") -> "PolyT":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) - v
-        return PolyT(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyT({e: v * other for e, v in self.c.items()})
-        if isinstance(other, PolyT):
-            out: dict[int, int] = {}
-            for e1, v1 in self.c.items():
-                for e2, v2 in other.c.items():
-                    k = e1 + e2
-                    out[k] = out.get(k, 0) + v1 * v2
-            return PolyT(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PolyT":
         if k < 0:
@@ -124,34 +168,12 @@ class PolyT:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyT) and self.c == other.c
 
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def text(self) -> str:
-        return _fmt_terms(
-            (self.c[e], f"t^{e}" if e else "") for e in sorted(self.c, reverse=True)
-        )
-
-    def __repr__(self) -> str:
-        return f"PolyT[{self.text()}]"
-
-
-class PolyS:
+class PolyS(_Sparse):
     """Sparse integer polynomial in s (a triangulation polynomial)."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
-
-    def coeff(self, exp: int) -> int:
-        return self.c.get(exp, 0)
-
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
+    __slots__ = ()
+    _var = "s"
 
     def leading(self) -> int:
         """Coefficient of the highest power of s."""
@@ -163,42 +185,6 @@ class PolyS:
             return (-1, 0)
         e = min(self.c)
         return (e, self.c[e])
-
-    def __add__(self, other: "PolyS") -> "PolyS":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return PolyS(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyS({e: v * other for e, v in self.c.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyS) and self.c == other.c
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def text(self) -> str:
-        return _fmt_terms(
-            (self.c[e], f"s^{e}" if e else "") for e in sorted(self.c, reverse=True)
-        )
-
-    def __repr__(self) -> str:
-        return f"PolyS[{self.text()}]"
-
-
-#: a triangulation polynomial is just a PolyS
-TriangulationPolynomial = PolyS
-
-
-def _st_sort_key(key: tuple[int, int]) -> tuple:
-    s_half, t_exp = key
-    return (-(s_half + 2 * t_exp), -s_half)
 
 
 def _pack_by_s(
@@ -251,13 +237,10 @@ def _packed_product(
     return out
 
 
-class PolyST:
+class PolyST(_Sparse):
     """Sparse integer polynomial in (s, t) with s exponents in half units."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
+    __slots__ = ()
 
     @classmethod
     def from_t(cls, p: PolyT, s_half: int = 0) -> "PolyST":
@@ -273,74 +256,34 @@ class PolyST:
     def integral_s(self) -> bool:
         return all(h % 2 == 0 for h, _ in self.c)
 
-    def __add__(self, other: "PolyST") -> "PolyST":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return PolyST(out)
+    _product = staticmethod(_packed_product)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyST({e: v * other for e, v in self.c.items()})
-        if isinstance(other, PolyST):
-            return PolyST(_packed_product(self.c, other.c))
-        return NotImplemented
+    @staticmethod
+    def _order(key: tuple[int, int]) -> tuple[int, int]:
+        h, t = key
+        return (-(h + 2 * t), -h)
 
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyST) and self.c == other.c
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def text(self) -> str:
-        def body(h: int, t: int) -> str:
-            s_part = ""
-            if h:
-                s_part = f"s^{h // 2}" if h % 2 == 0 else f"s^({h}/2)"
-            t_part = f"t^{t}" if t else ""
-            return "*".join(p for p in (s_part, t_part) if p)
-
-        return _fmt_terms(
-            (self.c[k], body(*k)) for k in sorted(self.c, key=_st_sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"PolyST[{self.text()}]"
+    def _body(self, key: tuple[int, int]) -> str:
+        h, t = key
+        s_part = ""
+        if h:
+            s_part = f"s^{h // 2}" if h % 2 == 0 else f"s^({h}/2)"
+        t_part = f"t^{t}" if t else ""
+        return "*".join(p for p in (s_part, t_part) if p)
 
 
-class PolySUW:
+class PolySUW(_Sparse):
     """Sparse integer polynomial in (s, u, w); plain integer exponents."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[tuple[int, int, int], int] | None = None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
+    @staticmethod
+    def _add_exp(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
     @classmethod
     def monomial(cls, s: int, u: int, w: int, coeff: int = 1) -> "PolySUW":
         return cls({(s, u, w): coeff})
-
-    def __add__(self, other: "PolySUW") -> "PolySUW":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return PolySUW(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolySUW({e: v * other for e, v in self.c.items()})
-        if isinstance(other, PolySUW):
-            out: dict[tuple[int, int, int], int] = {}
-            for e1, v1 in self.c.items():
-                for e2, v2 in other.c.items():
-                    k = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    out[k] = out.get(k, 0) + v1 * v2
-            return PolySUW(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def pair_w(self) -> "PolySUW":
         """Pair the w variable against sum_n C_n w^n (collapses w to 0)."""
@@ -350,17 +293,12 @@ class PolySUW:
             out[k] = out.get(k, 0) + v * catalan(w)
         return PolySUW(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolySUW) and self.c == other.c
+    @staticmethod
+    def _order(key: tuple[int, int, int]) -> tuple[int, int, int]:
+        return key
 
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __repr__(self) -> str:
-        parts = [
-            f"{v}*s^{s}*u^{u}*w^{w}" for (s, u, w), v in sorted(self.c.items())
-        ]
-        return "PolySUW[" + (" + ".join(parts) or "0") + "]"
+    def _body(self, key: tuple[int, int, int]) -> str:
+        return "s^{}*u^{}*w^{}".format(*key)
 
 
 def maximal_edge_basis(n: int) -> PolyT:

@@ -156,22 +156,6 @@ def convex_edge_maximal(profile: Sequence[int]) -> PolyT:
     return series_pair_uw(states[-1]).coefficient_s(0)
 
 
-def convex_edge_poly(
-    profile: Sequence[int], mode: str = "complete"
-) -> EdgePolynomial | PolyT:
-    """Edge polynomial of the convex edge with the given sign profile.
-
-    mode="complete" gives the full polynomial; mode="maximal" runs the
-    leaner variant of the recursion and gives the basis image of the
-    maximal triangulations alone.
-    """
-    if mode == "complete":
-        return EdgePolynomial(len(profile) + 1, convex_edge_complete(profile))
-    if mode == "maximal":
-        return convex_edge_maximal(profile)
-    raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
-
-
 def _prime_edge_poly(edge: NearEdge, method: str) -> PolyST:
     if method == "tm":
         return complete_edge_poly_tm(edge)

@@ -3,7 +3,7 @@
 The oracle enumerates vertex subsets directly and counts the
 triangulations of each by growing triangles over a frontier of directed
 half-edges, so its only shared ground with the fast routes is the
-orientation predicate.  It is meant for cross-checking small inputs and
+orientation predicate and the validation of a region's paths.  It is meant for cross-checking small inputs and
 guards its input size.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .planar import (
     on_segment,
     orient,
     path_corners,
-    point_vs_path,
+    region_host,
     sweep_key,
     upper_hull,
 )
@@ -216,38 +216,14 @@ def oracle_region_poly(
 ) -> PolyS:
     """Region triangulation polynomial by direct enumeration.
 
-    The paths are strictly increasing index sequences in sweep order
-    sharing their endpoints, exactly as for the transfer route.
+    The region is validated exactly as for the transfer route, by
+    :func:`tripoly.planar.region_host`.
     """
-    pts = config.points
-    for name, idxs in (("floor", floor), ("ceiling", ceiling)):
-        if len(idxs) < 2:
-            raise ValueError(f"{name} path needs at least two indices")
-        if any(i < 0 or i >= len(pts) for i in idxs):
-            raise ValueError(f"{name} path index out of range")
-        if any(x >= y for x, y in zip(idxs, idxs[1:])):
-            raise ValueError(
-                f"{name} path must be strictly increasing in sweep order"
-            )
-    floor_path = tuple(pts[i] for i in floor)
-    ceiling_path = tuple(pts[i] for i in ceiling)
-    if floor_path[0] != ceiling_path[0] or floor_path[-1] != ceiling_path[-1]:
-        raise ValueError("floor and ceiling must share their endpoints")
-    lo, hi = floor_path[0], floor_path[-1]
-    participating = [
-        p
-        for p in pts
-        if sweep_key(lo) <= sweep_key(p) <= sweep_key(hi)
-        and lo[0] <= p[0] <= hi[0]
-        and point_vs_path(p, floor_path) >= 0
-        and point_vs_path(p, ceiling_path) <= 0
-    ]
+    participating, floor_path, ceiling_path = region_host(config, floor, ceiling)
     if len(participating) > limit:
         raise GuardExceeded(
             f"{len(participating)} points exceed the brute-force limit {limit}"
         )
-    floor_c = path_corners(floor_path)
-    ceiling_c = path_corners(ceiling_path)
-    if floor_c == ceiling_c:
-        return PolyS({0: 1})
-    return _region_packings(participating, floor_c, ceiling_c)
+    return _region_packings(
+        participating, path_corners(floor_path), path_corners(ceiling_path)
+    )

@@ -225,16 +225,60 @@ class NearEdge:
         return NearEdge((x0 + xn - x, y) for x, y in reversed(self.points))
 
 
-def hulls(
+def region_host(
     config: Configuration,
-) -> tuple[tuple[Point, ...], tuple[Point, ...], set[Point]]:
-    """(lower boundary, upper boundary, extremal vertices) of a configuration."""
-    return config.lower_boundary(), config.upper_boundary(), config.extremal()
+    floor_idx: Sequence[int],
+    ceiling_idx: Sequence[int],
+) -> tuple[tuple[Point, ...], tuple[Point, ...], tuple[Point, ...]]:
+    """Validate a region of a configuration.
 
-
-def validate_near_edge(points: Iterable[Point]) -> NearEdge:
-    """Build a near-edge, enforcing the strictly increasing abscissa rule."""
-    return NearEdge(points)
+    The floor and the ceiling are strictly increasing index sequences in
+    the sweep order of the configuration.  They must share their
+    endpoints, meet nowhere else, and enclose a positive area: paths
+    with the same corners are refused.  Returns the points of the region
+    in sweep order together with the floor and ceiling as point paths.
+    """
+    pts = config.points
+    for name, idxs in (("floor", floor_idx), ("ceiling", ceiling_idx)):
+        if len(idxs) < 2:
+            raise ValueError(f"{name} path needs at least two indices")
+        if any(i < 0 or i >= len(pts) for i in idxs):
+            raise ValueError(f"{name} path index out of range")
+        if any(a >= b for a, b in zip(idxs, idxs[1:])):
+            raise ValueError(
+                f"{name} path must be strictly increasing in sweep order"
+            )
+    floor = tuple(pts[i] for i in floor_idx)
+    ceiling = tuple(pts[i] for i in ceiling_idx)
+    if floor[0] != ceiling[0] or floor[-1] != ceiling[-1]:
+        raise ValueError("floor and ceiling must share their endpoints")
+    if set(floor_idx[1:-1]) & set(ceiling_idx[1:-1]):
+        raise ValueError("floor and ceiling share an interior point")
+    floor_corners, ceiling_corners = path_corners(floor), path_corners(ceiling)
+    if floor_corners == ceiling_corners:
+        raise ValueError("floor and ceiling have the same corners: no area")
+    # the paths meet away from their ends only where a corner of one lies
+    # on the other
+    for c in floor_corners[1:-1]:
+        side = point_vs_path(c, ceiling)
+        if side >= 0:
+            where = "above" if side else "on"
+            raise ValueError(f"floor corner {c} lies {where} the ceiling")
+    for c in ceiling_corners[1:-1]:
+        side = point_vs_path(c, floor)
+        if side <= 0:
+            where = "below" if side else "on"
+            raise ValueError(f"ceiling corner {c} lies {where} the floor")
+    lo, hi = floor[0], floor[-1]
+    host = tuple(
+        p
+        for p in pts
+        if sweep_key(lo) <= sweep_key(p) <= sweep_key(hi)
+        and lo[0] <= p[0] <= hi[0]
+        and point_vs_path(p, floor) >= 0
+        and point_vs_path(p, ceiling) <= 0
+    )
+    return host, floor, ceiling
 
 
 def vertical_mirror(edge: NearEdge) -> NearEdge:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .planar import Point, lower_hull, on_segment, orient
+from .planar import Point, lower_hull, orient
 
 
 class DecoratedRoof(NamedTuple):
@@ -90,19 +90,6 @@ def skyline_y(points: Sequence[Point], roof: DecoratedRoof, x: int) -> Fraction:
             t = Fraction(x - a[0], b[0] - a[0])
             return Fraction(a[1]) + t * (Fraction(b[1]) - Fraction(a[1]))
     raise ValueError(f"abscissa {x} outside the roof span")
-
-
-def skyline(
-    roof: DecoratedRoof | Sequence[int], host: Sequence[Point]
-) -> tuple[Point, ...]:
-    """The roof's polygonal path over its host: corner points in sweep order.
-
-    Heights between corners follow the straight segments; use
-    :func:`skyline_y` for the exact rational value at an abscissa.
-    """
-    pts = getattr(host, "points", None) or tuple(host)
-    idx = roof.indices if isinstance(roof, DecoratedRoof) else tuple(roof)
-    return tuple(pts[i] for i in idx)
 
 
 def is_covering(points: Sequence[Point], indices: Sequence[int]) -> bool:
@@ -183,12 +170,6 @@ def closed_triangle_empty(
         if s1 >= 0 and s2 >= 0 and s3 >= 0:
             return False
     return True
-
-
-def is_minimal_triangle(host: Sequence[Point], a: Point, b: Point, c: Point) -> bool:
-    """True when no other host point lies in the closed triangle a, b, c."""
-    pts = list(getattr(host, "points", None) or host)
-    return closed_triangle_empty(pts, pts.index(a), pts.index(b), pts.index(c))
 
 
 def successors(

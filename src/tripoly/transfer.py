@@ -101,8 +101,7 @@ from .planar import (
     orient,
     path_corners,
     point_on_path,
-    point_vs_path,
-    sweep_key,
+    region_host,
     upper_hull,
 )
 from .roofs import DecoratedRoof, decode, encode
@@ -534,57 +533,6 @@ def max_roof_counts(
     return [reached.get(encode(DecoratedRoof(tuple(r), 0), n), 0) for r in roofs]
 
 
-def _region_host(
-    config: Configuration,
-    floor_idx: Sequence[int],
-    ceiling_idx: Sequence[int],
-) -> tuple[tuple[Point, ...], tuple[Point, ...], tuple[Point, ...]]:
-    """Validate a region of a configuration.
-
-    Returns the participating points in sweep order together with the
-    floor and ceiling as point paths.
-    """
-    pts = config.points
-    for name, idxs in (("floor", floor_idx), ("ceiling", ceiling_idx)):
-        if len(idxs) < 2:
-            raise ValueError(f"{name} path needs at least two indices")
-        if any(i < 0 or i >= len(pts) for i in idxs):
-            raise ValueError(f"{name} path index out of range")
-        if any(a >= b for a, b in zip(idxs, idxs[1:])):
-            raise ValueError(
-                f"{name} path must be strictly increasing in sweep order"
-            )
-    floor = tuple(pts[i] for i in floor_idx)
-    ceiling = tuple(pts[i] for i in ceiling_idx)
-    if floor[0] != ceiling[0] or floor[-1] != ceiling[-1]:
-        raise ValueError("floor and ceiling must share their endpoints")
-    if set(floor_idx[1:-1]) & set(ceiling_idx[1:-1]):
-        raise ValueError("floor and ceiling share an interior point")
-    # unless both are the same segment, the paths meet away from their
-    # ends only where a corner of one lies on the other
-    for c in path_corners(floor)[1:-1]:
-        side = point_vs_path(c, ceiling)
-        if side >= 0:
-            where = "above" if side else "on"
-            raise ValueError(f"floor corner {c} lies {where} the ceiling")
-    for c in path_corners(ceiling)[1:-1]:
-        side = point_vs_path(c, floor)
-        if side <= 0:
-            where = "below" if side else "on"
-            raise ValueError(f"ceiling corner {c} lies {where} the floor")
-    lo, hi = floor[0], floor[-1]
-    host = [
-        p
-        for p in pts
-        if sweep_key(lo) <= sweep_key(p) <= sweep_key(hi)
-        and lo[0] <= p[0] <= hi[0]
-        and point_vs_path(p, floor) >= 0
-        and point_vs_path(p, ceiling) <= 0
-    ]
-    host.sort(key=sweep_key)
-    return tuple(host), floor, ceiling
-
-
 def region_poly(
     config: Configuration,
     floor: Sequence[int],
@@ -602,7 +550,7 @@ def region_poly(
     any subset of the other participating points; the maximal count uses
     them all.
     """
-    host, floor_path, ceiling_path = _region_host(config, floor, ceiling)
+    host, floor_path, ceiling_path = region_host(config, floor, ceiling)
     run = max_region_count_points if maximal else _run_complete
     return run(host, floor_path, ceiling_path, prune=prune, trace=trace)
 

@@ -7,14 +7,23 @@ the edge basis builders to keep the tables readable.
 from __future__ import annotations
 
 from tripoly import PolyST, PolyT, maximal_edge_basis
+from tripoly.cli import (  # the pinned examples of `selftest`
+    EDGE_A,
+    EDGE_A_PCOEFFS,
+    EDGE_B,
+    EDGE_C,
+    FANS,
+    GON_POLY,
+    PENTAGON_POLY,
+    SQUEEZE,
+    SQUEEZE_CEILING,
+    SQUEEZE_FLOOR,
+    TRIANGLE_POLY,
+)
 from tripoly.planar import NearEdge
 from tripoly.weighted import weighted_polygon_config
 
-# --- near-edges used all over the suite
-
-EDGE_A = ((0, 0), (1, 1), (2, -1), (3, 1), (4, -1), (5, 0))
-EDGE_B = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
-EDGE_C = ((0, 0), (1, 2), (2, 1), (3, -1), (4, 1), (5, 0))
+# --- near-edges used all over the suite (EDGE_A, EDGE_B, EDGE_C above)
 
 EDGE8 = tuple((i, y) for i, y in enumerate((0, -1, 1, 1, -2, -3, -2, -1, 0)))
 EDGE12 = tuple(
@@ -24,14 +33,7 @@ SEVEN = ((0, 0), (1, 2), (2, -1), (3, 1), (4, -2), (5, 1), (6, 0))
 FLATTOP = ((0, 0), (1, 1), (2, 1), (3, 1), (4, -1), (5, 0))
 STRAIGHT4 = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
 
-# fans added above EDGE_C one at a time to pin down its maximal polynomial
-FANS = ((1, 10), (2, 11), (3, 10))
-
-# --- configurations
-
-SQUEEZE = ((0, 3), (0, 1), (1, 3), (1, 2), (1, 1), (2, 2), (2, 1), (2, 0))
-SQUEEZE_FLOOR = (0, 1, 7)
-SQUEEZE_CEILING = (0, 2, 3, 5, 6, 7)
+# --- configurations (SQUEEZE with its floor and ceiling above)
 
 COLUMNS11 = (
     (0, 3), (0, 2), (0, 1), (0, 0), (1, 4), (2, 4),
@@ -45,28 +47,9 @@ COLLINEAR_RUN_POLY = {6: 4, 5: 6, 4: 2}
 QUAD = ((0, 0), (2, 0), (2, 2), (0, 2))
 TRIANGLE_PLUS_CENTER = ((0, 0), (4, 0), (0, 4), (1, 1))
 
-# --- pinned polynomials
+# --- pinned polynomials (GON_POLY, PENTAGON_POLY, TRIANGLE_POLY and
+# EDGE_A_PCOEFFS above)
 
-GON_POLY = {
-    14: 194939, 13: 338669, 12: 263615, 11: 119944,
-    10: 34773, 9: 6522, 8: 748, 7: 42,
-}
-
-PENTAGON_POLY = {
-    15: 8046, 14: 37250, 13: 77467, 12: 95364, 11: 77048, 10: 42776,
-    9: 16584, 8: 4460, 7: 805, 6: 90, 5: 5,
-}
-
-TRIANGLE_POLY = {
-    14: 901, 13: 4825, 12: 11734, 11: 17130, 10: 16710, 9: 11466,
-    8: 5670, 7: 2034, 6: 525, 5: 95, 4: 11, 3: 1,
-}
-
-EDGE_A_PCOEFFS = {
-    5: {3: 14, 4: 7, 5: 1},
-    4: {2: 10, 3: 7, 4: 2},
-    3: {1: 2, 2: 2, 3: 1},
-}
 EDGE_B_PCOEFFS = {
     4: {3: 5, 4: 1},
     3: {2: 4, 3: 2},

@@ -160,11 +160,30 @@ class TestRegion:
         path = point_file(
             [(0, 3), (0, 1), (0, 0), (1, 1), (2, 3), (2, 1), (2, 0), (3, 0)]
         )
-        argv = ["region", path, "--floor", "0,2,7", "--ceiling", "0,6,7"]
-        for extra in ([], ["--maximal"], ["--trace"]):
-            assert cap(argv + extra) == (1, "")
+        paths = ["--floor", "0,2,7", "--ceiling", "0,6,7"]
+        for argv in (
+            ["region", path, *paths],
+            ["region", path, *paths, "--maximal"],
+            ["region", path, *paths, "--trace"],
+            ["oracle-region", path, *paths],
+        ):
+            assert cap(argv) == (1, "")
             assert capsys.readouterr().err == (
                 "error: ceiling corner (2, 0) lies on the floor\n"
+            )
+
+    def test_flat_region_is_refused(self, point_file, capsys):
+        # floor and ceiling are the same segment from (0, 0) to (2, 0)
+        path = point_file([(0, 0), (1, 0), (2, 0), (1, 1)])
+        paths = ["--floor", "0,3", "--ceiling", "0,3"]
+        for argv in (
+            ["region", path, *paths],
+            ["region", path, *paths, "--maximal"],
+            ["oracle-region", path, *paths],
+        ):
+            assert cap(argv) == (1, "")
+            assert capsys.readouterr().err == (
+                "error: floor and ceiling have the same corners: no area\n"
             )
 
 

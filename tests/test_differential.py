@@ -31,11 +31,11 @@ from tripoly.planar import (
     path_corners,
     point_on_path,
     point_vs_path,
+    region_host,
     upper_hull,
 )
 from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
-    _region_host,
     _Sweep,
     complete_config_poly,
     complete_edge_poly_tm,
@@ -87,6 +87,14 @@ def hull_regions(cfg: Configuration) -> list[tuple[tuple[int, ...], tuple[int, .
     floor = tuple(index[p] for p in cfg.lower_boundary())
     upper = tuple(index[p] for p in cfg.upper_boundary())
     return [(floor, upper[:j] + upper[j + 1 :]) for j in range(1, len(upper) - 1)]
+
+
+def flat(cfg: Configuration, floor, ceiling) -> bool:
+    """True when both paths have the same corners, enclosing no area."""
+    pts = cfg.points
+    return path_corners([pts[i] for i in floor]) == path_corners(
+        [pts[i] for i in ceiling]
+    )
 
 
 SMALL = lattice_subsets(12, seed=1) + random_sets(12, seed=2, lo=5, hi=9, box=12)
@@ -158,7 +166,7 @@ def valley_regions(
         ):
             continue
         try:
-            _region_host(cfg, floor, ceiling)
+            region_host(cfg, floor, ceiling)
         except ValueError:
             continue
         if (floor, ceiling) not in out:
@@ -172,6 +180,14 @@ MAXIMAL_LARGE = random_sets(3, seed=7, lo=13, hi=15, box=6) + random_sets(
 )
 
 
+def test_a_flat_hull_region_is_generated():
+    # the 26th maximal set drops the one interior point of its upper hull,
+    # leaving the hull region (0, 7)/(0, 7)
+    cfg = Configuration(MAXIMAL[25])
+    assert ((0, 7), (0, 7)) in hull_regions(cfg)
+    assert flat(cfg, (0, 7), (0, 7))
+
+
 @pytest.mark.parametrize("pts", MAXIMAL)
 def test_pruned_maximal_counts_match_unpruned_and_oracle(pts):
     cfg = Configuration(pts)
@@ -182,6 +198,15 @@ def test_pruned_maximal_counts_match_unpruned_and_oracle(pts):
         assert max_config_count(c) == max_config_count(c, prune=False) == want
     regions = hull_regions(cfg) + valley_regions(cfg, 3, seed=len(pts))
     for floor, ceiling in regions:
+        if flat(cfg, floor, ceiling):
+            # a region of no area: both routes refuse it
+            with pytest.raises(ValueError, match="same corners"):
+                oracle_region_poly(cfg, floor, ceiling)
+            for c in (cfg, big):
+                for maximal in (True, False):
+                    with pytest.raises(ValueError, match="same corners"):
+                        region_poly(c, floor, ceiling, maximal=maximal)
+            continue
         want = oracle_region_poly(cfg, floor, ceiling).leading()
         for c in (cfg, big):
             for prune in (True, False):
@@ -283,7 +308,7 @@ def test_bitmask_moves_match_under_ceiling_runs_and_valleys(pts):
     cfg = Configuration(pts)
     check_moves(cfg.points, cfg.upper_boundary())
     for floor, ceiling in valley_regions(cfg, 2, seed=11):
-        host, _, path = _region_host(cfg, floor, ceiling)
+        host, _, path = region_host(cfg, floor, ceiling)
         check_moves(host, path)
 
 

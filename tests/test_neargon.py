@@ -18,7 +18,6 @@ from tripoly.neargon import (
     compose,
     convex_edge_complete,
     convex_edge_maximal,
-    convex_edge_poly,
     convex_edge_states,
     covering_roof_edge_poly,
     edge_poly,
@@ -138,8 +137,6 @@ class TestConvexRecursion:
             convex_edge_states((1,), "fastest")
         with pytest.raises(ValueError, match="profile entries"):
             convex_edge_states((1, 0))
-        with pytest.raises(ValueError, match="mode"):
-            convex_edge_poly((1,), "fastest")
 
     def test_complete_matches_the_zigzag(self):
         assert convex_edge_complete((1, -1, 1, -1)) == st_from_pcoeffs(
@@ -148,12 +145,10 @@ class TestConvexRecursion:
 
     def test_maximal_variant_matches_the_top_slice(self):
         for profile in [(), (1,), (-1,), (1, -1), (1, -1, 1, -1), (-1, -1, 1)]:
-            ep = convex_edge_poly(profile)
-            assert isinstance(ep, EdgePolynomial)
-            lean = convex_edge_poly(profile, "maximal")
+            ep = EdgePolynomial(len(profile) + 1, convex_edge_complete(profile))
+            lean = convex_edge_maximal(profile)
             assert isinstance(lean, PolyT)
             assert lean == ep.maximal
-            assert convex_edge_maximal(profile) == lean
 
     def test_empty_profile_is_the_unit_edge(self):
         assert convex_edge_complete(()) == complete_edge_basis(1)

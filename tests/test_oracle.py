@@ -163,7 +163,9 @@ class TestRegionOracle:
 
     def test_flat_region(self):
         cfg = Configuration(SQUEEZE)
-        assert oracle_region_poly(cfg, (0, 1), (0, 1)).c == {0: 1}
+        for route in (oracle_region_poly, region_poly):
+            with pytest.raises(ValueError, match="same corners"):
+                route(cfg, (0, 1), (0, 1))
 
     def test_full_region_equals_the_complete_polynomial(self):
         cfg = Configuration(COLLINEAR_RUN)

@@ -12,7 +12,6 @@ from tripoly.planar import (
     extremal_points,
     factorize,
     hull_points,
-    hulls,
     load_points,
     lower_hull,
     on_segment,
@@ -26,7 +25,6 @@ from tripoly.planar import (
     sweep_compare,
     sweep_key,
     upper_hull,
-    validate_near_edge,
     vertical_mirror,
 )
 
@@ -147,10 +145,9 @@ class TestConfiguration:
 
     def test_boundaries_and_extremal(self):
         c = Configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
-        lo, hi, ext = hulls(c)
-        assert lo == c.lower_boundary()
-        assert hi == c.upper_boundary()
-        assert ext == {(0, 0), (2, 0), (2, 2), (0, 2)}
+        assert c.lower_boundary() == lower_hull(c.points) == ((0, 2), (0, 0), (2, 0))
+        assert c.upper_boundary() == upper_hull(c.points) == ((0, 2), (2, 2), (2, 0))
+        assert c.extremal() == {(0, 0), (2, 0), (2, 2), (0, 2)}
 
     def test_all_collinear(self):
         assert Configuration([(0, 0), (1, 1), (2, 2)]).all_collinear()
@@ -191,8 +188,10 @@ class TestNearEdge:
         assert m.points == ((0, 0), (1, -1), (2, 1), (3, -1), (4, 1), (5, 0))
         assert vertical_mirror(m) == e
 
-    def test_validate_helper(self):
-        assert validate_near_edge(EDGE_A) == NearEdge(EDGE_A)
+    def test_built_from_any_iterable(self):
+        e = NearEdge(EDGE_A)
+        assert e.points == EDGE_A
+        assert NearEdge(list(EDGE_A)) == e == NearEdge(iter(EDGE_A))
 
 
 class TestConvexProfile:

@@ -15,8 +15,6 @@ from tripoly.roofs import (
     decode,
     encode,
     is_covering,
-    is_minimal_triangle,
-    skyline,
     skyline_points,
     skyline_y,
     sub_edges,
@@ -99,12 +97,11 @@ class TestSkyline:
         roof = DecoratedRoof((0, 2, 5), 0)
         assert skyline_points(EDGE_A, roof) == ((0, 0), (2, -1), (5, 0))
 
-    def test_skyline_accepts_hosts_and_index_tuples(self):
-        roof = DecoratedRoof((0, 2, 5), 0)
+    def test_skyline_points_of_a_near_edge_host(self):
         sky = ((0, 0), (2, -1), (5, 0))
-        assert skyline(roof, EDGE_A) == sky
-        assert skyline(roof, NearEdge(EDGE_A)) == sky
-        assert skyline((0, 2, 5), NearEdge(EDGE_A)) == sky
+        host = NearEdge(EDGE_A).points
+        for d in (0, 1):
+            assert skyline_points(host, DecoratedRoof((0, 2, 5), d)) == sky
 
     def test_skyline_y_interpolates(self):
         roof = DecoratedRoof((0, 1, 3, 5), 0)
@@ -201,12 +198,10 @@ class TestTriangles:
         pts = ((0, 0), (1, 0), (2, 0))
         assert not closed_triangle_empty(pts, 0, 1, 2)
 
-    def test_is_minimal_triangle_looks_up_points(self):
-        host = NearEdge(EDGE_A)
-        assert is_minimal_triangle(host, (0, 0), (1, 1), (2, -1))
-        assert not is_minimal_triangle(
-            ((0, 0), (2, 0), (4, 0), (2, 2)), (0, 0), (4, 0), (2, 2)
-        )
+    def test_closed_triangle_empty_over_a_near_edge(self):
+        host = NearEdge(EDGE_A).points
+        assert closed_triangle_empty(host, 0, 1, 2)
+        assert not closed_triangle_empty(((0, 0), (2, 0), (4, 0), (2, 2)), 0, 2, 3)
 
 
 class TestSuccessors:
