@@ -1,6 +1,7 @@
 """Command line verbs: outputs, JSON shapes, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -65,6 +66,16 @@ class TestPoly:
         got = {term["s"]: int(term["coeff"]) for term in json.loads(out)["terms"]}
         assert got == COLUMNS11_POLY
 
+    def test_columns_trace_digest(self, point_file):
+        # floor points 1 and 2 are optional: floor roofs enter at steps
+        # 2, 3 and 4
+        rc, out = cap(["poly", point_file(COLUMNS11), "--trace"])
+        assert rc == 0
+        assert len(out.splitlines()) == 17
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "32101eaf72bcb9d07f49381a0dcc3c9758e344d05ac2f89c1b795354573ad789"
+        )
+
     def test_deterministic(self, point_file):
         path = point_file(COLUMNS11)
         assert cap(["poly", path, "--json"]) == cap(["poly", path, "--json"])
@@ -105,16 +116,59 @@ class TestRegion:
         assert json.loads(out) == {"count": "12"}
 
     def test_trace_lines_precede_the_result(self, point_file):
+        # interior point 4 is optional: moves that skip it put a code
+        # at several steps
         path = point_file(SQUEEZE)
         rc, out = cap(
             ["region", path, "--floor", "0,1,7",
              "--ceiling", "0,2,3,5,6,7", "--trace"]
         )
         assert rc == 0
-        lines = out.splitlines()
-        assert lines[-1] == "12*s^8 + 16*s^7 + 5*s^6"
-        assert lines[:-1]
-        assert all(line.startswith("V_") for line in lines[:-1])
+        assert out == (
+            "V_1 = 0\n"
+            "V_2 = 1*R1([0 1] 7)\n"
+            "V_3 = 1*R0([0 7]) + 1*R67(0 [1 2] 7) + 1*R69(0 [1 3] 7)"
+            " + 1*R73(0 [1 4] 7) + 1*R81(0 [1 5] 7) + 1*R97(0 [1 6] 7)\n"
+            "V_4 = 2*R2([0 2] 7) + 2*R4([0 3] 7) + 1*R8([0 4] 7)"
+            " + 2*R16([0 5] 7) + 2*R32([0 6] 7) + 1*R71(0 [1 2] 3 7)"
+            " + 1*R75(0 [1 2] 4 7) + 1*R77(0 [1 3] 4 7) + 1*R83(0 [1 2] 5 7)"
+            " + 1*R85(0 [1 3] 5 7) + 1*R99(0 [1 2] 6 7) + 1*R101(0 [1 3] 6 7)"
+            " + 1*R113(0 [1 5] 6 7) + 1*R153(0 1 [4 5] 7)"
+            " + 1*R169(0 1 [4 6] 7)\n"
+            "V_5 = 1*R0([0 7]) + 3*R6([0 2] 3 7) + 2*R10([0 2] 4 7)"
+            " + 2*R12([0 3] 4 7) + 3*R18([0 2] 5 7) + 1*R20([0 3] 5 7)"
+            " + 3*R34([0 2] 6 7) + 1*R36([0 3] 6 7) + 3*R48([0 5] 6 7)"
+            " + 1*R79(0 [1 2] 3 4 7) + 1*R81(0 [1 5] 7) + 2*R82(0 [2 5] 7)"
+            " + 1*R87(0 [1 2] 3 5 7) + 1*R88(0 [4 5] 7) + 2*R98(0 [2 6] 7)"
+            " + 1*R103(0 [1 2] 3 6 7) + 1*R104(0 [4 6] 7)"
+            " + 1*R115(0 [1 2] 5 6 7) + 1*R117(0 [1 3] 5 6 7)"
+            " + 1*R185(0 1 [4 5] 6 7)\n"
+            "V_6 = 1*R2([0 2] 7) + 1*R4([0 3] 7) + 3*R14([0 2] 3 4 7)"
+            " + 4*R16([0 5] 7) + 2*R22([0 2] 3 5 7) + 2*R32([0 6] 7)"
+            " + 2*R38([0 2] 3 6 7) + 4*R50([0 2] 5 6 7) + 1*R52([0 3] 5 6 7)"
+            " + 5*R66(0 [2 7]) + 1*R83(0 [1 2] 5 7) + 1*R85(0 [1 3] 5 7)"
+            " + 1*R113(0 [1 5] 6 7) + 5*R114(0 [2 5] 6 7)"
+            " + 1*R119(0 [1 2] 3 5 6 7) + 1*R120(0 [4 5] 6 7)"
+            " + 3*R150(0 2 [3 5] 7) + 2*R154(0 2 [4 5] 7)"
+            " + 3*R166(0 2 [3 6] 7) + 2*R170(0 2 [4 6] 7)\n"
+            "V_7 = 1*R6([0 2] 3 7) + 5*R18([0 2] 5 7) + 1*R20([0 3] 5 7)"
+            " + 2*R34([0 2] 6 7) + 5*R48([0 5] 6 7) + 2*R54([0 2] 3 5 6 7)"
+            " + 13*R82(0 [2 5] 7) + 1*R87(0 [1 2] 3 5 7) + 13*R98(0 [2 6] 7)"
+            " + 1*R115(0 [1 2] 5 6 7) + 1*R117(0 [1 3] 5 6 7)"
+            " + 3*R134(0 2 [3 7]) + 5*R182(0 2 [3 5] 6 7)"
+            " + 2*R186(0 2 [4 5] 6 7) + 3*R222(0 2 3 [4 5] 7)"
+            " + 3*R238(0 2 3 [4 6] 7)\n"
+            "V_8 = 1*R16([0 5] 7) + 2*R22([0 2] 3 5 7) + 6*R50([0 2] 5 6 7)"
+            " + 1*R52([0 3] 5 6 7) + 4*R66(0 [2 7]) + 24*R114(0 [2 5] 6 7)"
+            " + 1*R119(0 [1 2] 3 5 6 7) + 7*R150(0 2 [3 5] 7)"
+            " + 7*R166(0 2 [3 6] 7) + 3*R254(0 2 3 [4 5] 6 7)\n"
+            "V_9 = 1*R18([0 2] 5 7) + 1*R48([0 5] 6 7) + 2*R54([0 2] 3 5 6 7)"
+            " + 13*R82(0 [2 5] 7) + 11*R98(0 [2 6] 7)"
+            " + 10*R182(0 2 [3 5] 6 7)\n"
+            "V_10 = 1*R50([0 2] 5 6 7) + 23*R114(0 [2 5] 6 7)\n"
+            "V_11 = 0\n"
+            "12*s^8 + 16*s^7 + 5*s^6\n"
+        )
 
     def test_maximal_trace(self, point_file):
         path = point_file(SQUEEZE)
@@ -223,11 +277,24 @@ class TestEdgepoly:
     def test_transfer_variant_trace(self, point_file):
         rc, out = cap(["edgepoly-tm", point_file(EDGE_C), "--trace"])
         assert rc == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("V_")
-        assert all(line.startswith("V_") for line in lines[:-1])
-        plain = cap(["edgepoly", point_file(EDGE_C)])[1]
-        assert lines[-1] + "\n" == plain
+        assert out == (
+            "V_1 = 0\n"
+            "V_2 = 1*R4([0 3] 5)\n"
+            "V_3 = 1*R0([0 5]) + 1*R5([0 1] 3 5) + 1*R6([0 2] 3 5)"
+            " + 1*R28(0 [3 4] 5)\n"
+            "V_4 = 1*R1([0 1] 5) + 1*R2([0 2] 5) + 1*R7([0 1] 2 3 5)"
+            " + 2*R8([0 4] 5) + 1*R17(0 [1 5]) + 1*R18(0 [2 5])"
+            " + 1*R23(0 [1 2] 3 5) + 1*R45(0 1 [3 4] 5) + 1*R46(0 2 [3 4] 5)\n"
+            "V_5 = 1*R3([0 1] 2 5) + 2*R9([0 1] 4 5) + 2*R10([0 2] 4 5)"
+            " + 3*R25(0 [1 4] 5) + 3*R26(0 [2 4] 5) + 2*R35(0 1 [2 5])"
+            " + 2*R63(0 1 2 [3 4] 5)\n"
+            "V_6 = 2*R11([0 1] 2 4 5) + 3*R17(0 [1 5]) + 5*R43(0 1 [2 4] 5)\n"
+            "V_7 = 10*R25(0 [1 4] 5)\n"
+            "V_8 = 0\n"
+            "2*s^5*t^5 - 1*s^5*t^4 - 5*s^5*t^3 + 4*s^4*t^4 - 13*s^5*t^2"
+            " + 1*s^4*t^3 - 19*s^4*t^2 + 3*s^3*t^3 - 3*s^4*t^1 - 6*s^3*t^1"
+            " + 1*s^2*t^2\n"
+        )
 
 
 class TestWeighted:
