@@ -45,6 +45,8 @@ from .transfer import complete_edge_poly_tm, max_roof_counts
 from .transfer import max_region_count_points  # noqa: F401
 
 EDGE_METHODS = ("auto", "tm", "roofs", "convex")
+# realize halves the flattening at most this many times
+PRECISION_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,7 @@ def _realize_at(
     )
 
 
-def realize(
-    gon: NearGon | Sequence[NearEdge], precision_steps: int = 12
-) -> Configuration:
+def realize(gon: NearGon | Sequence[NearEdge]) -> Configuration:
     """Integer configuration realizing a near-gon.
 
     Each edge is flattened toward its chord, mapped onto a side of a
@@ -314,7 +314,7 @@ def realize(
         raise ValueError("realization needs at least three edges")
     base = convex_polygon_points(len(edges))
     prev: Configuration | None = None
-    for m in range(1, precision_steps + 1):
+    for m in range(1, PRECISION_STEPS + 1):
         cfg = _realize_at(edges, base, Fraction(1, 2**m))
         if cfg is None:
             prev = None
@@ -323,5 +323,5 @@ def realize(
             return prev
         prev = cfg
     raise ValueError(
-        "the realization did not stabilise; raise precision_steps"
+        f"the realization did not stabilise within {PRECISION_STEPS} halvings"
     )

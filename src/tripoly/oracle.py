@@ -3,8 +3,8 @@
 The oracle enumerates vertex subsets directly and counts the
 triangulations of each by growing triangles over a frontier of directed
 half-edges, so its only shared ground with the fast routes is the
-orientation predicate and the validation of a region's paths.  It is meant for cross-checking small inputs and
-guards its input size.
+orientation predicate and the validation of a region's paths.  It is
+meant for cross-checking small inputs and guards its input size.
 """
 from __future__ import annotations
 

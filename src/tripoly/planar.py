@@ -8,9 +8,18 @@ points.
 """
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 Point = tuple[int, int]
+
+
+def as_integer(value: object, what: str = "coordinate") -> int:
+    """``value`` as an int; a float or other non-integer is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -134,7 +143,7 @@ class Configuration:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Point]):
-        pts = [(int(x), int(y)) for x, y in points]
+        pts = [(as_integer(x), as_integer(y)) for x, y in points]
         if len(set(pts)) != len(pts):
             raise ValueError("configuration has repeated points")
         if not pts:
@@ -176,7 +185,7 @@ class NearEdge:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Point]):
-        pts = tuple((int(x), int(y)) for x, y in points)
+        pts = tuple((as_integer(x), as_integer(y)) for x, y in points)
         if len(pts) < 2:
             raise ValueError("a near-edge needs at least two points")
         if any(a[0] >= b[0] for a, b in zip(pts, pts[1:])):
@@ -367,16 +376,21 @@ def order_type_equivalent(a: Sequence[Point], b: Sequence[Point]) -> bool:
     return True
 
 
-def convex_polygon_points(l: int, scale: int = 1 << 20) -> tuple[Point, ...]:
+POLYGON_SCALE = 1 << 20
+
+
+def convex_polygon_points(l: int) -> tuple[Point, ...]:
     """A strictly convex integer l-gon, counterclockwise.
 
-    Vertices are rounded from a regular polygon; the scale doubles until
-    the rounding artefacts leave every corner strictly convex.
+    Vertices are rounded from a regular polygon scaled by
+    ``POLYGON_SCALE``; the scale doubles until the rounding artefacts
+    leave every corner strictly convex.
     """
     from math import cos, sin, tau
 
     if l < 3:
         raise ValueError(f"a polygon needs at least three corners, got {l}")
+    scale = POLYGON_SCALE
     while True:
         pts = tuple(
             (round(scale * cos(tau * i / l)), round(scale * sin(tau * i / l)))

@@ -38,14 +38,19 @@ aggregation of Alvarez & Seidel (SoCG 2013) run over the DAG of moves.
 A code's multiplicity is one packed int: its field j, ``width`` bits
 wide, counts the partial triangulations under the roof that skipped j
 points, and a move that skips e points adds the multiplicity shifted by
-e fields.  Along every move k − Φ + 2j stays constant, and a floor roof
-of length L enters the step-by-step iteration at step L, so field j of a
-code is the multiplicity that iteration gives it at step
-k = Φ − 2j − 1.  Payoffs are reported keyed by (k, roof length) and a
-``trace=`` callback sees the vectors V_k of that iteration, rebuilt after
-the sweep.  At a ceiling payoff every host point is covered, so
-Φ = 2(n + 1) − (roof points) and field j used n + 1 − j vertices; a run
-that pays off at any other potential raises ``AssertionError``.
+e fields.  A floor roof of r points on a floor of F points skips F − r
+of them, so it starts at potential 2F − r in field F − r.  A covered
+point is used or skipped, so field j of a roof of length L at potential
+Φ used (Φ + L + 1)/2 − j vertices: payoffs are keyed by (vertices used,
+roof length).  At a ceiling every host point is covered and
+Φ = 2(n + 1) − (roof points); a ceiling payoff at any other potential
+raises ``AssertionError``.
+
+A ``trace=`` callback sees the vectors V_k of the step-by-step
+iteration, which adds one triangle per step and injects a floor roof of
+length L at step L.  Along every move k − Φ + 2j stays constant, so
+field j of a code is its multiplicity at step k = Φ − 2j − 1; only the
+replay after the sweep uses k.
 
 Field width.  A field counts pairs of a floor state and a move sequence
 from it.  There are at most 2^(n-1) floor states.  A state has at most
@@ -322,49 +327,34 @@ def _fields(packed: int, width: int) -> Iterator[tuple[int, int]]:
         j += 1
 
 
-def _floor_indices(
-    points: Sequence[Point], floor: Sequence[Point]
-) -> tuple[list[int], list[int]]:
-    """Host indices of the floor corners and of the other floor points."""
-    pts = tuple(points)
-    n = len(pts) - 1
-    pos = {p: i for i, p in enumerate(pts)}
-    corners = path_corners(tuple(floor))
-    corner_idx = []
-    for c in corners:
-        if c not in pos:
-            raise ValueError(f"floor corner {c} is not a host point")
-        corner_idx.append(pos[c])
-    if corner_idx[0] != 0 or corner_idx[-1] != n:
-        raise ValueError("floor must join the first and last host points")
-    optional = [
-        i
-        for i, p in enumerate(pts)
-        if i not in corner_idx and point_on_path(p, floor)
-    ]
-    return corner_idx, optional
+def _floor_roofs(
+    points: Sequence[Point], floor: Sequence[Point], maximal: bool
+) -> Iterator[tuple[int, int]]:
+    """Roof bits of the floor roofs and the floor points each skips.
 
-
-def initial_vectors(
-    points: Sequence[Point], floor: Sequence[Point]
-) -> dict[int, dict[int, int]]:
-    """Floor states by injection step.
-
-    Every roof made of the floor corners plus any subset of the other
-    host points lying on the floor path starts the iteration with marker
-    0, entering at the step equal to its length.
+    A floor roof is made of the floor corners plus any subset of the
+    other host points lying on the floor path; a maximal run starts from
+    the one roof through all of them.
     """
     n = len(points) - 1
-    corner_idx, optional = _floor_indices(points, floor)
-    out: dict[int, dict[int, int]] = {}
-    for r in range(len(optional) + 1):
+    pos = {p: i for i, p in enumerate(points)}
+    corners = []
+    for c in path_corners(tuple(floor)):
+        if c not in pos:
+            raise ValueError(f"floor corner {c} is not a host point")
+        corners.append(pos[c])
+    if corners[0] != 0 or corners[-1] != n:
+        raise ValueError("floor must join the first and last host points")
+    bits = sum(1 << (i - 1) for i in corners[1:-1])
+    optional = [
+        1 << (i - 1)
+        for i in range(1, n)
+        if i not in corners and point_on_path(points[i], floor)
+    ]
+    sizes = [len(optional)] if maximal else range(len(optional) + 1)
+    for r in sizes:
         for extra in combinations(optional, r):
-            idx = tuple(sorted(corner_idx + list(extra)))
-            code = encode(DecoratedRoof(idx, 0), n)
-            k = len(idx) - 1
-            level = out.setdefault(k, {})
-            level[code] = level.get(code, 0) + 1
-    return out
+            yield bits | sum(extra), len(optional) - r
 
 
 def render_vector(points: Sequence[Point], vec: Mapping[int, int]) -> str:
@@ -377,31 +367,24 @@ def render_vector(points: Sequence[Point], vec: Mapping[int, int]) -> str:
 
 
 def _run(
-    sweep: _Sweep,
-    init: Mapping[int, Mapping[int, int]],
-    trace: TraceFn | None,
+    sweep: _Sweep, floor: Sequence[Point], trace: TraceFn | None
 ) -> dict[tuple[int, int], int]:
-    """The sweep: payoffs keyed by (step, roof length).
+    """The sweep from the roofs of ``floor``: payoffs keyed by (vertices
+    used, roof length).
 
-    ``init`` holds the floor states by the step they enter at, as
-    :func:`initial_vectors` and :func:`_maximal_start` give them.  Codes
-    are expanded in order of potential, each one once.  Complete and edge
-    runs trace every step from 1 until the vector empties, that last
-    empty step included.  A maximal run traces from its single floor
-    state to its last non-empty vector.
+    A maximal sweep starts from the roof through every floor point, any
+    other from every floor roof.  Codes are expanded in order of
+    potential, each one once.  Complete and edge runs trace every step
+    from 1 until the vector empties, that last empty step included.  A
+    maximal run traces from its floor roof to its last non-empty vector.
     """
     width = sweep.width
     top = 2 * (sweep.n + 1)
     limit = top - 2  # the largest potential of a roof
     buckets: list[dict[int, int]] = [{} for _ in range(limit + 2)]
-    # every floor roof covers the floor points and no other host point,
-    # and the one through all of them enters last
-    floor = max(init) + 1
-    for k, level in init.items():
-        # the roof has k + 1 points and skips the other floor points
-        bucket = buckets[2 * floor - k - 1]
-        for code, mult in level.items():
-            bucket[code] = bucket.get(code, 0) + (mult << width * (floor - k - 1))
+    for bits, skipped in _floor_roofs(sweep.points, floor, sweep.immediate):
+        # the roof covers its own points and the floor points it skips
+        buckets[bits.bit_count() + 2 + 2 * skipped][bits] = 1 << width * skipped
     paid: dict[tuple[int, int], int] = {}
     kept: list[tuple[int, dict[int, int]]] = []
     expand = sweep.successors
@@ -419,8 +402,9 @@ def _run(
                 raise AssertionError(
                     f"ceiling payoff at potential {phi}, not {top - 1 - length}"
                 )
+            covered = (phi + length + 1) // 2
             for j, mult in _fields(total, width):
-                key = (phi - 2 * j - 1, length)
+                key = (covered - j, length)
                 paid[key] = paid.get(key, 0) + mult
         if trace is not None:
             kept.append((phi, bucket))
@@ -453,17 +437,15 @@ def _replay(
     sweep: _Sweep, kept: Sequence[tuple[int, dict[int, int]]], trace: TraceFn
 ) -> None:
     """Call ``trace`` with the vector V_k of every step k and its payoffs."""
-    if sweep.immediate:
-        # no move skips a point: a potential is one step
-        steps = {phi - 1: bucket for phi, bucket in kept}
-        first, last = min(steps), max(steps)
-    else:
-        steps = {}
-        for phi, bucket in kept:
-            for code, packed in bucket.items():
-                for j, mult in _fields(packed, sweep.width):
-                    steps.setdefault(phi - 2 * j - 1, {})[code] = mult
-        first, last = 1, max(steps) + 1
+    steps: dict[int, dict[int, int]] = {}
+    for phi, bucket in kept:
+        for code, packed in bucket.items():
+            for j, mult in _fields(packed, sweep.width):
+                steps.setdefault(phi - 2 * j - 1, {})[code] = mult
+    # a maximal trace spans its non-empty vectors; the others start at
+    # step 1 and end on the first empty one
+    first = min(steps) if sweep.immediate else 1
+    last = max(steps) if sweep.immediate else max(steps) + 1
     for k in range(first, last + 1):
         vec = steps.get(k, {})
         trace(k, vec, sweep.payoff(vec))
@@ -474,24 +456,14 @@ def _run_complete(
     floor: Sequence[Point],
     ceiling: Sequence[Point],
     *,
-    prune: bool | None = None,
+    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS:
-    sweep = _Sweep(host, ceiling=ceiling, prune=prune is not False)
+    sweep = _Sweep(host, ceiling=ceiling, prune=prune)
     total: dict[int, int] = {}
-    for (k, length), coeff in _run(sweep, initial_vectors(host, floor), trace).items():
-        h = (2 + k + length) // 2
-        total[h] = total.get(h, 0) + coeff
+    for (used, _), coeff in _run(sweep, floor, trace).items():
+        total[used] = total.get(used, 0) + coeff
     return PolyS(total)
-
-
-def _maximal_start(
-    sweep: _Sweep, floor: Sequence[Point]
-) -> dict[int, dict[int, int]]:
-    """The single floor state of a maximal run: every floor point used."""
-    corner_idx, optional = _floor_indices(sweep.points, floor)
-    start = tuple(sorted(corner_idx + optional))
-    return {len(start) - 1: {encode(DecoratedRoof(start, 0), sweep.n): 1}}
 
 
 def max_region_count_points(
@@ -499,26 +471,19 @@ def max_region_count_points(
     floor: Sequence[Point],
     ceiling: Sequence[Point],
     *,
-    prune: bool | None = None,
+    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> int:
     """Maximal triangulations of the region between two paths, hosting
-    exactly the given points (all of which must be used).
-
-    Dead-end pruning is on unless ``prune`` is False.
-    """
-    sweep = _Sweep(
-        points, ceiling=ceiling, immediate=True, prune=prune is not False
-    )
-    return sum(_run(sweep, _maximal_start(sweep, floor), trace).values())
+    exactly the given points (all of which must be used)."""
+    sweep = _Sweep(points, ceiling=ceiling, immediate=True, prune=prune)
+    return sum(_run(sweep, floor, trace).values())
 
 
 def max_roof_counts(
     points: Sequence[Point],
     floor: Sequence[Point],
     roofs: Sequence[Sequence[int]],
-    *,
-    trace: TraceFn | None = None,
 ) -> list[int]:
     """Maximal counts of the regions between the floor and each roof.
 
@@ -528,7 +493,7 @@ def max_roof_counts(
     yields all of them.
     """
     sweep = _Sweep(points, immediate=True)
-    _run(sweep, _maximal_start(sweep, floor), trace)
+    _run(sweep, floor, None)
     reached, n = sweep.reached, sweep.n
     return [reached.get(encode(DecoratedRoof(tuple(r), 0), n), 0) for r in roofs]
 
@@ -539,7 +504,7 @@ def region_poly(
     ceiling: Sequence[int],
     *,
     maximal: bool = False,
-    prune: bool | None = None,
+    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS | int:
     """Triangulation polynomial (or maximal count) of a region.
@@ -555,10 +520,22 @@ def region_poly(
     return run(host, floor_path, ceiling_path, prune=prune, trace=trace)
 
 
+def _hull(
+    config: Configuration,
+) -> tuple[tuple[Point, ...], tuple[Point, ...], tuple[Point, ...]]:
+    """The points of a configuration between its lower and upper hulls."""
+    if len(config) < 3 or config.all_collinear():
+        raise ValueError(
+            "the configuration must have at least three non-collinear points"
+        )
+    host = config.points
+    return host, lower_hull(host), upper_hull(host)
+
+
 def complete_config_poly(
     config: Configuration,
     *,
-    prune: bool | None = None,
+    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS:
     """Complete triangulation polynomial of a configuration.
@@ -566,35 +543,17 @@ def complete_config_poly(
     Counts every triangulation of every subset containing the extremal
     points, graded by s per vertex used.
     """
-    if len(config) < 3 or config.all_collinear():
-        raise ValueError(
-            "the configuration must have at least three non-collinear points"
-        )
-    host = config.points
-    return _run_complete(
-        host,
-        lower_hull(host),
-        upper_hull(host),
-        prune=prune,
-        trace=trace,
-    )
+    return _run_complete(*_hull(config), prune=prune, trace=trace)
 
 
 def max_config_count(
     config: Configuration,
     *,
-    prune: bool | None = None,
+    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> int:
     """Number of maximal triangulations (every point a vertex)."""
-    if len(config) < 3 or config.all_collinear():
-        raise ValueError(
-            "the configuration must have at least three non-collinear points"
-        )
-    host = config.points
-    return max_region_count_points(
-        host, lower_hull(host), upper_hull(host), prune=prune, trace=trace
-    )
+    return max_region_count_points(*_hull(config), prune=prune, trace=trace)
 
 
 def complete_edge_poly_tm(
@@ -602,14 +561,14 @@ def complete_edge_poly_tm(
 ) -> PolyST:
     """Complete polynomial of a near-edge by the transfer iteration.
 
-    With no ceiling every state pays off: a state of length L reached at
-    step k contributes s^((k + L)/2) p_L, summing the basis images of
-    all covering roofs over all sub-edges.
+    With no ceiling every state pays off: a state of length L whose
+    partial triangulation used v vertices contributes s^(v - 1) p_L,
+    summing the basis images of all covering roofs over all sub-edges.
     """
     host = tuple(edge.points)
-    init = initial_vectors(host, lower_hull(host))
     out: dict[tuple[int, int], int] = {}
-    for (k, length), mult in _run(_Sweep(host), init, trace).items():
+    for (used, length), mult in _run(_Sweep(host), lower_hull(host), trace).items():
         for t, v in maximal_edge_basis(length).c.items():
-            out[k + length, t] = out.get((k + length, t), 0) + mult * v
+            key = (2 * (used - 1), t)
+            out[key] = out.get(key, 0) + mult * v
     return PolyST(out)

@@ -22,14 +22,17 @@ from .exactmath import (
     complete_edge_basis,
     maximal_edge_basis,
 )
-from .planar import Configuration, NearEdge, convex_polygon_points
-
-_COMPLETE_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
+from .planar import Configuration, NearEdge, as_integer, convex_polygon_points
 
 
-def weight_multiset_normalize(weights: Sequence[int]) -> tuple[int, ...]:
-    """Sorted weight tuple; both polynomials depend only on this."""
-    return tuple(sorted(int(w) for w in weights))
+def _side_weights(weights: Sequence[int], sides: int, too_few: str) -> list[int]:
+    """The weights as ints, each at least 1, and at least ``sides`` of them."""
+    ws = [as_integer(w, "side weight") for w in weights]
+    if len(ws) < sides:
+        raise ValueError(too_few)
+    if any(w < 1 for w in ws):
+        raise ValueError("side weights must be >= 1")
+    return ws
 
 
 def digon_max_count(a: int, b: int) -> int:
@@ -40,7 +43,7 @@ def digon_max_count(a: int, b: int) -> int:
     convention: a weightless pair counts one, a single unit side can
     only face another unit side.
     """
-    a, b = sorted((int(a), int(b)))
+    a, b = sorted(as_integer(w, "side weight") for w in (a, b))
     if a < 0:
         raise ValueError("side weights must be >= 0")
     if a == 0:
@@ -52,11 +55,7 @@ def digon_max_count(a: int, b: int) -> int:
 
 def weighted_max_count(weights: Sequence[int]) -> int:
     """Maximal triangulations of a weighted convex polygon (two or more sides)."""
-    ws = [int(w) for w in weights]
-    if len(ws) < 2:
-        raise ValueError("a polygon needs at least two sides")
-    if any(w < 1 for w in ws):
-        raise ValueError("side weights must be >= 1")
+    ws = _side_weights(weights, 2, "a polygon needs at least two sides")
     prod = PolyT({0: 1})
     for w in ws:
         prod = prod * maximal_edge_basis(w)
@@ -65,20 +64,11 @@ def weighted_max_count(weights: Sequence[int]) -> int:
 
 def weighted_complete_poly(weights: Sequence[int]) -> PolyS:
     """Complete triangulation polynomial of a weighted convex polygon."""
-    ws = [int(w) for w in weights]
-    if len(ws) < 2:
-        raise ValueError("a polygon needs at least two sides")
-    if any(w < 1 for w in ws):
-        raise ValueError("side weights must be >= 1")
-    key = weight_multiset_normalize(ws)
-    cached = _COMPLETE_CACHE.get(key)
-    if cached is None:
-        prod = PolyST({(0, 0): 1})
-        for w in ws:
-            prod = prod * complete_edge_basis(w)
-        cached = catalan_pair_st(prod).c
-        _COMPLETE_CACHE[key] = cached
-    return PolyS(dict(cached))
+    ws = _side_weights(weights, 2, "a polygon needs at least two sides")
+    prod = PolyST({(0, 0): 1})
+    for w in ws:
+        prod = prod * complete_edge_basis(w)
+    return catalan_pair_st(prod)
 
 
 def weighted_polygon_config(weights: Sequence[int]) -> Configuration:
@@ -88,11 +78,7 @@ def weighted_polygon_config(weights: Sequence[int]) -> Configuration:
     weights so that the equal subdivision points of every side land on
     integer coordinates.
     """
-    ws = [int(w) for w in weights]
-    if len(ws) < 3:
-        raise ValueError("a realizable polygon needs at least three sides")
-    if any(w < 1 for w in ws):
-        raise ValueError("side weights must be >= 1")
+    ws = _side_weights(weights, 3, "a realizable polygon needs at least three sides")
     base = convex_polygon_points(len(ws))
     scale = lcm(*ws)
     pts = []

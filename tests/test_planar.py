@@ -143,6 +143,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration([])
 
+    def test_non_integer_coordinates_raise(self):
+        # a float coordinate used to be truncated: 1.7 became 1
+        with pytest.raises(ValueError, match="coordinate 1.7 is not an integer"):
+            Configuration([(0, 0), (1.7, 0), (0, 2)])
+        with pytest.raises(ValueError, match="coordinate '2' is not an integer"):
+            Configuration([(0, 0), (1, 0), (0, "2")])
+
     def test_boundaries_and_extremal(self):
         c = Configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
         assert c.lower_boundary() == lower_hull(c.points) == ((0, 2), (0, 0), (2, 0))
@@ -159,6 +166,11 @@ class TestNearEdge:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             NearEdge([(0, 0)])
+
+    def test_non_integer_coordinates_raise(self):
+        # float coordinates used to be truncated to ((0,0),(1,1),(2,0))
+        with pytest.raises(ValueError, match="coordinate 1.5 is not an integer"):
+            NearEdge([(0, 0), (1.5, 1), (2.9, 0)])
 
     def test_abscissas_must_increase(self):
         with pytest.raises(ValueError):

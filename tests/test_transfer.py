@@ -8,9 +8,9 @@ from tripoly.planar import Configuration, NearEdge, lower_hull, upper_hull
 from tripoly.roofs import DecoratedRoof, covering_roofs, encode, skyline_points, sub_edges
 from tripoly.transfer import (
     _Sweep,
+    _floor_roofs,
     complete_config_poly,
     complete_edge_poly_tm,
-    initial_vectors,
     max_config_count,
     max_region_count_points,
     region_poly,
@@ -82,28 +82,38 @@ def squeeze_paths():
 class TestInitialVectors:
     def test_squeeze_floor_is_a_single_state(self):
         cfg, floor, _ = squeeze_paths()
-        assert initial_vectors(cfg.points, floor) == {2: {1: 1}}
+        assert list(_floor_roofs(cfg.points, floor, False)) == [(1, 0)]
 
     def test_optional_floor_points_enter_at_later_steps(self):
+        # a floor roof of length L enters the step iteration at step L
         cfg = Configuration(COLUMNS11)
-        init = initial_vectors(cfg.points, cfg.lower_boundary())
-        dist = {k: sum(v.values()) for k, v in init.items()}
-        assert dist == {2: 1, 3: 2, 4: 1}
+        roofs = _floor_roofs(cfg.points, cfg.lower_boundary(), False)
+        dist = {}
+        for bits, skipped in roofs:
+            key = (bits.bit_count() + 1, skipped)
+            dist[key] = dist.get(key, 0) + 1
+        assert dist == {(2, 2): 1, (3, 1): 2, (4, 0): 1}
+        maximal = _floor_roofs(cfg.points, cfg.lower_boundary(), True)
+        assert list(maximal) == [(0b111, 0)]
 
     def test_floor_corner_must_be_a_host_point(self):
         with pytest.raises(ValueError, match="not a host point"):
-            initial_vectors(EDGE_A, ((0, 0), (2, 7), (5, 0)))
+            max_region_count_points(
+                EDGE_A, ((0, 0), (2, 7), (5, 0)), upper_hull(EDGE_A)
+            )
 
     def test_floor_must_span_the_host(self):
         with pytest.raises(ValueError, match="first and last"):
-            initial_vectors(EDGE_A, ((0, 0), (2, -1)))
+            max_region_count_points(
+                EDGE_A, ((0, 0), (2, -1)), upper_hull(EDGE_A)
+            )
 
     def test_markers_start_at_zero(self):
-        init = initial_vectors(EDGE_A, ((0, 0), (2, -1), (4, -1), (5, 0)))
+        floor = ((0, 0), (2, -1), (4, -1), (5, 0))
         n = len(EDGE_A) - 1
-        for level in init.values():
-            for code in level:
-                assert code >> (n - 1) == 0
+        for maximal in (False, True):
+            for bits, _ in _floor_roofs(EDGE_A, floor, maximal):
+                assert bits >> (n - 1) == 0
 
 
 def apply_transfer(points, vec, **mode):
@@ -190,7 +200,7 @@ class TestRegionPoly:
     def test_traced_maximal_run_keeps_pruning(self):
         cfg, _, _ = squeeze_paths()
         sizes = {}
-        for prune in (None, False):
+        for prune in (True, False):
             seen = sizes[prune] = []
             region_poly(
                 cfg,
@@ -200,7 +210,7 @@ class TestRegionPoly:
                 prune=prune,
                 trace=lambda k, vec, w: seen.append(len(vec)),
             )
-        assert sizes[None] == [1, 1, 3, 5, 4, 4, 5, 4, 2]
+        assert sizes[True] == [1, 1, 3, 5, 4, 4, 5, 4, 2]
         assert sizes[False] == [1, 1, 3, 7, 10, 10, 8, 5, 2]
 
     def test_trace_w_images(self):

@@ -11,7 +11,6 @@ from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import (
     digon_max_count,
     straight_edge,
-    weight_multiset_normalize,
     weighted_complete_poly,
     weighted_max_count,
     weighted_polygon_config,
@@ -76,6 +75,17 @@ class TestWeightedCounts:
         with pytest.raises(ValueError, match=">= 1"):
             weighted_max_count((2, 0, 2))
 
+    def test_non_integer_weights_raise(self):
+        # a float weight used to be truncated: (2.7, 3, 3) counted (2, 3, 3)
+        with pytest.raises(ValueError, match="side weight 2.7 is not an integer"):
+            weighted_max_count((2.7, 3, 3))
+        with pytest.raises(ValueError, match="side weight 1.5 is not an integer"):
+            weighted_complete_poly((1, 1.5, 1))
+        with pytest.raises(ValueError, match="side weight 2.0 is not an integer"):
+            digon_max_count(2.0, 3)
+        with pytest.raises(ValueError, match="side weight 2.5 is not an integer"):
+            weighted_polygon_config((1, 2.5, 1))
+
     @given(weights_st)
     def test_permutation_invariance(self, ws):
         rev = list(reversed(ws))
@@ -128,11 +138,6 @@ class TestWeightedCompletePoly:
             == weighted_complete_poly(list(reversed(ws)))
             == weighted_complete_poly(ws[1:] + ws[:1])
         )
-
-
-class TestNormalize:
-    def test_sorted_tuple(self):
-        assert weight_multiset_normalize((3, 1, 2)) == (1, 2, 3)
 
 
 class TestRealization:
