@@ -11,7 +11,6 @@ near-gon as an integer configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -49,12 +48,25 @@ EDGE_METHODS = ("auto", "tm", "roofs", "convex")
 PRECISION_STEPS = 12
 
 
-@dataclass(frozen=True)
 class EdgePolynomial:
     """Complete polynomial of a near-edge of the given weight."""
 
-    length: int
-    complete: PolyST
+    __slots__ = ("length", "complete")
+
+    def __init__(self, length: int, complete: PolyST):
+        self.length = length
+        self.complete = complete
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not EdgePolynomial:
+            return NotImplemented
+        return self.length == other.length and self.complete == other.complete
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.complete))
+
+    def __repr__(self) -> str:
+        return f"EdgePolynomial(length={self.length!r}, complete={self.complete!r})"
 
     @property
     def maximal(self) -> PolyT:
@@ -69,16 +81,26 @@ class EdgePolynomial:
         }
 
 
-@dataclass(frozen=True)
 class NearGon:
     """Near-edges glued in cyclic order around a convex polygon."""
 
-    edges: tuple[NearEdge, ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, edges: Sequence[NearEdge]):
+        self.edges = tuple(edges)
         if len(self.edges) < 2:
             raise ValueError("a near-gon needs at least two edges")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not NearGon:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
+
+    def __repr__(self) -> str:
+        return f"NearGon(edges={self.edges!r})"
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -5,23 +5,43 @@ decorated roof: fresh states are injected from the floor of the region,
 every move adds one triangle on top of the roof, and a state whose roof
 is the ceiling pays off into the result.
 
-A state is the integer code ``d << (n - 1) | bits`` of
-:mod:`tripoly.roofs`: bit i - 1 of ``bits`` flags interior point i as a
-roof point, and d is the roof position of the marked segment.  The sweep
-never decodes a state.  It walks the interior bits with ``bits & -bits``
-and ``bit_length()`` from position d - 1 onwards, and a successor is one
-bit set (an insertion into a segment) or cleared (a merge of a wedge)
-plus its new marker.  Two tables, filled lazily per host with exact
-``orient`` tests over the index range of the move, decide the moves: the
-insertions into each segment (a, b) and the merge of each triple
-(a, m, b).  An entry is the bit the move sets or clears plus
-``e << skip_shift``, e being the number of host points that the swept
-triangle newly covers besides the moved point, so a move carries e above
-the code it reaches.  Those points are skipped: they never become
-vertices.  A third table, filled up front, counts the points each
-segment covers, and e is a difference of those counts.  In immediate
-mode a move must sweep an empty closed triangle, so e is always 0 and
-that table is not needed.
+A state is an integer code ``m << (n - 1) | bits``.  Bit i - 1 of
+``bits`` flags interior point i as a roof point, as in
+:mod:`tripoly.roofs`.  The marker field m is the host index of the roof
+point at the marker's position d, the left end of the marked segment,
+and 0 when d = 0; :meth:`_Sweep.roof_code` translates a code to the
+``d << (n - 1) | bits`` layout of :func:`tripoly.roofs.encode`, which
+is what a trace prints.  The sweep never decodes a state.  Its walk
+starts at a, the roof point before m, found as
+``(bits & low[m]).bit_length()``, and goes on with ``bits & -bits`` and
+``bit_length()``.  A successor is one bit set (an insertion into a
+segment) or cleared (a merge of a wedge) plus its new marker, the host
+index of the left end of the move's segment.  Two tables, filled lazily
+per host with exact ``orient`` tests over the index range of the move,
+decide the moves: the insertions into each segment (a, b) and the merge
+of each triple (a, m, b).  An entry is the bit the move sets or clears
+plus ``e << skip_shift``, e being the number of host points that the
+swept triangle newly covers besides the moved point, so a move carries
+e above the code it reaches.  Those points are skipped: they never
+become vertices.  A third table counts the points each segment covers,
+and e is a difference of those counts; a row of it is filled when a
+move first needs it.  In immediate mode a move must sweep an empty
+closed triangle, so e is always 0 and that table is not needed.
+
+Moves depend on the roof suffix only.  A move at the segment or wedge
+starting at roof point x reaches the code ``x << (n - 1) | bits'``, so
+its delta ``succ - code`` is ``(x - m) << (n - 1)`` plus the bit it sets
+or clears plus its e.  Here x is a or a roof point past it, the moved
+bit lies past a, and e counts points past a.  Whether the first segment
+(a, m) takes insertions depends on m = 0.  So the deltas of a code are
+fixed by the key (a, roof bits from a on, m = 0), and every code sharing
+that key has the same move list.  ``_run`` keeps one memo per sweep from
+the key to the tuple of deltas, and a code adds them to itself.  For
+a ≥ 2, m > a is a roof bit, so the key is the code with its bits before
+a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before a,
+so the key is the code itself, met once, and the memo is skipped.  It is
+skipped for a = 2 too: such a key holds at most two codes, P_1 on the
+roof or not, and on 18-point configurations most hold one.
 
 The sweep is one loop over codes in order of a potential.  A point is
 covered by a roof when it is not strictly above it, and
@@ -84,6 +104,14 @@ strictly under the roof from then on, so it is never inserted again and
 the roof can never become the ceiling.  The prefix only grows along the
 walk, so the walk stops at the first dead position.
 
+Pruning needs no more in the memo key.  The walk stops after the first
+on-ceiling roof point at or past the lowest bad bit, and the sweep only
+meets codes whose prefix up to a is alive.  If a is on the ceiling, that
+prefix ends at a and holds no bad bit, so the lowest one lies past a.
+If a is off the ceiling, a is a bad bit and no on-ceiling roof point
+lies between the prefix and a, so the walk stops after the first one
+past a.  Either way the stop depends on a and the bits past it alone.
+
 An immediate sweep without a ceiling is the maximal mode run for every
 ceiling at once.  Its payoff also adds each state's multiplicity to a
 table keyed by ``bits``: as each code is reached at one step only, the
@@ -135,21 +163,15 @@ class _Sweep:
         # a move is the code it reaches plus e << skip_shift, e being the
         # points it skips; codes stay below 1 << skip_shift
         self.skip_shift = self.shift + n.bit_length()
+        # low[m]: the interior bits of the host points before P_m
+        self.low = [0] + [(1 << (m - 1)) - 1 for m in range(1, n + 1)]
         self._ins: list[tuple[int, ...] | None] = [None] * (size * size)
         self._merge: list[int | None] = [None] * (size * size * size)
-        # a * size + b -> host points strictly between a and b in sweep
-        # order that are not above the segment a -> b; complete moves
-        # count the points they skip from it
-        self._cover = cover = [0] * (size * size)
-        if not immediate:
-            p = self.points
-            for a in range(n - 1):
-                for b in range(a + 2, size):
-                    count = 0
-                    for r in range(a + 1, b):
-                        if orient(p[a], p[b], p[r]) <= 0:
-                            count += 1
-                    cover[a * size + b] = count
+        # row a, entry b: the host points strictly between a and b in
+        # sweep order that are not above the segment a -> b; a row is
+        # filled when a complete move first needs it, to count the
+        # points it skips
+        self._cover: list[list[int] | None] = [None] * size
         self.ceiling_bits: int | None = None
         # roof bits -> maximal count, filled by an immediate run without
         # a ceiling
@@ -177,6 +199,21 @@ class _Sweep:
 
     # -- lazily filled tables --------------------------------------------
 
+    def _covered(self, a: int) -> list[int]:
+        """Row a of the covered-points table: entry b counts the host
+        points strictly between a and b that a -> b covers."""
+        p = self.points
+        pa = p[a]
+        row = self._cover[a] = [0] * (self.n + 1)
+        for b in range(a + 2, self.n + 1):
+            pb = p[b]
+            count = 0
+            for r in range(a + 1, b):
+                if orient(pa, pb, p[r]) <= 0:
+                    count += 1
+            row[b] = count
+        return row
+
     def _insertions(self, a: int, b: int) -> tuple[int, ...]:
         """Moves into segment (a, b): the bit of each point q that may be
         inserted, plus the points it skips shifted to ``skip_shift``."""
@@ -188,11 +225,12 @@ class _Sweep:
                 for q in above
                 if roofmod.closed_triangle_empty(p, a, q, b)
             )
-        cover, size = self._cover, self.n + 1
+        cover = self._cover
+        row = cover[a] or self._covered(a)
         moves = []
         for q in above:
             # the points that a -> q -> b covers and a -> b does not, but q
-            e = cover[a * size + q] + cover[q * size + b] - cover[a * size + b]
+            e = row[q] + (cover[q] or self._covered(q))[b] - row[b]
             moves.append(1 << (q - 1) | e << self.skip_shift)
         return tuple(moves)
 
@@ -207,8 +245,9 @@ class _Sweep:
             empty = roofmod.closed_triangle_empty(p, a, m, b)
             return 1 << (m - 1) if empty else 0
         # m itself is one of the points that a -> b covers
-        cover, size = self._cover, self.n + 1
-        e = cover[a * size + b] - cover[a * size + m] - cover[m * size + b] - 1
+        cover = self._cover
+        row = cover[a] or self._covered(a)
+        e = row[b] - row[m] - (cover[m] or self._covered(m))[b] - 1
         return 1 << (m - 1) | e << self.skip_shift
 
     # -- moves ---------------------------------------------------------------
@@ -217,29 +256,26 @@ class _Sweep:
         """Moves at or past the marker, each the code it reaches plus the
         points it skips shifted to ``skip_shift``.
 
-        Inserting q into the segment at position k >= d gives marker k;
-        merging the middle point of the wedge at position k >= d - 1
-        gives marker k.  With pruning, the walk stops at the first
-        position whose frozen prefix is a dead end.
+        With m the marker's roof point and a the roof point before it,
+        inserting q into a segment (x, y) at or past (m, ...) gives
+        marker x; merging the middle point of a wedge (x, y, z) with x at
+        or past a gives marker x.  With pruning, the walk stops at the
+        first roof point whose frozen prefix is a dead end.
         """
         n = self.n
         size = n + 1
-        d = code >> self.shift
+        shift = self.shift
+        m = code >> shift
         bits = code & self.mask
         ins, merge = self._ins, self._merge
         out: list[int] = []
-        # a is the roof point at position k; b the next one, with bit lowb
-        k = d - 1 if d else 0
-        a = 0
-        rest = bits
-        for _ in range(k):
-            low = rest & -rest
-            rest ^= low
-            a = low.bit_length()
+        # a is the walk's roof point; b the next one, with bit lowb
+        a = (bits & self.low[m]).bit_length()
+        rest = bits >> a << a
         lowb = rest & -rest
         b = lowb.bit_length() if lowb else n
-        head = (k << self.shift) | bits  # this roof with marker k
-        step = 1 << self.shift
+        head = code + ((a - m) << shift)  # this roof with marker a
+        insert = not m  # (a, m) lies before the marker
         watch = 0  # the roof bit past which the frozen prefix is dead
         if self.prune:
             on = self.ceiling_bits
@@ -254,7 +290,7 @@ class _Sweep:
             watch = bits & on & -(bad & -bad)
             watch &= -watch
         while True:
-            if k >= d:
+            if insert:
                 key = a * size + b
                 cand = ins[key]
                 if cand is None:
@@ -274,10 +310,18 @@ class _Sweep:
                 out.append(head ^ move)
             if lowb & watch:
                 break
+            head += (b - a) << shift
             a, b, lowb = b, c, lowc
-            k += 1
-            head += step
+            insert = True
         return out
+
+    def roof_code(self, code: int) -> int:
+        """The :func:`tripoly.roofs.encode` code of a sweep code, whose
+        marker field holds the host index of the marker's roof point."""
+        m = code >> self.shift
+        bits = code & self.mask
+        d = (bits & self.low[m]).bit_count() + 1 if m else 0
+        return d << self.shift | bits
 
     def payoff(
         self, vec: Mapping[int, int], reached: dict[int, int] | None = None
@@ -297,11 +341,14 @@ class _Sweep:
                 if reached is not None:
                     reached[bits] = reached.get(bits, 0) + mult
         elif self.immediate:
+            # the ceiling roof under each of its markers: P_0 and its
+            # interior points
             bits = self.ceiling_bits
             length = bits.bit_count() + 1
-            total = 0
-            for d in range(length):
-                total += vec.get((d << self.shift) | bits, 0)
+            total = vec.get(bits, 0)
+            for m in range(1, self.n):
+                if bits >> (m - 1) & 1:
+                    total += vec.get(m << self.shift | bits, 0)
             if total:
                 out[length] = total
         else:
@@ -390,6 +437,12 @@ def _run(
     expand = sweep.successors
     shift = sweep.skip_shift
     plain = 1 << shift  # moves below it skip no point
+    # the memo: a move list as deltas succ - code, keyed by the code with
+    # the roof bits before a cleared, code & cut[a]
+    memo: dict[int, tuple[int, ...]] = {}
+    shared: dict = {}  # one object per distinct delta and delta tuple
+    low, marker = sweep.low, sweep.shift
+    cut = [0] + [-(1 << (a - 1)) for a in range(1, sweep.n)]
     for phi in range(limit + 2):
         bucket = buckets[phi]
         if not bucket:
@@ -410,14 +463,25 @@ def _run(
             kept.append((phi, bucket))
         nxt = buckets[phi + 1]
         get = nxt.get
-        if sweep.immediate:
-            # no immediate move skips a point
-            for code, mult in bucket.items():
-                for succ in expand(code):
-                    nxt[succ] = get(succ, 0) + mult
-            continue
         for code, mult in bucket.items():
-            for succ in expand(code):
+            a = (code & low[code >> marker]).bit_length()
+            if a < 3:
+                # a key with a < 2 is the code itself, met once; one with
+                # a = 2 holds at most two codes
+                moves, base = expand(code), 0
+            else:
+                key = code & cut[a]
+                moves = memo.get(key)
+                if moves is None:
+                    deltas = []
+                    for succ in expand(code):
+                        succ -= code
+                        deltas.append(shared.setdefault(succ, succ))
+                    moves = tuple(deltas)
+                    moves = memo[key] = shared.setdefault(moves, moves)
+                base = code
+            for succ in moves:
+                succ += base  # a move is a successor less base
                 if succ < plain:
                     nxt[succ] = get(succ, 0) + mult
                     continue
@@ -436,7 +500,8 @@ def _run(
 def _replay(
     sweep: _Sweep, kept: Sequence[tuple[int, dict[int, int]]], trace: TraceFn
 ) -> None:
-    """Call ``trace`` with the vector V_k of every step k and its payoffs."""
+    """Call ``trace`` with the vector V_k of every step k and its payoffs,
+    the states as :func:`tripoly.roofs.encode` codes."""
     steps: dict[int, dict[int, int]] = {}
     for phi, bucket in kept:
         for code, packed in bucket.items():
@@ -446,9 +511,14 @@ def _replay(
     # step 1 and end on the first empty one
     first = min(steps) if sweep.immediate else 1
     last = max(steps) if sweep.immediate else max(steps) + 1
+    roof_code = sweep.roof_code
     for k in range(first, last + 1):
         vec = steps.get(k, {})
-        trace(k, vec, sweep.payoff(vec))
+        trace(
+            k,
+            {roof_code(code): mult for code, mult in vec.items()},
+            sweep.payoff(vec),
+        )
 
 
 def _run_complete(

@@ -94,6 +94,7 @@ def weighted_polygon_config(weights: Sequence[int]) -> Configuration:
 
 def straight_edge(a: int) -> NearEdge:
     """The weight-a edge whose points all sit on one line."""
+    a = as_integer(a, "edge weight")
     if a < 1:
         raise ValueError("edge weight must be >= 1")
     return NearEdge((i, 0) for i in range(a + 1))

@@ -21,6 +21,7 @@ from tripoly.cli import (  # the pinned examples of `selftest`
     TRIANGLE_POLY,
 )
 from tripoly.planar import NearEdge
+from tripoly.roofs import decode
 from tripoly.weighted import weighted_polygon_config
 
 # --- near-edges used all over the suite (EDGE_A, EDGE_B, EDGE_C above)
@@ -201,3 +202,21 @@ def small_configs():
         for ws in ((1, 2, 2), (2, 2, 2), (1, 1, 1, 2))
     ]
     return out
+
+
+def all_codes(n: int) -> list[int]:
+    """Every :func:`tripoly.roofs.encode` code over P_0..P_n."""
+    return [
+        d << (n - 1) | bits
+        for bits in range(1 << (n - 1))
+        for d in range(bits.bit_count() + 1)
+    ]
+
+
+def sweep_code(sweep, code: int) -> int:
+    """The ``transfer._Sweep`` code of a :func:`tripoly.roofs.encode`
+    code: its marker field holds the host index of the roof point at the
+    marker's position, 0 at position 0.  ``sweep.roof_code`` is the
+    inverse."""
+    roof = decode(code, sweep.n)
+    return roof.indices[roof.d] << sweep.shift | code & sweep.mask

@@ -473,14 +473,16 @@ class TestInternalError:
         real = _Sweep.successors
 
         def stalling(self, code):
+            # the marker field of a sweep code holds the host index of the
+            # marker's roof point; P_n marks no segment
             out = real(self, code)
             bits = code & self.mask
-            top = bits.bit_count()
+            top = bits.bit_length()  # the marker of the last segment
             if bits == self.ceiling_bits:
-                d = code >> self.shift
-                if d < top:
-                    out.append((top + 1) << self.shift | bits)
-                elif d > top:
+                m = code >> self.shift
+                if m < top:
+                    out.append(self.n << self.shift | bits)
+                elif m > top:
                     out.append(top << self.shift | bits)
             return out
 
@@ -545,6 +547,17 @@ class TestUsage:
 
 
 class TestModuleEntry:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # both cost import time and memory in every fresh process
+        code = (
+            "import sys, tripoly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_subprocess_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tripoly.cli", "weighted", "1", "1", "1"],

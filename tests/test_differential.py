@@ -7,8 +7,10 @@ are compared with unpruned ones and the oracle, also under ceilings with
 collinear runs and with valley corners.  Its bitmask moves are compared,
 state by state, with the tuple-based moves of
 :func:`tripoly.roofs.successors`, together with the number of points
-each move skips, counted from the decoded roof paths.  Realized weighted
-polygons are compared with the weighted closed form.
+each move skips, counted from the decoded roof paths; the moves of every
+live state must depend only on its memo key.  The memoised sweep is
+compared with a loop that expands every state by ``successors``.
+Realized weighted polygons are compared with the weighted closed form.
 The covering-roofs route of a near-edge is compared with the transfer
 route, and its per-roof maximal counts with one ceiling sweep per roof.
 The generators are seeded, so every run checks the same configurations.
@@ -37,6 +39,9 @@ from tripoly.planar import (
 from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
     _Sweep,
+    _fields,
+    _floor_roofs,
+    _run,
     complete_config_poly,
     complete_edge_poly_tm,
     max_config_count,
@@ -45,6 +50,8 @@ from tripoly.transfer import (
     region_poly,
 )
 from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
+
+from corpus import all_codes, sweep_code
 
 HUGE = 10**40
 
@@ -244,31 +251,32 @@ def covered(points, roof):
     return {i for i, p in enumerate(points) if point_vs_path(p, path) <= 0}
 
 
+def dead_end(points, roof, ceiling, immediate):
+    """True when the frozen prefix of a decoded roof, up to its last
+    on-ceiling point at or before the marker, is a dead end: in complete
+    mode when that prefix leaves the ceiling's path, in immediate mode
+    when its points are not exactly the ceiling's points up to there."""
+    on = [i for i, p in enumerate(points) if ceiling and point_on_path(p, ceiling)]
+    for pos in range(roof.d, -1, -1):
+        c = roof.indices[pos]
+        if c in on:
+            if immediate:
+                return list(roof.indices[: pos + 1]) != [i for i in on if i <= c]
+            part = path_corners(tuple(points[i] for i in roof.indices[: pos + 1]))
+            return not _path_prefix(part, path_corners(ceiling))
+    return False
+
+
 def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
     """(code, e) of the moves from decoded roofs, e being the host points
     newly covered besides the moved point, dropping with ``prune`` every
-    roof whose frozen prefix, up to its last on-ceiling point at or before
-    the marker, is a dead end: in complete mode when that prefix leaves
-    the ceiling's path, in immediate mode when its points are not exactly
-    the ceiling's points up to there."""
+    roof that is a dead end."""
     n = len(points) - 1
-    on = [i for i, p in enumerate(points) if ceiling and point_on_path(p, ceiling)]
-
-    def dead(roof):
-        for pos in range(roof.d, -1, -1):
-            c = roof.indices[pos]
-            if c in on:
-                if immediate:
-                    return list(roof.indices[: pos + 1]) != [i for i in on if i <= c]
-                part = path_corners(tuple(points[i] for i in roof.indices[: pos + 1]))
-                return not _path_prefix(part, path_corners(ceiling))
-        return False
-
     roof = decode(code, n)
     before = covered(points, roof)
     out = []
     for r in successors(points, roof, immediate=immediate):
-        if prune and dead(r):
+        if prune and dead_end(points, r, ceiling, immediate):
             continue
         moved = set(roof.indices) ^ set(r.indices)
         out.append((encode(r, n), len(covered(points, r) - before - moved)))
@@ -276,12 +284,13 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
 
 
 def check_moves(host, ceiling):
+    """Compare the moves of every code with the decoded moves.  The moves
+    of a code that is no dead end, as deltas from the code, must depend
+    only on its memo key: the walk's first roof point a, the roof points
+    past it and whether the marker is at P_0.  With pruning, a bad bit
+    lies at or before a exactly when a is off the ceiling, so the key
+    needs no more."""
     n = len(host) - 1
-    codes = [
-        d << (n - 1) | bits
-        for bits in range(1 << (n - 1))
-        for d in range(bits.bit_count() + 1)
-    ]
     for mode in (
         {"ceiling": ceiling, "prune": True},
         {"ceiling": ceiling, "prune": False},
@@ -291,10 +300,22 @@ def check_moves(host, ceiling):
     ):
         sweep = _Sweep(host, **mode)
         shift = sweep.skip_shift
-        for code in codes:
-            moves = sweep.successors(code)
-            got = sorted((m & ((1 << shift) - 1), m >> shift) for m in moves)
+        keys = {}
+        for code in all_codes(n):
+            ours = sweep_code(sweep, code)
+            moves = sweep.successors(ours)
+            got = sorted(
+                (sweep.roof_code(m & ((1 << shift) - 1)), m >> shift) for m in moves
+            )
             assert got == reference_successors(host, code, **mode), (mode, code)
+            roof = decode(code, n)
+            immediate = mode.get("immediate", False)
+            if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
+                continue
+            a = roof.indices[roof.d - 1] if roof.d else 0
+            key = (a, (ours & sweep.mask) >> a, roof.d == 0)
+            deltas = sorted(m - ours for m in moves)
+            assert keys.setdefault(key, deltas) == deltas, (mode, code)
 
 
 @pytest.mark.parametrize("pts", SMALL[::3])
@@ -310,6 +331,71 @@ def test_bitmask_moves_match_under_ceiling_runs_and_valleys(pts):
     for floor, ceiling in valley_regions(cfg, 2, seed=11):
         host, _, path = region_host(cfg, floor, ceiling)
         check_moves(host, path)
+
+
+def memo_free_run(sweep, floor):
+    """The sweep loop of ``_run`` with ``successors`` called on every
+    code: payoffs keyed by (vertices used, roof length) and the non-empty
+    vectors V_k of :func:`encode` codes."""
+    width, shift = sweep.width, sweep.skip_shift
+    buckets = {}
+    for bits, skipped in _floor_roofs(sweep.points, floor, sweep.immediate):
+        phi = bits.bit_count() + 2 + 2 * skipped
+        buckets.setdefault(phi, {})[bits] = 1 << width * skipped
+    paid, steps = {}, {}
+    while buckets:
+        phi = min(buckets)
+        bucket = buckets.pop(phi)
+        for length, total in sweep.payoff(bucket).items():
+            for j, mult in _fields(total, width):
+                key = ((phi + length + 1) // 2 - j, length)
+                paid[key] = paid.get(key, 0) + mult
+        for code, packed in bucket.items():
+            for j, mult in _fields(packed, width):
+                steps.setdefault(phi - 2 * j - 1, {})[sweep.roof_code(code)] = mult
+            for move in sweep.successors(code):
+                e = move >> shift
+                succ = move & ((1 << shift) - 1)
+                out = buckets.setdefault(phi + 1 + 2 * e, {})
+                out[succ] = out.get(succ, 0) + (packed << width * e)
+    return paid, steps
+
+
+def memo_hosts():
+    """(host, floor, ceiling) of lattice sets, of sets under ceiling runs,
+    of valley regions in both, and of two 12-13 point sets."""
+    out = []
+    for pts in lattice_subsets(12, seed=1)[::3] + ceiling_runs(6, seed=10)[::2] + LARGE[:2]:
+        cfg = Configuration(pts)
+        out.append((cfg.points, cfg.lower_boundary(), cfg.upper_boundary()))
+        for floor, ceiling in valley_regions(cfg, 1, seed=13):
+            out.append(region_host(cfg, floor, ceiling))
+    return out
+
+
+@pytest.mark.parametrize("host,floor,ceiling", memo_hosts())
+def test_memoised_sweep_matches_a_memo_free_loop(host, floor, ceiling):
+    # moves are memoised under the roof from the walk's first point on
+    expanded = codes = 0
+    for mode in (
+        {"ceiling": ceiling, "immediate": True, "prune": True},
+        {"ceiling": ceiling, "immediate": True},
+        {"ceiling": ceiling, "prune": True},
+        {"ceiling": ceiling},
+        {"immediate": True},
+        {},
+    ):
+        sweep = _Sweep(host, **mode)
+        real = sweep.successors
+        calls = []
+        sweep.successors = lambda code: calls.append(code) or real(code)
+        vectors = {}
+        paid = _run(sweep, floor, lambda k, vec, w: vec and vectors.setdefault(k, vec))
+        assert (paid, vectors) == memo_free_run(_Sweep(host, **mode), floor), mode
+        expanded += len(calls)
+        codes += len({code for vec in vectors.values() for code in vec})
+    if len(host) > 11:
+        assert expanded < codes
 
 
 def weight_tuples(count: int, seed: int) -> list[tuple[int, ...]]:

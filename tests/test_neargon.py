@@ -67,6 +67,12 @@ class TestEdgePolynomial:
         assert edge_poly(NearEdge(EDGE_B)).p_coefficients() == EDGE_B_PCOEFFS
         assert edge_poly(NearEdge(EDGE_C)).p_coefficients() == EDGE_C_PCOEFFS
 
+    def test_equality(self):
+        ep = edge_poly(NearEdge(EDGE_C))
+        assert ep == EdgePolynomial(5, ep.complete)
+        assert ep != EdgePolynomial(4, ep.complete)
+        assert ep != (5, ep.complete)
+
     def test_maximal_of_the_zigzag(self):
         q = edge_poly(NearEdge(EDGE_A)).maximal
         assert p_basis_coefficients(q) == {3: 14, 4: 7, 5: 1}
@@ -193,6 +199,14 @@ class TestNearGon:
         gon = NearGon(gon_edges())
         assert len(gon) == 3
         assert list(gon) == list(gon_edges())
+
+    def test_equality_and_hash(self):
+        gon = NearGon(list(gon_edges()))
+        assert gon.edges == gon_edges()
+        assert gon == NearGon(gon_edges())
+        assert hash(gon) == hash(NearGon(gon_edges()))
+        assert gon != NearGon(gon_edges()[:2])
+        assert gon != gon_edges()
 
 
 class TestCompose:

@@ -173,3 +173,7 @@ class TestStraightEdge:
     def test_validation(self):
         with pytest.raises(ValueError):
             straight_edge(0)
+
+    def test_non_integer_weight(self):
+        with pytest.raises(ValueError, match="edge weight 2.5 is not an integer"):
+            straight_edge(2.5)
