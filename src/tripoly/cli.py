@@ -49,11 +49,18 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports errors instead of exiting."""
+    """argparse variant that reports errors and help instead of exiting."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+    def print_help(self, file=None) -> None:
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -421,6 +428,9 @@ def run(argv: Sequence[str], out=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     try:
         return _run_verb(args, out)
     except GuardExceeded as exc:

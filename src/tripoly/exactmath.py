@@ -145,28 +145,12 @@ class PolyT(_Sparse):
     __slots__ = ()
     _var = "t"
 
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "PolyT":
-        return cls({exp: coeff})
-
-    @classmethod
-    def t(cls) -> "PolyT":
-        return cls({1: 1})
-
     def shift(self, k: int) -> "PolyT":
         """Multiply by t^k (k may be negative if no exponent drops below 0)."""
         out = {e + k: v for e, v in self.c.items()}
         if any(e < 0 for e in out):
             raise ValueError("shift would create a negative exponent")
         return PolyT(out)
-
-    def __pow__(self, k: int) -> "PolyT":
-        if k < 0:
-            raise ValueError("negative power")
-        out = PolyT({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
 
 
 class PolyS(_Sparse):

@@ -35,12 +35,13 @@ from .planar import (
     convex_polygon_points,
     convex_profile,
     factorize,
-    lower_hull,
     order_type_equivalent,
 )
-from .roofs import covering_roofs, sub_edges
-from .transfer import complete_edge_poly_tm, max_roof_counts
-# bench/tracer.py wraps max_region_count_points in this namespace
+from .roofs import sub_edges
+from .transfer import complete_edge_poly_tm, covering_roof_counts
+
+# unused here; bench/tracer.py patches both names in this namespace
+from .roofs import covering_roofs  # noqa: F401
 from .transfer import max_region_count_points  # noqa: F401
 
 EDGE_METHODS = ("auto", "tm", "roofs", "convex")
@@ -113,22 +114,20 @@ def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
     """Complete polynomial summed sub-edge by sub-edge.
 
     Every sub-edge keeps the lower-hull corners; each of its covering
-    roofs contributes its basis polynomial weighted by the number of
-    maximal triangulations of the region between the lower boundary of
-    the sub-edge and the skyline of the roof.  One maximal sweep per
-    sub-edge, with no ceiling, gives these counts for all its roofs.
+    roofs R contributes its basis polynomial p_|R| weighted by τ(R), the
+    number of maximal triangulations of the region between the lower
+    boundary of the sub-edge and R.  One maximal sweep per sub-edge from
+    its lower hull, with no ceiling, gives these weights summed by roof
+    length: no host point but a segment's ends ever lies on a roof
+    segment, so the roofs under which the sweep used every point are
+    exactly the covering roofs (see :mod:`tripoly.transfer`).
     """
     pts = edge.points
     out: dict[tuple[int, int], int] = {}
     for idxs in sub_edges(pts):
         sub = tuple(pts[i] for i in idxs)
         h = 2 * (len(sub) - 1)
-        roofs = covering_roofs(sub)
-        by_length: dict[int, int] = {}
-        for roof_idx, tau in zip(roofs, max_roof_counts(sub, lower_hull(sub), roofs)):
-            length = len(roof_idx) - 1
-            by_length[length] = by_length.get(length, 0) + tau
-        for length, tau in by_length.items():
+        for length, tau in covering_roof_counts(sub).items():
             for t, v in maximal_edge_basis(length).c.items():
                 out[h, t] = out.get((h, t), 0) + tau * v
     return EdgePolynomial(edge.weight, PolyST(out))

@@ -36,12 +36,6 @@ def sweep_key(p: Point) -> tuple[int, int]:
     return (p[0], -p[1])
 
 
-def sweep_compare(p: Point, q: Point) -> int:
-    """-1, 0 or 1 as p comes before, equals or comes after q in sweep order."""
-    a, b = sweep_key(p), sweep_key(q)
-    return (a > b) - (a < b)
-
-
 def lower_hull(points: Sequence[Point]) -> tuple[Point, ...]:
     """Corners of the lower convex boundary, in sweep order."""
     pts = sorted(set(points), key=sweep_key)
@@ -62,19 +56,6 @@ def upper_hull(points: Sequence[Point]) -> tuple[Point, ...]:
             chain.pop()
         chain.append(p)
     return tuple(chain)
-
-
-def hull_points(points: Sequence[Point]) -> set[Point]:
-    """All points lying on the convex boundary (corners or not)."""
-    out: set[Point] = set()
-    for chain in (lower_hull(points), upper_hull(points)):
-        for a, b in zip(chain, chain[1:]):
-            for p in points:
-                if on_segment(p, a, b):
-                    out.add(p)
-    if len(set(points)) == 1:
-        out.update(points)
-    return out
 
 
 def extremal_points(points: Sequence[Point]) -> set[Point]:

@@ -15,7 +15,6 @@ most the number of interior points of the roof.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -65,31 +64,8 @@ def decode(code: int, n: int) -> DecoratedRoof:
     return DecoratedRoof(tuple(idx), d)
 
 
-def code_count(n: int) -> int:
-    """Number of valid decorated-roof codes over P_0..P_n.
-
-    A roof with k interior points has k + 1 segments, hence k + 1 legal
-    marker values; summing over subsets gives (n + 1) * 2^(n - 2).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return (n + 1) * (1 << (n - 1)) // 2
-
-
 def skyline_points(points: Sequence[Point], roof: DecoratedRoof) -> tuple[Point, ...]:
     return tuple(points[i] for i in roof.indices)
-
-
-def skyline_y(points: Sequence[Point], roof: DecoratedRoof, x: int) -> Fraction:
-    """Height of the roof's polygonal line above abscissa x."""
-    sky = skyline_points(points, roof)
-    for a, b in zip(sky, sky[1:]):
-        if a[0] <= x <= b[0]:
-            if a[0] == b[0]:
-                return Fraction(max(a[1], b[1]))
-            t = Fraction(x - a[0], b[0] - a[0])
-            return Fraction(a[1]) + t * (Fraction(b[1]) - Fraction(a[1]))
-    raise ValueError(f"abscissa {x} outside the roof span")
 
 
 def is_covering(points: Sequence[Point], indices: Sequence[int]) -> bool:
@@ -141,16 +117,6 @@ def sub_edges(points: Sequence[Point]) -> list[tuple[int, ...]]:
         for extra in combinations(rest, r):
             out.append(tuple(sorted(corner_idx + list(extra))))
     return sorted(out)
-
-
-def triangle_class(a: Point, b: Point, c: Point) -> int:
-    """+1 for a wedge opening upward, -1 downward, 0 when degenerate.
-
-    The arguments are taken in sweep order a, b, c; the middle point
-    below the outer chord gives an upward-opening wedge.
-    """
-    s = orient(a, c, b)
-    return -s
 
 
 def closed_triangle_empty(

@@ -113,11 +113,16 @@ lies between the prefix and a, so the walk stops after the first one
 past a.  Either way the stop depends on a and the bits past it alone.
 
 An immediate sweep without a ceiling is the maximal mode run for every
-ceiling at once.  Its payoff also adds each state's multiplicity to a
-table keyed by ``bits``: as each code is reached at one step only, the
-entry of a roof, summed over its markers, is the maximal count of the
-region between the floor and that roof.  One sweep from a floor thus
-gives the count under every roof it reaches.
+ceiling at once, and its payoffs tell which roofs cover the host.  No
+host point other than a segment's two ends lies on a roof segment: the
+floor roof of a maximal run holds every point on the floor, and every
+move sweeps an empty closed triangle whose sides are the segments it
+adds.  So a point off the roof is covered only when it lies strictly
+below it, and a roof covers the host (every point off it strictly below
+it, :func:`tripoly.roofs.is_covering`) exactly when its payoffs used all
+n + 1 host points.  As each code is reached at one step only, those
+payoffs sum, by roof length, the maximal counts of the regions between
+the floor and each covering roof.
 """
 from __future__ import annotations
 
@@ -137,7 +142,7 @@ from .planar import (
     region_host,
     upper_hull,
 )
-from .roofs import DecoratedRoof, decode, encode
+from .roofs import decode
 
 TraceFn = Callable[[int, dict[int, int], dict[int, int]], None]
 
@@ -173,11 +178,6 @@ class _Sweep:
         # points it skips
         self._cover: list[list[int] | None] = [None] * size
         self.ceiling_bits: int | None = None
-        # roof bits -> maximal count, filled by an immediate run without
-        # a ceiling
-        self.reached: dict[int, int] | None = (
-            {} if immediate and ceiling is None else None
-        )
         if ceiling is not None:
             on = self.ceiling_bits = sum(
                 1 << (i - 1)
@@ -323,23 +323,17 @@ class _Sweep:
         d = (bits & self.low[m]).bit_count() + 1 if m else 0
         return d << self.shift | bits
 
-    def payoff(
-        self, vec: Mapping[int, int], reached: dict[int, int] | None = None
-    ) -> dict[int, int]:
+    def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Roof length -> summed multiplicity of the states that pay off.
 
-        Without a ceiling every state pays off, and ``reached`` gains its
-        multiplicity under its roof bits.
+        Without a ceiling every state pays off.
         """
         out: dict[int, int] = {}
         mask = self.mask
         if self.ceiling_bits is None:
             for code, mult in vec.items():
-                bits = code & mask
-                length = bits.bit_count() + 1
+                length = (code & mask).bit_count() + 1
                 out[length] = out.get(length, 0) + mult
-                if reached is not None:
-                    reached[bits] = reached.get(bits, 0) + mult
         elif self.immediate:
             # the ceiling roof under each of its markers: P_0 and its
             # interior points
@@ -450,7 +444,7 @@ def _run(
         if phi > limit:
             raise AssertionError(f"a roof at potential {phi}, past {limit}")
         buckets[phi] = {}
-        for length, total in sweep.payoff(bucket, sweep.reached).items():
+        for length, total in sweep.payoff(bucket).items():
             if sweep.ceiling_bits is not None and phi != top - 1 - length:
                 raise AssertionError(
                     f"ceiling payoff at potential {phi}, not {top - 1 - length}"
@@ -550,22 +544,20 @@ def max_region_count_points(
     return sum(_run(sweep, floor, trace).values())
 
 
-def max_roof_counts(
-    points: Sequence[Point],
-    floor: Sequence[Point],
-    roofs: Sequence[Sequence[int]],
-) -> list[int]:
-    """Maximal counts of the regions between the floor and each roof.
+def covering_roof_counts(points: Sequence[Point]) -> dict[int, int]:
+    """Roof length -> summed maximal counts of the regions between the
+    lower hull of the points and each of their covering roofs.
 
-    Each roof is a covering roof over the points, an index sequence from
-    0 to n; its count equals that of :func:`max_region_count_points`
-    with the roof's points as ceiling.  One sweep without a ceiling
-    yields all of them.
+    One immediate sweep from the lower hull, without a ceiling, pays off
+    under every roof it reaches; the covering roofs are those under
+    which it used every point.
     """
     sweep = _Sweep(points, immediate=True)
-    _run(sweep, floor, None)
-    reached, n = sweep.reached, sweep.n
-    return [reached.get(encode(DecoratedRoof(tuple(r), 0), n), 0) for r in roofs]
+    out: dict[int, int] = {}
+    for (used, length), mult in _run(sweep, lower_hull(points), None).items():
+        if used == len(points):
+            out[length] = out.get(length, 0) + mult
+    return out
 
 
 def region_poly(

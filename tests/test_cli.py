@@ -533,6 +533,16 @@ class TestUsage:
         assert rc == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [(["--help"], "usage: tripoly "), (["poly", "--help"], "usage: tripoly poly ")],
+    )
+    def test_help_returns_0_and_writes_to_out(self, argv, usage, capsys):
+        rc, out = cap(argv)
+        assert rc == 0
+        assert out.startswith(usage)
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_file(self, capsys):
         rc, out = cap(["poly", "/nonexistent/points.pts"])
         assert rc == 1

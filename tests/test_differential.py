@@ -12,7 +12,9 @@ live state must depend only on its memo key.  The memoised sweep is
 compared with a loop that expands every state by ``successors``.
 Realized weighted polygons are compared with the weighted closed form.
 The covering-roofs route of a near-edge is compared with the transfer
-route, and its per-roof maximal counts with one ceiling sweep per roof.
+route, and its counts by roof length with one ceiling sweep per covering
+roof; no traced roof of an immediate sweep may have a host point inside
+one of its segments, the rule by which that route finds covering roofs.
 The generators are seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
@@ -44,9 +46,9 @@ from tripoly.transfer import (
     _run,
     complete_config_poly,
     complete_edge_poly_tm,
+    covering_roof_counts,
     max_config_count,
     max_region_count_points,
-    max_roof_counts,
     region_poly,
 )
 from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
@@ -442,8 +444,48 @@ def test_roof_table_matches_one_ceiling_sweep_per_roof(pts):
     for idxs in sub_edges(pts):
         sub = tuple(pts[i] for i in idxs)
         floor = lower_hull(sub)
-        roofs = covering_roofs(sub)
-        want = [
-            max_region_count_points(sub, floor, tuple(sub[i] for i in r)) for r in roofs
-        ]
-        assert max_roof_counts(sub, floor, roofs) == want, sub
+        want: dict[int, int] = {}
+        for r in covering_roofs(sub):
+            tau = max_region_count_points(sub, floor, tuple(sub[i] for i in r))
+            if tau:
+                want[len(r) - 1] = want.get(len(r) - 1, 0) + tau
+        assert covering_roof_counts(sub) == want, sub
+
+
+def roof_segment_hits(host, ceiling=None) -> tuple[int, int]:
+    """(traced states, host points lying inside a roof segment of one) of
+    an immediate sweep from the lower hull."""
+    n = len(host) - 1
+    seen = [0, 0]
+
+    def trace(k, vec, paid):
+        for code in vec:
+            seen[0] += 1
+            idx = decode(code, n).indices
+            for a, b in zip(idx, idx[1:]):
+                for r, p in enumerate(host):
+                    if r not in (a, b) and on_segment(p, host[a], host[b]):
+                        seen[1] += 1
+
+    sweep = _Sweep(host, ceiling=ceiling, immediate=True)
+    _run(sweep, lower_hull(host), trace)
+    return seen[0], seen[1]
+
+
+def test_no_host_point_lies_inside_a_roof_segment_of_an_immediate_sweep():
+    hosts = [
+        tuple(pts[i] for i in idxs)
+        for pts in random_edges(120, seed=13)
+        for idxs in sub_edges(pts)
+    ]
+    assert any(x >= HUGE for host in hosts for x, _ in host)
+    runs = [(host, None) for host in hosts]
+    for pts in lattice_subsets(40, seed=14):
+        host = Configuration(pts).points
+        runs += [(host, None), (host, upper_hull(host))]
+    states = 0
+    for host, ceiling in runs:
+        traced, hits = roof_segment_hits(host, ceiling)
+        assert hits == 0, (host, ceiling)
+        states += traced
+    assert states > 20_000

@@ -61,11 +61,11 @@ class TestBinomial:
 
 class TestPolyT:
     def test_term_and_text(self):
-        q = PolyT.term(2, 4) - PolyT.term(1, 3)
+        q = PolyT({4: 2}) - PolyT({3: 1})
         assert q.text() == "2*t^4 - 1*t^3"
 
     def test_t_is_the_variable(self):
-        assert PolyT.t().c == {1: 1}
+        assert PolyT({1: 1}).text() == "1*t^1"
 
     def test_degree_and_coeff(self):
         q = PolyT({4: 1, 2: -3})
@@ -81,11 +81,6 @@ class TestPolyT:
         q = PolyT({1: 1, 0: 1})
         assert (q * q).c == {2: 1, 1: 2, 0: 1}
         assert (3 * q).c == {1: 3, 0: 3}
-
-    def test_pow(self):
-        q = PolyT({1: 1, 0: -1})
-        assert (q ** 3).c == {3: 1, 2: -3, 1: 3, 0: -1}
-        assert (q ** 0).c == {0: 1}
 
     def test_shift(self):
         q = PolyT({2: 5})

@@ -11,7 +11,6 @@ from tripoly.planar import (
     convex_profile,
     extremal_points,
     factorize,
-    hull_points,
     load_points,
     lower_hull,
     on_segment,
@@ -22,7 +21,6 @@ from tripoly.planar import (
     point_on_path,
     point_vs_path,
     profile_realization,
-    sweep_compare,
     sweep_key,
     upper_hull,
     vertical_mirror,
@@ -54,9 +52,8 @@ class TestSweepOrder:
         assert sorted(pts, key=sweep_key) == [(0, 3), (0, 1), (1, 0), (2, 5)]
 
     def test_compare(self):
-        assert sweep_compare((0, 3), (0, 1)) == -1
-        assert sweep_compare((1, 9), (0, 0)) == 1
-        assert sweep_compare((2, 2), (2, 2)) == 0
+        assert sweep_key((0, 3)) < sweep_key((0, 1))
+        assert sweep_key((1, 9)) > sweep_key((0, 0))
 
 
 class TestHulls:
@@ -64,7 +61,7 @@ class TestHulls:
         pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
         assert lower_hull(pts) == ((0, 2), (0, 0), (2, 0))
         assert upper_hull(pts) == ((0, 2), (2, 2), (2, 0))
-        assert hull_points(pts) == {(0, 0), (2, 0), (2, 2), (0, 2)}
+        assert extremal_points(pts) == {(0, 0), (2, 0), (2, 2), (0, 2)}
 
     def test_collinear_interior_points_are_not_corners(self):
         pts = [(0, 0), (1, 0), (2, 0), (1, 1)]
@@ -83,7 +80,6 @@ class TestHulls:
     @given(st.lists(points_st, min_size=1, max_size=12, unique=True))
     def test_extremal_points_are_hull_points(self, pts):
         assert extremal_points(pts) <= set(pts)
-        assert extremal_points(pts) <= hull_points(pts)
 
 
 class TestSegmentsAndPaths:

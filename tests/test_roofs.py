@@ -1,8 +1,6 @@
 """Decorated roofs: codes, skylines, covering roofs and moves."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,16 +8,13 @@ from tripoly.planar import NearEdge
 from tripoly.roofs import (
     DecoratedRoof,
     closed_triangle_empty,
-    code_count,
     covering_roofs,
     decode,
     encode,
     is_covering,
     skyline_points,
-    skyline_y,
     sub_edges,
     successors,
-    triangle_class,
 )
 
 from corpus import EDGE8, EDGE12, EDGE_A
@@ -64,14 +59,22 @@ class TestCodes:
                 assert decode(code, n) == roof
 
     def test_count_matches_enumeration(self):
+        # decode accepts exactly the enumerated roofs' codes
         for n in range(1, 8):
-            assert code_count(n) == len(all_roofs(n))
+            valid = 0
+            for code in range(n << (n - 1)):
+                try:
+                    decode(code, n)
+                except ValueError:
+                    continue
+                valid += 1
+            assert valid == len(all_roofs(n)) == (n + 1) * (1 << (n - 1)) // 2
 
     def test_codes_are_not_contiguous(self):
         # the largest valid code exceeds the number of valid codes
         top = max(encode(r, 5) for r in all_roofs(5))
         assert top == 79
-        assert code_count(5) == 48
+        assert len(all_roofs(5)) == 48
 
     def test_encode_validation(self):
         with pytest.raises(ValueError):
@@ -87,10 +90,6 @@ class TestCodes:
         with pytest.raises(ValueError):
             decode(16, 5)  # chord roof cannot carry marker 1
 
-    def test_code_count_needs_positive_n(self):
-        with pytest.raises(ValueError):
-            code_count(0)
-
 
 class TestSkyline:
     def test_skyline_points(self):
@@ -102,22 +101,6 @@ class TestSkyline:
         host = NearEdge(EDGE_A).points
         for d in (0, 1):
             assert skyline_points(host, DecoratedRoof((0, 2, 5), d)) == sky
-
-    def test_skyline_y_interpolates(self):
-        roof = DecoratedRoof((0, 1, 3, 5), 0)
-        assert skyline_y(EDGE_A, roof, 2) == 1
-        assert skyline_y(EDGE_A, roof, 4) == Fraction(1, 2)
-        assert skyline_y(EDGE_A, roof, 0) == 0
-
-    def test_skyline_y_vertical_segment_takes_max(self):
-        pts = ((0, 0), (0, 2), (3, 2))
-        roof = DecoratedRoof((0, 1, 2), 0)
-        assert skyline_y(pts, roof, 0) == 2
-
-    def test_skyline_y_outside_span(self):
-        roof = DecoratedRoof((0, 5), 0)
-        with pytest.raises(ValueError):
-            skyline_y(EDGE_A, roof, 6)
 
 
 class TestCovering:
@@ -179,11 +162,6 @@ class TestSubEdges:
 
 
 class TestTriangles:
-    def test_triangle_class(self):
-        assert triangle_class((0, 0), (1, -1), (2, 0)) == 1
-        assert triangle_class((0, 0), (1, 1), (2, 0)) == -1
-        assert triangle_class((0, 0), (1, 0), (2, 0)) == 0
-
     def test_closed_triangle_empty(self):
         pts = ((0, 0), (4, 0), (0, 4), (1, 1))
         assert not closed_triangle_empty(pts, 0, 1, 2)
