@@ -112,6 +112,24 @@ If a is off the ceiling, a is a bad bit and no on-ceiling roof point
 lies between the prefix and a, so the walk stops after the first one
 past a.  Either way the stop depends on a and the bits past it alone.
 
+Pruning also drops a state whose roof is stuck behind a vertex that can
+never be merged.  Two tables per host decide it: ``exposed[x]`` flags y
+when some host point strictly between x and y lies strictly above
+P_x P_y, and ``fixed[u]`` flags v when no host point P_r with r > v puts
+P_v strictly below the line P_u P_r.  The walk sets ``seen`` at a step
+from x to y that ``exposed[x]`` flags, and stops before the moves whose
+marker is y when ``seen`` is set and ``fixed[x]`` flags y.  This is
+exact.  Merges cascade right to left, one roof position per merge, and
+nothing is inserted left of the marker, so a roof vertex at or before
+the marker keeps its left neighbour until it is merged.  A move with
+marker y leaves y there with left neighbour x; being fixed from x, y is
+never merged, and every segment up to it is frozen for good.  A host
+point strictly above a frozen segment is never covered, and a ceiling
+payoff covers every host point, so no state past that move pays off.
+``seen`` starts at 0 at a and the tables depend on x and y alone, so the
+stop depends on the memo key.  The rule needs a ceiling; a traced sweep
+skips it, so that its vectors are those of the frozen-prefix sweep.
+
 An immediate sweep without a ceiling is the maximal mode run for every
 ceiling at once, and its payoffs tell which roofs cover the host.  No
 host point other than a segment's two ends lies on a roof segment: the
@@ -157,6 +175,7 @@ class _Sweep:
         ceiling: Sequence[Point] | None = None,
         immediate: bool = False,
         prune: bool = False,
+        traced: bool = False,
     ):
         self.points = tuple(points)
         n = self.n = len(self.points) - 1
@@ -196,6 +215,10 @@ class _Sweep:
             self.care = (self.mask ^ on) | self.required
         # with no interior point on the ceiling no prefix is ever a dead end
         self.prune = bool(prune and self.ceiling_bits)
+        # the stuck rule; a traced sweep keeps the frozen-prefix rule only
+        self.stuck = prune and ceiling is not None and not traced
+        if self.stuck:
+            self._stuck_tables()
 
     # -- lazily filled tables --------------------------------------------
 
@@ -213,6 +236,29 @@ class _Sweep:
                     count += 1
             row[b] = count
         return row
+
+    def _stuck_tables(self) -> None:
+        """Fill the tables ``exposed`` and ``fixed`` of the stuck rule,
+        with y flagged by roof bit y - 1.  Each row scans the points past
+        P_x in sweep order, keeping the one seen highest from P_x, so
+        the fill takes O(n²) ``orient`` tests."""
+        p, n = self.points, self.n
+        self.exposed = exposed = [0] * n
+        self.fixed = fixed = [0] * n
+        for x in range(n):
+            px = p[x]
+            top = x + 1  # the highest point seen between x and y
+            for y in range(x + 2, n):
+                side = orient(px, p[y], p[top])
+                if side > 0:
+                    exposed[x] |= 1 << (y - 1)
+                elif side < 0:
+                    top = y
+            top = n  # the highest point seen past v
+            for v in range(n - 1, x, -1):
+                if orient(px, p[top], p[v]) >= 0:
+                    fixed[x] |= 1 << (v - 1)
+                    top = v
 
     def _insertions(self, a: int, b: int) -> tuple[int, ...]:
         """Moves into segment (a, b): the bit of each point q that may be
@@ -260,7 +306,9 @@ class _Sweep:
         inserting q into a segment (x, y) at or past (m, ...) gives
         marker x; merging the middle point of a wedge (x, y, z) with x at
         or past a gives marker x.  With pruning, the walk stops at the
-        first roof point whose frozen prefix is a dead end.
+        first roof point whose frozen prefix is a dead end, or that can
+        never be merged from its left neighbour once a segment walked
+        from a has a host point above it.
         """
         n = self.n
         size = n + 1
@@ -289,6 +337,10 @@ class _Sweep:
                 return out
             watch = bits & on & -(bad & -bad)
             watch &= -watch
+        stuck = self.stuck
+        if stuck:
+            exposed, fixed = self.exposed, self.fixed
+            seen = 0  # a point lies above a segment walked from a on
         while True:
             if insert:
                 key = a * size + b
@@ -310,6 +362,10 @@ class _Sweep:
                 out.append(head ^ move)
             if lowb & watch:
                 break
+            if stuck:
+                seen |= exposed[a] & lowb
+                if seen and fixed[a] & lowb:
+                    break
             head += (b - a) << shift
             a, b, lowb = b, c, lowc
             insert = True
@@ -523,7 +579,7 @@ def _run_complete(
     prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS:
-    sweep = _Sweep(host, ceiling=ceiling, prune=prune)
+    sweep = _Sweep(host, ceiling=ceiling, prune=prune, traced=trace is not None)
     total: dict[int, int] = {}
     for (used, _), coeff in _run(sweep, floor, trace).items():
         total[used] = total.get(used, 0) + coeff
@@ -540,7 +596,9 @@ def max_region_count_points(
 ) -> int:
     """Maximal triangulations of the region between two paths, hosting
     exactly the given points (all of which must be used)."""
-    sweep = _Sweep(points, ceiling=ceiling, immediate=True, prune=prune)
+    sweep = _Sweep(
+        points, ceiling=ceiling, immediate=True, prune=prune, traced=trace is not None
+    )
     return sum(_run(sweep, floor, trace).values())
 
 

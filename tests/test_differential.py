@@ -15,7 +15,12 @@ The covering-roofs route of a near-edge is compared with the transfer
 route, and its counts by roof length with one ceiling sweep per covering
 roof; no traced roof of an immediate sweep may have a host point inside
 one of its segments, the rule by which that route finds covering roofs.
-The generators are seeded, so every run checks the same configurations.
+No successor that the pruned walk drops may reach a ceiling payoff in
+the full move DAG.  Traced runs, which keep the frozen-prefix rule only,
+must give the results of untraced ones, and so must the images of a
+configuration under the integer symmetries and of a region under the
+mirrors, each of which sweeps in its own order.  The generators are
+seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
 
@@ -53,7 +58,15 @@ from tripoly.transfer import (
 )
 from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
 
-from corpus import all_codes, sweep_code
+from corpus import (
+    COLUMNS11,
+    SQUEEZE,
+    SQUEEZE_CEILING,
+    SQUEEZE_FLOOR,
+    all_codes,
+    small_configs,
+    sweep_code,
+)
 
 HUGE = 10**40
 
@@ -269,16 +282,38 @@ def dead_end(points, roof, ceiling, immediate):
     return False
 
 
+def stuck(points, roof, a):
+    """True when the walk from roof point a stops before the marker of
+    ``roof``: at a step (u, v) along its roof points from a to the marker,
+    no host point P_r with r > v puts P_v strictly below the line P_u P_r,
+    so v is never merged, and a host point lies strictly above a segment
+    walked from a up to v, so it is never covered."""
+    n = len(points) - 1
+    idx = roof.indices
+    walk = idx[idx.index(a) : roof.d + 1]
+    seen = False
+    for u, v in zip(walk, walk[1:]):
+        pu, pv = points[u], points[v]
+        seen = seen or any(orient(pu, pv, points[r]) > 0 for r in range(u + 1, v))
+        if seen and all(orient(pu, points[r], pv) >= 0 for r in range(v + 1, n + 1)):
+            return True
+    return False
+
+
 def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
     """(code, e) of the moves from decoded roofs, e being the host points
     newly covered besides the moved point, dropping with ``prune`` every
-    roof that is a dead end."""
+    roof that is a dead end and, under a ceiling, every roof the walk
+    from a, the roof point before the marker, stops short of."""
     n = len(points) - 1
     roof = decode(code, n)
+    a = roof.indices[roof.d - 1] if roof.d else 0
     before = covered(points, roof)
     out = []
     for r in successors(points, roof, immediate=immediate):
         if prune and dead_end(points, r, ceiling, immediate):
+            continue
+        if prune and ceiling is not None and stuck(points, r, a):
             continue
         moved = set(roof.indices) ^ set(r.indices)
         out.append((encode(r, n), len(covered(points, r) - before - moved)))
@@ -489,3 +524,161 @@ def test_no_host_point_lies_inside_a_roof_segment_of_an_immediate_sweep():
         assert hits == 0, (host, ceiling)
         states += traced
     assert states > 20_000
+
+
+def move_dag(sweep, floor):
+    """Every code the moves of ``sweep`` reach from the floor roofs, and
+    those from which a ceiling payoff can still be reached."""
+    codes = (1 << sweep.skip_shift) - 1
+    into: dict[int, set[int]] = {}
+    todo = [bits for bits, _ in _floor_roofs(sweep.points, floor, sweep.immediate)]
+    for code in todo:
+        into.setdefault(code, set())
+    while todo:
+        code = todo.pop()
+        for move in sweep.successors(code):
+            succ = move & codes
+            if succ not in into:
+                into[succ] = set()
+                todo.append(succ)
+            into[succ].add(code)
+    live = {code for code in into if sweep.payoff({code: 1})}
+    todo = list(live)
+    while todo:
+        for code in into[todo.pop()] - live:
+            live.add(code)
+            todo.append(code)
+    return set(into), live
+
+
+def stuck_hosts():
+    """(host, floor, ceiling) of lattice subsets, of sets on a 6x6 grid
+    (collinear runs and vertical ties), of sets under ceiling runs, and of
+    valley regions in each."""
+    out = []
+    for pts in (
+        lattice_subsets(64, seed=15)
+        + random_sets(64, seed=16, lo=6, hi=10, box=6)
+        + ceiling_runs(64, seed=17)
+    ):
+        cfg = Configuration(pts)
+        out.append((cfg.points, cfg.lower_boundary(), cfg.upper_boundary()))
+        for floor, ceiling in valley_regions(cfg, 2, seed=18):
+            out.append(region_host(cfg, floor, ceiling))
+    return out
+
+
+def test_the_stuck_rule_drops_no_live_code():
+    # the full move DAG, unpruned, marks the codes that can still pay
+    # off; no successor the pruned walk drops may be one of them
+    sweeps = dropped = 0
+    for host, floor, ceiling in stuck_hosts():
+        for immediate in (True, False):
+            mode = {"ceiling": ceiling, "immediate": immediate}
+            full = _Sweep(host, **mode)
+            frozen = _Sweep(host, **mode, prune=True, traced=True)
+            pruned = _Sweep(host, **mode, prune=True)
+            assert pruned.stuck and not frozen.stuck
+            codes = (1 << full.skip_shift) - 1
+            reached, live = move_dag(full, floor)
+            for code in reached:
+                every = {m & codes for m in full.successors(code)}
+                old = {m & codes for m in frozen.successors(code)}
+                new = {m & codes for m in pruned.successors(code)}
+                assert new <= old <= every
+                assert not (every - new) & live, (host, ceiling, immediate, code)
+                dropped += len(old - new)
+            sweeps += 1
+    assert sweeps > 800 and dropped > 3000
+
+
+def traced_hosts():
+    """Configurations of the pinned examples and of 12-14 random points,
+    with the regions of their hulls and valleys."""
+    sets = small_configs() + [COLUMNS11] + random_sets(4, seed=19, lo=12, hi=14, box=40)
+    out = [(Configuration(SQUEEZE), SQUEEZE_FLOOR, SQUEEZE_CEILING)]
+    for pts in sets:
+        cfg = Configuration(pts)
+        out.append((cfg, None, None))
+        for floor, ceiling in hull_regions(cfg)[:2] + valley_regions(cfg, 2, seed=20):
+            if not flat(cfg, floor, ceiling):
+                out.append((cfg, floor, ceiling))
+    return out
+
+
+@pytest.mark.parametrize("cfg,floor,ceiling", traced_hosts())
+def test_traced_runs_match_untraced_runs(cfg, floor, ceiling):
+    # a traced run keeps the frozen-prefix rule only
+    if floor is None:
+        runs = [max_config_count, complete_config_poly]
+    else:
+        runs = [
+            lambda c, **kw: region_poly(c, floor, ceiling, maximal=True, **kw),
+            lambda c, **kw: region_poly(c, floor, ceiling, **kw),
+        ]
+    for run in runs:
+        traced = run(cfg, trace=lambda k, vec, paid: None)
+        assert traced == run(cfg) == run(cfg, prune=False)
+
+
+SYMMETRIES = [
+    lambda x, y: (x, y), lambda x, y: (-x, y), lambda x, y: (x, -y),
+    lambda x, y: (-x, -y), lambda x, y: (y, x), lambda x, y: (-y, x),
+    lambda x, y: (y, -x), lambda x, y: (-y, -x),
+]
+
+
+@pytest.mark.parametrize(
+    "pts",
+    random_sets(1, seed=21, lo=18, hi=18, box=60)
+    + random_sets(1, seed=22, lo=16, hi=17, box=9)
+    + [
+        pytest.param(pts, marks=pytest.mark.slow)
+        for pts in random_sets(3, seed=25, lo=20, hi=22, box=60)
+    ],
+)
+def test_symmetric_configurations_give_equal_counts(pts):
+    # each symmetry sweeps in a different order and prunes a different
+    # move DAG
+    cfg = Configuration(pts)
+    count, poly = max_config_count(cfg), complete_config_poly(cfg)
+    assert poly.leading() == count
+    for sym in SYMMETRIES[1:]:
+        image = Configuration([sym(x, y) for x, y in pts])
+        assert max_config_count(image) == count, sym
+        assert complete_config_poly(image) == poly, sym
+
+
+def mirrored_region(cfg, floor, ceiling, sym):
+    """The image of a region under a mirror: its configuration and its
+    paths as sweep-order index paths, floor and ceiling swapped when the
+    mirror turns the region upside down."""
+    image = Configuration([sym(*p) for p in cfg.points])
+    index = {p: i for i, p in enumerate(image.points)}
+
+    def path(idx):
+        return tuple(sorted(index[sym(*cfg.points[i])] for i in idx))
+
+    if sym(0, 1)[1] < 0:
+        floor, ceiling = ceiling, floor
+    return image, path(floor), path(ceiling)
+
+
+@pytest.mark.parametrize("pts", random_sets(4, seed=23, lo=12, hi=14, box=40))
+def test_mirrored_regions_give_equal_polynomials(pts):
+    cfg = Configuration(pts)
+    regions = hull_regions(cfg)[:2] + valley_regions(cfg, 2, seed=24)
+    checked = 0
+    for floor, ceiling in regions:
+        # a vertical path segment runs the other way in a mirror's sweep
+        xs = [[cfg.points[i][0] for i in path] for path in (floor, ceiling)]
+        if flat(cfg, floor, ceiling) or any(len(set(x)) < len(x) for x in xs):
+            continue
+        poly = region_poly(cfg, floor, ceiling)
+        count = region_poly(cfg, floor, ceiling, maximal=True)
+        for sym in SYMMETRIES[1:3]:
+            image = mirrored_region(cfg, floor, ceiling, sym)
+            assert region_poly(*image) == poly, (floor, ceiling, sym)
+            assert region_poly(*image, maximal=True) == count, (floor, ceiling, sym)
+        checked += 1
+    assert checked
