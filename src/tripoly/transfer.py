@@ -25,8 +25,9 @@ swept triangle newly covers besides the moved point, so a move carries
 e above the code it reaches.  Those points are skipped: they never
 become vertices.  A third table counts the points each segment covers,
 and e is a difference of those counts; a row of it is filled when a
-move first needs it.  In immediate mode a move must sweep an empty
-closed triangle, so e is always 0 and that table is not needed.
+move first needs it.  An immediate sweep drops the moves with e > 0;
+that is the rule that the swept closed triangle be empty (see the last
+paragraph).
 
 Moves depend on the roof suffix only.  A move at the segment or wedge
 starting at roof point x reaches the code ``x << (n - 1) | bits'``, so
@@ -82,16 +83,18 @@ at most one field per code, and there are fewer than n · 2^(n-1) codes.
 Every sum thus stays below 2^(2(n-1)) · n · (n − 1)^(2n), which fits in
 2(n − 1) + bitlen(n) + 2n · bitlen(n − 1) bits.
 
-Three modes share the loop:
+Three modes share the loop, and one payoff rule: a state pays off when
+``(bits ^ required) & care`` is 0.
 
 * maximal (immediate moves, all points used): e is always 0, so a
-  multiplicity is a plain int and each value of Φ is one step.  A state
-  matches the ceiling when its bits equal the ceiling's bits.
-* complete (any moves, optional points): a state matches the ceiling when
-  its roof has no point off the ceiling path and every interior corner
-  of it.
-* edge (complete moves, no ceiling): every state pays off with its
-  length ``popcount(bits) + 1``.
+  multiplicity is a plain int and each value of Φ is one step.
+  ``required`` holds the on-ceiling points and ``care`` every bit, so a
+  state matches the ceiling when its bits equal the ceiling's bits.
+* complete (any moves, optional points): ``required`` holds the interior
+  corners of the ceiling and ``care`` those plus the points off the
+  ceiling path.
+* edge (complete moves, no ceiling): both are 0, so every state pays off
+  with its length ``popcount(bits) + 1``.
 
 Dead-end pruning compares bits.  Let the bad bits of a roof be its points
 off the ceiling path plus the ceiling points it needs and lacks: in
@@ -130,14 +133,19 @@ payoff covers every host point, so no state past that move pays off.
 stop depends on the memo key.  The rule needs a ceiling; a traced sweep
 skips it, so that its vectors are those of the frozen-prefix sweep.
 
+No host point other than a segment's two ends lies on a roof segment of
+an immediate sweep.  The floor roof of a maximal run holds every point on
+the floor, and a move with e = 0 adds no segment through a host point:
+such a point lies strictly above the segment the move replaces, so the
+move would newly cover it.  The index range of a move holds every host
+point of its closed triangle but the corners, as the sweep order breaks
+ties in x by y.  So e = 0 holds exactly when that triangle is empty, and
+a point off the roof is covered only when it lies strictly below it.
+
 An immediate sweep without a ceiling is the maximal mode run for every
-ceiling at once, and its payoffs tell which roofs cover the host.  No
-host point other than a segment's two ends lies on a roof segment: the
-floor roof of a maximal run holds every point on the floor, and every
-move sweeps an empty closed triangle whose sides are the segments it
-adds.  So a point off the roof is covered only when it lies strictly
-below it, and a roof covers the host (every point off it strictly below
-it, :func:`tripoly.roofs.is_covering`) exactly when its payoffs used all
+ceiling at once, and its payoffs tell which roofs cover the host.  A roof
+covers the host (every point off it strictly below it,
+:func:`tripoly.roofs.is_covering`) exactly when its payoffs used all
 n + 1 host points.  As each code is reached at one step only, those
 payoffs sum, by roof length, the maximal counts of the regions between
 the floor and each covering roof.
@@ -147,7 +155,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
-from . import roofs as roofmod
 from .exactmath import PolyS, PolyST, maximal_edge_basis
 from .planar import (
     Configuration,
@@ -193,9 +200,10 @@ class _Sweep:
         self._merge: list[int | None] = [None] * (size * size * size)
         # row a, entry b: the host points strictly between a and b in
         # sweep order that are not above the segment a -> b; a row is
-        # filled when a complete move first needs it, to count the
-        # points it skips
+        # filled when a move first needs it, to count the points it skips
         self._cover: list[list[int] | None] = [None] * size
+        # a state pays off when (bits ^ required) & care is 0
+        self.required = self.care = 0
         self.ceiling_bits: int | None = None
         if ceiling is not None:
             on = self.ceiling_bits = sum(
@@ -265,18 +273,14 @@ class _Sweep:
         inserted, plus the points it skips shifted to ``skip_shift``."""
         p = self.points
         above = [q for q in range(a + 1, b) if orient(p[a], p[b], p[q]) > 0]
-        if self.immediate:
-            return tuple(
-                1 << (q - 1)
-                for q in above
-                if roofmod.closed_triangle_empty(p, a, q, b)
-            )
         cover = self._cover
         row = cover[a] or self._covered(a)
         moves = []
         for q in above:
             # the points that a -> q -> b covers and a -> b does not, but q
             e = row[q] + (cover[q] or self._covered(q))[b] - row[b]
+            if e and self.immediate:
+                continue
             moves.append(1 << (q - 1) | e << self.skip_shift)
         return tuple(moves)
 
@@ -287,13 +291,12 @@ class _Sweep:
         p = self.points
         if orient(p[a], p[b], p[m]) >= 0:
             return 0
-        if self.immediate:
-            empty = roofmod.closed_triangle_empty(p, a, m, b)
-            return 1 << (m - 1) if empty else 0
         # m itself is one of the points that a -> b covers
         cover = self._cover
         row = cover[a] or self._covered(a)
         e = row[b] - row[m] - (cover[m] or self._covered(m))[b] - 1
+        if e and self.immediate:
+            return 0
         return 1 << (m - 1) | e << self.skip_shift
 
     # -- moves ---------------------------------------------------------------
@@ -380,35 +383,16 @@ class _Sweep:
         return d << self.shift | bits
 
     def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """Roof length -> summed multiplicity of the states that pay off.
-
-        Without a ceiling every state pays off.
-        """
+        """Roof length -> summed multiplicity of the states that pay off:
+        those whose bits match the ceiling, every state without one."""
         out: dict[int, int] = {}
-        mask = self.mask
-        if self.ceiling_bits is None:
-            for code, mult in vec.items():
-                length = (code & mask).bit_count() + 1
-                out[length] = out.get(length, 0) + mult
-        elif self.immediate:
-            # the ceiling roof under each of its markers: P_0 and its
-            # interior points
-            bits = self.ceiling_bits
+        mask, need, care = self.mask, self.required, self.care
+        for code, mult in vec.items():
+            bits = code & mask
+            if (bits ^ need) & care:
+                continue
             length = bits.bit_count() + 1
-            total = vec.get(bits, 0)
-            for m in range(1, self.n):
-                if bits >> (m - 1) & 1:
-                    total += vec.get(m << self.shift | bits, 0)
-            if total:
-                out[length] = total
-        else:
-            need, care = self.required, self.care
-            for code, mult in vec.items():
-                bits = code & mask
-                if (bits ^ need) & care:
-                    continue
-                length = bits.bit_count() + 1
-                out[length] = out.get(length, 0) + mult
+            out[length] = out.get(length, 0) + mult
         return out
 
 

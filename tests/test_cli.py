@@ -466,8 +466,8 @@ class TestInternalError:
         self, point_file, capsys, monkeypatch
     ):
         # park each ceiling roof for one step under a marker past its last
-        # segment, then give it back: no triangle is added, so it pays off
-        # again two steps later, at a potential its roof cannot have
+        # segment: no triangle is added, so the parked code pays off one
+        # step later, at a potential its roof cannot have
         from tripoly.transfer import _Sweep
 
         real = _Sweep.successors
@@ -490,7 +490,7 @@ class TestInternalError:
         rc, out = cap(["maxcount", point_file(COLUMNS11)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (
-            "internal error: ceiling payoff at potential 18, not 16\n"
+            "internal error: ceiling payoff at potential 17, not 16\n"
         )
 
 

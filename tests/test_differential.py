@@ -7,16 +7,18 @@ are compared with unpruned ones and the oracle, also under ceilings with
 collinear runs and with valley corners.  Its bitmask moves are compared,
 state by state, with the tuple-based moves of
 :func:`tripoly.roofs.successors`, together with the number of points
-each move skips, counted from the decoded roof paths; the moves of every
-live state must depend only on its memo key.  The memoised sweep is
-compared with a loop that expands every state by ``successors``.
+each move skips, counted from the decoded roof paths, in immediate mode
+on the states an immediate sweep can meet; the moves of every live state
+must depend only on its memo key.  The memoised sweep is compared with a
+loop that expands every state by ``successors``.
 Realized weighted polygons are compared with the weighted closed form.
 The covering-roofs route of a near-edge is compared with the transfer
 route, and its counts by roof length with one ceiling sweep per covering
-roof; no traced roof of an immediate sweep may have a host point inside
-one of its segments, the rule by which that route finds covering roofs.
-No successor that the pruned walk drops may reach a ceiling payoff in
-the full move DAG.  Traced runs, which keep the frozen-prefix rule only,
+roof.  No traced roof of an immediate sweep, over a near-edge or a
+maximal region, may have a host point inside one of its segments: by
+that rule the route finds covering roofs, and an immediate move that
+skips no point sweeps an empty triangle.  No successor that the pruned
+walk drops may reach a ceiling payoff in the full move DAG.  Traced runs, which keep the frozen-prefix rule only,
 must give the results of untraced ones, and so must the images of a
 configuration under the integer symmetries and of a region under the
 mirrors, each of which sweeps in its own order.  The generators are
@@ -320,13 +322,24 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
     return sorted(out)
 
 
+def segment_hits(points, indices) -> int:
+    """Host points lying inside a segment of the roof through ``indices``."""
+    return sum(
+        r not in (a, b) and on_segment(p, points[a], points[b])
+        for a, b in zip(indices, indices[1:])
+        for r, p in enumerate(points)
+    )
+
+
 def check_moves(host, ceiling):
     """Compare the moves of every code with the decoded moves.  The moves
     of a code that is no dead end, as deltas from the code, must depend
     only on its memo key: the walk's first roof point a, the roof points
     past it and whether the marker is at P_0.  With pruning, a bad bit
     lies at or before a exactly when a is off the ceiling, so the key
-    needs no more."""
+    needs no more.  Immediate modes skip the codes with a host point
+    inside a roof segment: an immediate sweep never meets them, and only
+    on them may a move skip no point yet sweep a non-empty triangle."""
     n = len(host) - 1
     for mode in (
         {"ceiling": ceiling, "prune": True},
@@ -339,13 +352,15 @@ def check_moves(host, ceiling):
         shift = sweep.skip_shift
         keys = {}
         for code in all_codes(n):
+            roof = decode(code, n)
+            if mode.get("immediate") and segment_hits(host, roof.indices):
+                continue
             ours = sweep_code(sweep, code)
             moves = sweep.successors(ours)
             got = sorted(
                 (sweep.roof_code(m & ((1 << shift) - 1)), m >> shift) for m in moves
             )
             assert got == reference_successors(host, code, **mode), (mode, code)
-            roof = decode(code, n)
             immediate = mode.get("immediate", False)
             if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
                 continue
@@ -487,41 +502,46 @@ def test_roof_table_matches_one_ceiling_sweep_per_roof(pts):
         assert covering_roof_counts(sub) == want, sub
 
 
-def roof_segment_hits(host, ceiling=None) -> tuple[int, int]:
+def roof_segment_hits(host, floor, ceiling=None) -> tuple[int, int]:
     """(traced states, host points lying inside a roof segment of one) of
-    an immediate sweep from the lower hull."""
+    an unpruned immediate sweep from ``floor``."""
     n = len(host) - 1
     seen = [0, 0]
 
     def trace(k, vec, paid):
         for code in vec:
             seen[0] += 1
-            idx = decode(code, n).indices
-            for a, b in zip(idx, idx[1:]):
-                for r, p in enumerate(host):
-                    if r not in (a, b) and on_segment(p, host[a], host[b]):
-                        seen[1] += 1
+            seen[1] += segment_hits(host, decode(code, n).indices)
 
-    sweep = _Sweep(host, ceiling=ceiling, immediate=True)
-    _run(sweep, lower_hull(host), trace)
+    _run(_Sweep(host, ceiling=ceiling, immediate=True), floor, trace)
     return seen[0], seen[1]
 
 
 def test_no_host_point_lies_inside_a_roof_segment_of_an_immediate_sweep():
+    # the invariant behind both the immediate move rule and the covering
+    # roofs route; it fails when an immediate sweep keeps the merges that
+    # skip a point
     hosts = [
         tuple(pts[i] for i in idxs)
         for pts in random_edges(120, seed=13)
         for idxs in sub_edges(pts)
     ]
     assert any(x >= HUGE for host in hosts for x, _ in host)
-    runs = [(host, None) for host in hosts]
+    runs = [(host, lower_hull(host), None) for host in hosts]
     for pts in lattice_subsets(40, seed=14):
         host = Configuration(pts).points
-        runs += [(host, None), (host, upper_hull(host))]
+        floor = lower_hull(host)
+        runs += [(host, floor, None), (host, floor, upper_hull(host))]
+    # maximal region sweeps, every third set scaled by 10^40
+    for i, pts in enumerate(ceiling_runs(12, seed=15) + lattice_subsets(12, seed=16)):
+        cfg = Configuration(scaled(pts) if i % 3 == 2 else pts)
+        for floor, ceiling in hull_regions(cfg) + valley_regions(cfg, 3, seed=i):
+            if not flat(cfg, floor, ceiling):
+                runs.append(region_host(cfg, floor, ceiling))
     states = 0
-    for host, ceiling in runs:
-        traced, hits = roof_segment_hits(host, ceiling)
-        assert hits == 0, (host, ceiling)
+    for host, floor, ceiling in runs:
+        traced, hits = roof_segment_hits(host, floor, ceiling)
+        assert hits == 0, (host, floor, ceiling)
         states += traced
     assert states > 20_000
 
