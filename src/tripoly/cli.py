@@ -156,11 +156,9 @@ def _json_t(poly: PolyT) -> str:
 
 
 def _json_st(poly: PolyST) -> str:
-    if not poly.integral_s():
-        raise AssertionError("fractional s power in a final polynomial")
     terms = [
-        {"s": h // 2, "t": t, "coeff": str(poly.c[(h, t)])}
-        for h, t in sorted(poly.c, key=lambda k: (-k[0], -k[1]))
+        {"s": s, "t": t, "coeff": str(v)}
+        for (s, t), v in sorted(poly.c.items(), reverse=True)
     ]
     return json.dumps({"terms": terms})
 

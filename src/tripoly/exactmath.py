@@ -11,9 +11,9 @@ adds on top:
 * ``PolyT``   -- univariate in ``t``.
 * ``PolyS``   -- univariate in ``s``; a triangulation polynomial counts
   triangulations by the number of vertices they use.
-* ``PolyST``  -- bivariate in ``(s, t)``.  The ``s`` exponent is stored
-  in *half units* (stored exponent ``k`` means ``s^(k/2)``) so the
-  square-root bookkeeping of the roof iteration stays in integers.
+* ``PolyST``  -- bivariate in ``(s, t)``.  Edge polynomials are sums of
+  terms ``c * s^a * p_j`` over the edge basis ``p_j``; ``PolyST.from_p``
+  builds every one of them from its coefficients keyed by ``(a, j)``.
 * ``PolySUW`` -- trivariate state of the convex-edge recursion.
 
 The central linear functional ``catalan_pair_t`` sends ``t^n`` to the
@@ -22,9 +22,9 @@ Catalan number ``C_{n-2}`` for ``n >= 2`` and annihilates ``1`` and
 
 Products are schoolbook, term by term, except between two ``PolyST``,
 whose dense ``t`` runs make Kronecker substitution pay: per ``s``
-half-exponent, the ``t`` coefficients are packed into one int as fields
-of W bits, the packed groups multiply pairwise on CPython's big-int
-multiply, and the sums per output half-exponent unpack field by field.
+exponent, the ``t`` coefficients are packed into one int as fields of W
+bits, the packed groups multiply pairwise on CPython's big-int multiply,
+and the sums per output ``s`` exponent unpack field by field.
 No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
 so W is that bound's bit length plus a sign bit, rounded up to whole
 bytes; no field carries into the next and the product is exact.
@@ -174,11 +174,11 @@ class PolyS(_Sparse):
 def _pack_by_s(
     c: Mapping[tuple[int, int], int], t0: int, width: int
 ) -> dict[int, int]:
-    """Per s half-exponent, the t-coefficients packed as one int whose
-    field j (``width`` bits wide, signed) holds the coefficient of t^(t0 + j)."""
+    """Per s exponent, the t-coefficients packed as one int whose field j
+    (``width`` bits wide, signed) holds the coefficient of t^(t0 + j)."""
     out: dict[int, int] = {}
-    for (h, t), v in c.items():
-        out[h] = out.get(h, 0) + (v << (width * (t - t0)))
+    for (s, t), v in c.items():
+        out[s] = out.get(s, 0) + (v << (width * (t - t0)))
     return out
 
 
@@ -190,7 +190,7 @@ def _packed_product(
     Every coefficient of the product is bounded by |c| <= ||a||_1 ||b||_1,
     so fields of that many bits plus a sign bit, rounded up to bytes,
     never carry into each other.  Products of packed groups are summed
-    per output s half-exponent; adding 2^(width - 1) to every field makes
+    per output s exponent; adding 2^(width - 1) to every field makes
     all fields non-negative, and the bytes of the sum read them back.
     """
     if not a or not b:
@@ -204,54 +204,55 @@ def _packed_product(
     pa = _pack_by_s(a, ta, width)
     pb = _pack_by_s(b, tb, width)
     sums: dict[int, int] = {}
-    for h1, x in pa.items():
-        for h2, y in pb.items():
-            h = h1 + h2
-            sums[h] = sums.get(h, 0) + x * y
+    for s1, x in pa.items():
+        for s2, y in pb.items():
+            s = s1 + s2
+            sums[s] = sums.get(s, 0) + x * y
     half = 1 << (width - 1)
     offset = int.from_bytes(half.to_bytes(nbytes, "little") * fields, "little")
     out: dict[tuple[int, int], int] = {}
     t0 = ta + tb
-    for h, packed in sums.items():
+    for s, packed in sums.items():
         raw = (packed + offset).to_bytes(nbytes * fields, "little")
         for j in range(fields):
             v = int.from_bytes(raw[j * nbytes : (j + 1) * nbytes], "little") - half
             if v:
-                out[h, t0 + j] = v
+                out[s, t0 + j] = v
     return out
 
 
 class PolyST(_Sparse):
-    """Sparse integer polynomial in (s, t) with s exponents in half units."""
+    """Sparse integer polynomial in (s, t)."""
 
     __slots__ = ()
 
     @classmethod
-    def from_t(cls, p: PolyT, s_half: int = 0) -> "PolyST":
-        """Embed a t-polynomial times s^(s_half/2)."""
-        return cls({(s_half, e): v for e, v in p.c.items()})
+    def from_t(cls, p: PolyT, a: int = 0) -> "PolyST":
+        """Embed a t-polynomial times s^a."""
+        return cls({(a, e): v for e, v in p.c.items()})
 
-    def coefficient_s(self, s_half: int) -> PolyT:
-        return PolyT({t: v for (h, t), v in self.c.items() if h == s_half})
+    @classmethod
+    def from_p(cls, coeffs: Mapping[tuple[int, int], int]) -> "PolyST":
+        """Sum of c * s^a * p_j over the terms {(a, j): c}, every j >= 1."""
+        out: dict[tuple[int, int], int] = {}
+        for (a, j), c in coeffs.items():
+            for t, v in maximal_edge_basis(j).c.items():
+                out[a, t] = out.get((a, t), 0) + c * v
+        return cls(out)
 
-    def s_halves(self) -> list[int]:
-        return sorted({h for h, _ in self.c})
-
-    def integral_s(self) -> bool:
-        return all(h % 2 == 0 for h, _ in self.c)
+    def coefficient_s(self, a: int) -> PolyT:
+        return PolyT({t: v for (s, t), v in self.c.items() if s == a})
 
     _product = staticmethod(_packed_product)
 
     @staticmethod
     def _order(key: tuple[int, int]) -> tuple[int, int]:
-        h, t = key
-        return (-(h + 2 * t), -h)
+        s, t = key
+        return (-(s + t), -s)
 
     def _body(self, key: tuple[int, int]) -> str:
-        h, t = key
-        s_part = ""
-        if h:
-            s_part = f"s^{h // 2}" if h % 2 == 0 else f"s^({h}/2)"
+        s, t = key
+        s_part = f"s^{s}" if s else ""
         t_part = f"t^{t}" if t else ""
         return "*".join(p for p in (s_part, t_part) if p)
 
@@ -296,12 +297,7 @@ def complete_edge_basis(n: int) -> PolyST:
     """Complete basis pbar_n = sum_{k=1}^n binom(n-1, k-1) p_k s^k."""
     if n < 1:
         raise ValueError(f"edge weight must be >= 1, got {n}")
-    out: dict[tuple[int, int], int] = {}
-    for k in range(1, n + 1):
-        c = comb(n - 1, k - 1)
-        for t, v in maximal_edge_basis(k).c.items():
-            out[2 * k, t] = c * v
-    return PolyST(out)
+    return PolyST.from_p({(k, k): comb(n - 1, k - 1) for k in range(1, n + 1)})
 
 
 def catalan_pair_t(q: PolyT) -> int:
@@ -310,18 +306,11 @@ def catalan_pair_t(q: PolyT) -> int:
 
 
 def catalan_pair_st(q: PolyST) -> PolyS:
-    """Pair out t, leaving a polynomial in s.
-
-    Every s half-exponent must be even by the time a result is final.
-    """
+    """Pair out t, leaving a polynomial in s."""
     out: dict[int, int] = {}
-    for (h, t), v in q.c.items():
-        if h % 2:
-            raise ValueError(f"odd s half-exponent {h} in a final pairing")
-        if t < 2:
-            continue
-        e = h // 2
-        out[e] = out.get(e, 0) + v * catalan(t - 2)
+    for (s, t), v in q.c.items():
+        if t >= 2:
+            out[s] = out.get(s, 0) + v * catalan(t - 2)
     return PolyS(out)
 
 
@@ -335,10 +324,8 @@ def series_pair_uw(r: PolySUW) -> PolyST:
     for (s, u, w), v in r.c.items():
         if u == 0:
             raise ValueError("state term with u-degree 0 cannot be paired")
-        c = v * catalan(w)
-        for t, b in maximal_edge_basis(u).c.items():
-            out[2 * s, t] = out.get((2 * s, t), 0) + c * b
-    return PolyST(out)
+        out[s, u] = out.get((s, u), 0) + v * catalan(w)
+    return PolyST.from_p(out)
 
 
 def solve_integer_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:

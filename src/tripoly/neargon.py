@@ -72,13 +72,13 @@ class EdgePolynomial:
     @property
     def maximal(self) -> PolyT:
         """Top s slice: the basis image of the maximal triangulations."""
-        return self.complete.coefficient_s(2 * self.length)
+        return self.complete.coefficient_s(self.length)
 
     def p_coefficients(self) -> dict[int, dict[int, int]]:
         """Per s degree, the expansion over the edge basis p_j."""
         return {
-            h // 2: p_basis_coefficients(self.complete.coefficient_s(h))
-            for h in self.complete.s_halves()
+            a: p_basis_coefficients(self.complete.coefficient_s(a))
+            for a in sorted({a for a, _ in self.complete.c})
         }
 
 
@@ -125,12 +125,10 @@ def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
     pts = edge.points
     out: dict[tuple[int, int], int] = {}
     for idxs in sub_edges(pts):
-        sub = tuple(pts[i] for i in idxs)
-        h = 2 * (len(sub) - 1)
-        for length, tau in covering_roof_counts(sub).items():
-            for t, v in maximal_edge_basis(length).c.items():
-                out[h, t] = out.get((h, t), 0) + tau * v
-    return EdgePolynomial(edge.weight, PolyST(out))
+        a = len(idxs) - 1
+        for length, tau in covering_roof_counts(tuple(pts[i] for i in idxs)).items():
+            out[a, length] = out.get((a, length), 0) + tau
+    return EdgePolynomial(edge.weight, PolyST.from_p(out))
 
 
 def convex_edge_states(

@@ -155,7 +155,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactmath import PolyS, PolyST, maximal_edge_basis
+from .exactmath import PolyS, PolyST
 from .planar import (
     Configuration,
     NearEdge,
@@ -670,9 +670,7 @@ def complete_edge_poly_tm(
     summing the basis images of all covering roofs over all sub-edges.
     """
     host = tuple(edge.points)
-    out: dict[tuple[int, int], int] = {}
-    for (used, length), mult in _run(_Sweep(host), lower_hull(host), trace).items():
-        for t, v in maximal_edge_basis(length).c.items():
-            key = (2 * (used - 1), t)
-            out[key] = out.get(key, 0) + mult * v
-    return PolyST(out)
+    payoffs = _run(_Sweep(host), lower_hull(host), trace)
+    return PolyST.from_p(
+        {(used - 1, length): mult for (used, length), mult in payoffs.items()}
+    )

@@ -104,7 +104,7 @@ def _st(layers: dict[int, PolyT]) -> PolyST:
     """Assemble a complete polynomial from {s exponent: t layer}."""
     out = PolyST()
     for s, q in layers.items():
-        out = out + PolyST.from_t(q, 2 * s)
+        out = out + PolyST.from_t(q, s)
     return out
 
 

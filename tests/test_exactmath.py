@@ -24,6 +24,7 @@ from tripoly.exactmath import (
     series_pair_uw,
     solve_integer_system,
 )
+from tripoly.neargon import EdgePolynomial, convex_edge_states
 
 
 def tmono(exp, coeff=1):
@@ -121,25 +122,19 @@ class TestPolyS:
 class TestPolyST:
     def test_from_t_and_slices(self):
         q = maximal_edge_basis(3)
-        p = PolyST.from_t(q, 6)
-        assert p.coefficient_s(6).c == q.c
-        assert p.coefficient_s(4).c == {}
-        assert p.s_halves() == [6]
-        assert p.integral_s()
+        p = PolyST.from_t(q, 3)
+        assert p.coefficient_s(3).c == q.c
+        assert p.coefficient_s(2).c == {}
+        assert set(p.c) == {(3, 3), (3, 2)}
 
-    def test_half_integer_text(self):
-        p = PolyST({(5, 2): 3})
-        assert not p.integral_s()
-        assert "s^(5/2)" in p.text()
-
-    def test_integral_text_uses_whole_exponents(self):
-        p = PolyST({(6, 2): 3})
+    def test_text(self):
+        p = PolyST({(3, 2): 3})
         assert "s^3*t^2" in p.text()
 
     def test_product_adds_in_both_variables(self):
-        a = PolyST.from_t(tmono(1), 2)
-        b = PolyST.from_t(tmono(2), 4)
-        assert (a * b).c == {(6, 3): 1}
+        a = PolyST.from_t(tmono(1), 1)
+        b = PolyST.from_t(tmono(2), 2)
+        assert (a * b).c == {(3, 3): 1}
 
 
 def schoolbook_st(a: PolyST, b: PolyST) -> dict[tuple[int, int], int]:
@@ -153,8 +148,7 @@ def schoolbook_st(a: PolyST, b: PolyST) -> dict[tuple[int, int], int]:
 
 def random_st(rng: random.Random) -> PolyST:
     """Sparse (s, t) polynomial with signed coefficients from tiny to
-    10^40 and 2^64 - 1, odd and even s half-exponents, sometimes empty
-    or constant."""
+    10^40 and 2^64 - 1, sometimes empty or constant."""
     shape = rng.random()
     if shape < 0.05:
         return PolyST()
@@ -239,15 +233,14 @@ class TestEdgeBasis:
         for n in range(1, 8):
             p = complete_edge_basis(n)
             for k in range(1, n + 1):
-                layer = p.coefficient_s(2 * k)
+                layer = p.coefficient_s(k)
                 expected = binomial(n - 1, k - 1) * maximal_edge_basis(k)
                 assert layer.c == expected.c
 
     def test_complete_basis_top_slice_is_maximal(self):
         for n in range(1, 8):
             p = complete_edge_basis(n)
-            assert p.coefficient_s(2 * n).c == maximal_edge_basis(n).c
-            assert p.integral_s()
+            assert p.coefficient_s(n).c == maximal_edge_basis(n).c
 
 
 class TestCatalanPairing:
@@ -274,17 +267,62 @@ class TestCatalanPairing:
         assert catalan_pair_t(q + q) == 2 * catalan_pair_t(q)
 
     def test_st_pairing_collapses_t(self):
-        p = PolyST.from_t(tmono(4), 8) + PolyST.from_t(tmono(2), 4)
+        p = PolyST.from_t(tmono(4), 4) + PolyST.from_t(tmono(2), 2)
         collapsed = catalan_pair_st(p)
         assert collapsed.c == {4: 2, 2: 1}
 
     def test_st_pairing_drops_low_t(self):
-        p = PolyST.from_t(PolyT({1: 5, 3: 1}), 2)
+        p = PolyST.from_t(PolyT({1: 5, 3: 1}), 1)
         assert catalan_pair_st(p).c == {1: 1}
 
-    def test_st_pairing_rejects_half_exponents(self):
+
+def st_from_terms(terms) -> PolyST:
+    """Term-by-term sum of c * s^a * p_j over the pairs ((a, j), c)."""
+    out = PolyST()
+    for (a, j), c in terms:
+        out = out + c * PolyST.from_t(maximal_edge_basis(j), a)
+    return out
+
+
+class TestFromP:
+    def test_matches_the_term_by_term_sum(self):
+        rng = random.Random(11)
+        assert PolyST.from_p({}) == PolyST() == st_from_terms(())
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                size = rng.choice((1, 10, 10**40))
+                c = rng.choice((-1, 1)) * rng.randint(1, size)
+                terms[rng.randrange(12), rng.randint(1, 20)] = c
+            p = PolyST.from_p(terms)
+            assert p == st_from_terms(terms.items()), terms
+            length = max(j for _, j in terms)
+            assert EdgePolynomial(length, p).p_coefficients() == {
+                a: {j: c for (b, j), c in sorted(terms.items()) if b == a}
+                for a in sorted({a for a, _ in terms})
+            }
+
+    def test_shared_keys_accumulate(self):
+        p = PolyST.from_p({(1, 2): 3, (1, 1): 5, (0, 2): -1})
+        assert p.c == {(1, 2): 3, (1, 1): 2, (0, 2): -1, (0, 1): 1}
+
+    def test_rejects_weight_zero(self):
         with pytest.raises(ValueError):
-            catalan_pair_st(PolyST({(3, 4): 1}))
+            PolyST.from_p({(1, 0): 1})
+        with pytest.raises(ValueError):
+            PolyST.from_p({(2, 3): 1, (0, 0): 4})
+
+    def test_series_pair_uw_on_convex_states(self):
+        # series_pair_uw sums terms by (s, u) before it expands p_u
+        rng = random.Random(5)
+        for _ in range(30):
+            profile = [rng.choice((1, -1)) for _ in range(rng.randint(0, 10))]
+            for mode in ("complete", "maximal"):
+                for r in convex_edge_states(profile, mode):
+                    expected = st_from_terms(
+                        ((a, u), v * catalan(w)) for (a, u, w), v in r.c.items()
+                    )
+                    assert series_pair_uw(r) == expected, (profile, mode)
 
 
 class TestStatePolynomials:
@@ -294,7 +332,7 @@ class TestStatePolynomials:
 
     def test_series_pair_uw(self):
         r = PolySUW.monomial(2, 3, 1)
-        assert series_pair_uw(r) == PolyST.from_t(maximal_edge_basis(3), 4)
+        assert series_pair_uw(r) == PolyST.from_t(maximal_edge_basis(3), 2)
 
     def test_series_pair_uw_rejects_u_zero(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestEdgePolynomial:
     def test_maximal_is_the_top_slice(self):
         ep = edge_poly(NearEdge(EDGE_C))
         assert ep.length == 5
-        assert ep.maximal.c == ep.complete.coefficient_s(10).c
+        assert ep.maximal.c == ep.complete.coefficient_s(5).c
 
     def test_p_coefficient_tables(self):
         assert edge_poly(NearEdge(EDGE_A)).p_coefficients() == EDGE_A_PCOEFFS

@@ -70,7 +70,7 @@ def st_from_pcoeffs(pcoeffs):
     out = PolyST()
     for s, layer in pcoeffs.items():
         for j, c in layer.items():
-            out = out + c * PolyST.from_t(maximal_edge_basis(j), 2 * s)
+            out = out + c * PolyST.from_t(maximal_edge_basis(j), s)
     return out
 
 
