@@ -16,18 +16,21 @@ starts at a, the roof point before m, found as
 ``(bits & low[m]).bit_length()``, and goes on with ``bits & -bits`` and
 ``bit_length()``.  A successor is one bit set (an insertion into a
 segment) or cleared (a merge of a wedge) plus its new marker, the host
-index of the left end of the move's segment.  Two tables, filled lazily
-per host with exact ``orient`` tests over the index range of the move,
-decide the moves: the insertions into each segment (a, b) and the merge
-of each triple (a, m, b).  An entry is the bit the move sets or clears
-plus ``e << skip_shift``, e being the number of host points that the
-swept triangle newly covers besides the moved point, so a move carries
-e above the code it reaches.  Those points are skipped: they never
-become vertices.  A third table counts the points each segment covers,
-and e is a difference of those counts; a row of it is filled when a
-move first needs it.  An immediate sweep drops the moves with e > 0;
-that is the rule that the swept closed triangle be empty (see the last
-paragraph).
+index of the left end of the move's segment.  One pass of exact
+``orient`` tests, C(n + 1, 3) of them, runs when a sweep is built: for
+each segment a -> b it flags the host points P_r, a < r < b, strictly
+above the segment, A(a, b), and strictly below it, B(a, b).  Every
+table the moves read is derived from A and B.  The insertions into
+(a, b) insert the points of A(a, b), and the merge of a wedge (a, m, b)
+exists when m is in B(a, b).  An entry is the bit the move sets or
+clears plus ``e << skip_shift``, e being the number of host points that
+the swept triangle newly covers besides the moved point, so a move
+carries e above the code it reaches.  Those points are skipped: they
+never become vertices.  As a -> b covers the points between a and b
+outside A(a, b), an insertion of q skips |A(a, b)| − |A(a, q)| −
+|A(q, b)| − 1 points and a merge of m skips |A(a, m)| + |A(m, b)| −
+|A(a, b)|.  An immediate sweep drops the moves with e > 0; that is the
+rule that the swept closed triangle be empty (see the last paragraph).
 
 Moves depend on the roof suffix only.  A move at the segment or wedge
 starting at roof point x reaches the code ``x << (n - 1) | bits'``, so
@@ -116,13 +119,14 @@ lies between the prefix and a, so the walk stops after the first one
 past a.  Either way the stop depends on a and the bits past it alone.
 
 Pruning also drops a state whose roof is stuck behind a vertex that can
-never be merged.  Two tables per host decide it: ``exposed[x]`` flags y
-when some host point strictly between x and y lies strictly above
-P_x P_y, and ``fixed[u]`` flags v when no host point P_r with r > v puts
-P_v strictly below the line P_u P_r.  The walk sets ``seen`` at a step
-from x to y that ``exposed[x]`` flags, and stops before the moves whose
-marker is y when ``seen`` is set and ``fixed[x]`` flags y.  This is
-exact.  Merges cascade right to left, one roof position per merge, and
+never be merged.  Two tables read off A and B decide it: ``exposed[x]``
+flags y when A(x, y) is not empty, some host point strictly between x
+and y lying strictly above P_x P_y, and ``fixed[u]`` flags v when v lies
+in no B(u, r), no host point P_r with r > v putting P_v strictly below
+the line P_u P_r.  The walk sets ``seen`` at a step from x to y that
+``exposed[x]`` flags, and stops before the moves whose marker is y when
+``seen`` is set and ``fixed[x]`` flags y.  This is exact.  Merges
+cascade right to left, one roof position per merge, and
 nothing is inserted left of the marker, so a roof vertex at or before
 the marker keeps its left neighbour until it is merged.  A move with
 marker y leaves y there with left neighbour x; being fixed from x, y is
@@ -196,12 +200,45 @@ class _Sweep:
         self.skip_shift = self.shift + n.bit_length()
         # low[m]: the interior bits of the host points before P_m
         self.low = [0] + [(1 << (m - 1)) - 1 for m in range(1, n + 1)]
-        self._ins: list[tuple[int, ...] | None] = [None] * (size * size)
-        self._merge: list[int | None] = [None] * (size * size * size)
-        # row a, entry b: the host points strictly between a and b in
-        # sweep order that are not above the segment a -> b; a row is
-        # filled when a move first needs it, to count the points it skips
-        self._cover: list[list[int] | None] = [None] * size
+        # above[a][b] and below[a][b] flag, by bit r - 1, the host points
+        # P_r with a < r < b strictly above and strictly below a -> b
+        p = self.points
+        above = [[0] * size for _ in range(size)]
+        below = [[0] * size for _ in range(size)]
+        for a in range(n - 1):
+            pa = p[a]
+            for b in range(a + 2, size):
+                pb = p[b]
+                up = down = 0
+                for r in range(a + 1, b):
+                    side = orient(pa, pb, p[r])
+                    if side > 0:
+                        up |= 1 << (r - 1)
+                    elif side < 0:
+                        down |= 1 << (r - 1)
+                above[a][b], below[a][b] = up, down
+        # the moves inserting a point above a -> b and merging a point below
+        # it: the bit the move sets or clears plus e << skip_shift, e being
+        # the points it newly covers besides the moved one, as differences
+        # of the counts of uncovered points; an immediate sweep skips none
+        count = [[x.bit_count() for x in row] for row in above]
+        skip = self.skip_shift
+        self._ins: list[tuple[int, ...]] = [()] * (size * size)
+        self._merge = [0] * (size * size * size)
+        for a in range(n - 1):
+            for b in range(a + 2, size):
+                moves = []
+                for r in range(a + 1, b):
+                    bit = 1 << (r - 1)
+                    if above[a][b] & bit:
+                        e = count[a][b] - count[a][r] - count[r][b] - 1
+                        if not (e and immediate):
+                            moves.append(bit | e << skip)
+                    elif below[a][b] & bit:
+                        e = count[a][r] + count[r][b] - count[a][b]
+                        if not (e and immediate):
+                            self._merge[(a * size + r) * size + b] = bit | e << skip
+                self._ins[a * size + b] = tuple(moves)
         # a state pays off when (bits ^ required) & care is 0
         self.required = self.care = 0
         self.ceiling_bits: int | None = None
@@ -226,78 +263,18 @@ class _Sweep:
         # the stuck rule; a traced sweep keeps the frozen-prefix rule only
         self.stuck = prune and ceiling is not None and not traced
         if self.stuck:
-            self._stuck_tables()
-
-    # -- lazily filled tables --------------------------------------------
-
-    def _covered(self, a: int) -> list[int]:
-        """Row a of the covered-points table: entry b counts the host
-        points strictly between a and b that a -> b covers."""
-        p = self.points
-        pa = p[a]
-        row = self._cover[a] = [0] * (self.n + 1)
-        for b in range(a + 2, self.n + 1):
-            pb = p[b]
-            count = 0
-            for r in range(a + 1, b):
-                if orient(pa, pb, p[r]) <= 0:
-                    count += 1
-            row[b] = count
-        return row
-
-    def _stuck_tables(self) -> None:
-        """Fill the tables ``exposed`` and ``fixed`` of the stuck rule,
-        with y flagged by roof bit y - 1.  Each row scans the points past
-        P_x in sweep order, keeping the one seen highest from P_x, so
-        the fill takes O(n²) ``orient`` tests."""
-        p, n = self.points, self.n
-        self.exposed = exposed = [0] * n
-        self.fixed = fixed = [0] * n
-        for x in range(n):
-            px = p[x]
-            top = x + 1  # the highest point seen between x and y
-            for y in range(x + 2, n):
-                side = orient(px, p[y], p[top])
-                if side > 0:
-                    exposed[x] |= 1 << (y - 1)
-                elif side < 0:
-                    top = y
-            top = n  # the highest point seen past v
-            for v in range(n - 1, x, -1):
-                if orient(px, p[top], p[v]) >= 0:
-                    fixed[x] |= 1 << (v - 1)
-                    top = v
-
-    def _insertions(self, a: int, b: int) -> tuple[int, ...]:
-        """Moves into segment (a, b): the bit of each point q that may be
-        inserted, plus the points it skips shifted to ``skip_shift``."""
-        p = self.points
-        above = [q for q in range(a + 1, b) if orient(p[a], p[b], p[q]) > 0]
-        cover = self._cover
-        row = cover[a] or self._covered(a)
-        moves = []
-        for q in above:
-            # the points that a -> q -> b covers and a -> b does not, but q
-            e = row[q] + (cover[q] or self._covered(q))[b] - row[b]
-            if e and self.immediate:
-                continue
-            moves.append(1 << (q - 1) | e << self.skip_shift)
-        return tuple(moves)
-
-    def _merge_move(self, a: int, m: int, b: int) -> int:
-        """Move merging m away from the wedge (a, m, b): the bit of m plus
-        the points it skips shifted to ``skip_shift``, or 0 when m cannot
-        be merged."""
-        p = self.points
-        if orient(p[a], p[b], p[m]) >= 0:
-            return 0
-        # m itself is one of the points that a -> b covers
-        cover = self._cover
-        row = cover[a] or self._covered(a)
-        e = row[b] - row[m] - (cover[m] or self._covered(m))[b] - 1
-        if e and self.immediate:
-            return 0
-        return 1 << (m - 1) | e << self.skip_shift
+            # exposed[x] flags y when a host point between them lies above
+            # x -> y; fixed[x] flags v when no r > v puts P_v below x -> r
+            self.exposed = [
+                sum(1 << (y - 1) for y in range(x + 2, n) if above[x][y])
+                for x in range(n)
+            ]
+            self.fixed = []
+            for x in range(n):
+                merged = 0
+                for r in range(x + 2, size):
+                    merged |= below[x][r]
+                self.fixed.append(self.mask & -(1 << x) & ~merged)
 
     # -- moves ---------------------------------------------------------------
 
@@ -346,21 +323,14 @@ class _Sweep:
             seen = 0  # a point lies above a segment walked from a on
         while True:
             if insert:
-                key = a * size + b
-                cand = ins[key]
-                if cand is None:
-                    cand = ins[key] = self._insertions(a, b)
-                for move in cand:
+                for move in ins[a * size + b]:
                     out.append(head | move)
             if b == n:
                 break
             rest ^= lowb
             lowc = rest & -rest
             c = lowc.bit_length() if lowc else n
-            key = (a * size + b) * size + c
-            move = merge[key]
-            if move is None:
-                move = merge[key] = self._merge_move(a, b, c)
+            move = merge[(a * size + b) * size + c]
             if move:
                 out.append(head ^ move)
             if lowb & watch:

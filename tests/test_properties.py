@@ -3,9 +3,10 @@
 Configurations of 5-8 points on a 4x5 grid hold a row of at least three
 collinear points, and at least two points share an x column, a tie in
 the sweep order; some are scaled by 10^40.  The maximal sweep and the
-complete sweep read one move table, so the maximal count must be the
-leading coefficient of the complete polynomial, and both must match the
-brute-force oracle.
+complete sweep derive their moves from the same orient tests, which
+split the points of each collinear row into above, on and below; the
+complete polynomial must match the brute-force oracle, and the maximal
+count must be its leading coefficient.
 """
 from __future__ import annotations
 
@@ -37,6 +38,6 @@ def degenerate_sets(draw) -> tuple[tuple[int, int], ...]:
 @given(degenerate_sets())
 def test_maximal_count_is_the_leading_coefficient(pts):
     cfg = Configuration(pts)
-    count = max_config_count(cfg)
-    assert count == complete_config_poly(cfg).leading()
-    assert count == oracle_complete_poly(cfg).leading()
+    poly = complete_config_poly(cfg)
+    assert poly == oracle_complete_poly(cfg)
+    assert max_config_count(cfg) == poly.leading()
