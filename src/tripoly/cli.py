@@ -14,6 +14,7 @@ no result is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -63,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The verb tree, built at the first ``run`` of a process and reused:
+    parsing keeps no state in the parser."""
     parser = _Parser(prog="tripoly", description=__doc__)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser)
     sub.required = True

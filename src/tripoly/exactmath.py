@@ -24,10 +24,14 @@ Products are schoolbook, term by term, except between two ``PolyST``,
 whose dense ``t`` runs make Kronecker substitution pay: per ``s``
 exponent, the ``t`` coefficients are packed into one int as fields of W
 bits, the packed groups multiply pairwise on CPython's big-int multiply,
-and the sums per output ``s`` exponent unpack field by field.
+and ``unpack_fields`` reads back the sums per output ``s`` exponent.
 No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
 so W is that bound's bit length plus a sign bit, rounded up to whole
-bytes; no field carries into the next and the product is exact.
+bytes (``packed_bytes``); no field carries into the next and the
+product is exact.  ``tripoly.weighted`` packs its product of complete
+edge bases the same way, but multiplies through the edge basis
+recurrence with shifts instead, and reads it back with the same
+decoder.
 """
 from __future__ import annotations
 
@@ -182,6 +186,29 @@ def _pack_by_s(
     return out
 
 
+def packed_bytes(bound: int) -> int:
+    """Bytes per field that hold every value of absolute value at most
+    ``bound``: its bit length plus a sign bit, rounded up."""
+    return (bound.bit_length() + 8) // 8
+
+
+def unpack_fields(packed: int, nbytes: int, fields: int) -> list[int]:
+    """The ``fields`` signed fields of ``nbytes`` bytes each that make up
+    ``packed``, lowest first.
+
+    Adding 2^(W - 1) to every field (W = 8 * nbytes) makes all of them
+    non-negative, and the bytes of the sum read them back.  Every field
+    must lie in [-2^(W - 1), 2^(W - 1)).
+    """
+    half = 1 << (8 * nbytes - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * fields, "little")
+    raw = (packed + offset).to_bytes(nbytes * fields, "little")
+    return [
+        int.from_bytes(raw[j : j + nbytes], "little") - half
+        for j in range(0, nbytes * fields, nbytes)
+    ]
+
+
 def _packed_product(
     a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
 ) -> dict[tuple[int, int], int]:
@@ -190,13 +217,12 @@ def _packed_product(
     Every coefficient of the product is bounded by |c| <= ||a||_1 ||b||_1,
     so fields of that many bits plus a sign bit, rounded up to bytes,
     never carry into each other.  Products of packed groups are summed
-    per output s exponent; adding 2^(width - 1) to every field makes
-    all fields non-negative, and the bytes of the sum read them back.
+    per output s exponent and read back by ``unpack_fields``.
     """
     if not a or not b:
         return {}
     bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
-    nbytes = (bound.bit_length() + 8) // 8
+    nbytes = packed_bytes(bound)
     width = 8 * nbytes
     ta = min(t for _, t in a)
     tb = min(t for _, t in b)
@@ -208,14 +234,10 @@ def _packed_product(
         for s2, y in pb.items():
             s = s1 + s2
             sums[s] = sums.get(s, 0) + x * y
-    half = 1 << (width - 1)
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * fields, "little")
     out: dict[tuple[int, int], int] = {}
     t0 = ta + tb
     for s, packed in sums.items():
-        raw = (packed + offset).to_bytes(nbytes * fields, "little")
-        for j in range(fields):
-            v = int.from_bytes(raw[j * nbytes : (j + 1) * nbytes], "little") - half
+        for j, v in enumerate(unpack_fields(packed, nbytes, fields)):
             if v:
                 out[s, t0 + j] = v
     return out

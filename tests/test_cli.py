@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from tripoly.cli import run
+from tripoly.cli import _build_parser, run
 from tripoly.exactmath import PolyS
 
 from corpus import (
@@ -554,6 +554,63 @@ class TestUsage:
         rc, out = cap(["poly", str(path)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+
+DIGON_9_7 = (
+    "792*s^16 + 5676*s^15 + 18936*s^14 + 39024*s^13 + 55560*s^12"
+    " + 57882*s^11 + 45576*s^10 + 27616*s^9 + 12984*s^8 + 4740*s^7"
+    " + 1336*s^6 + 288*s^5 + 48*s^4 + 1*s^2\n"
+)
+
+
+class TestReusedParser:
+    """``run`` builds its parser once per process; no call may leave
+    state in it that a later call sees."""
+
+    @staticmethod
+    def call(argv, capsys):
+        return cap(argv), capsys.readouterr()
+
+    def fresh(self, argv, capsys):
+        _build_parser.cache_clear()
+        return self.call(argv, capsys)
+
+    def test_the_parser_is_built_once(self):
+        _build_parser.cache_clear()
+        cap(["weighted", "1", "1", "1"])
+        parser = _build_parser()
+        cap(["weighted", "1", "1", "1", "1"])
+        assert _build_parser() is parser
+
+    def test_a_flag_does_not_carry_to_the_next_call(self):
+        _build_parser.cache_clear()
+        assert cap(["weighted", "9", "7", "--maximal"]) == (0, "792\n")
+        assert cap(["weighted", "9", "7"]) == (0, DIGON_9_7)
+
+    def test_a_usage_error_then_a_valid_call(self, capsys):
+        bad, good = ["weighted", "3", "x"], ["weighted", "9", "7", "--json"]
+        expected = [self.fresh(bad, capsys), self.fresh(good, capsys)]
+        _build_parser.cache_clear()
+        got = [self.call(bad, capsys), self.call(good, capsys)]
+        assert got == expected
+        (rc, out), (_, err) = got[0]
+        assert (rc, out) == (1, "")
+        assert "invalid int value: 'x'" in err
+
+    def test_help_then_a_verb(self, capsys):
+        expected = [
+            self.fresh(["--help"], capsys),
+            self.fresh(["weighted", "9", "7"], capsys),
+        ]
+        _build_parser.cache_clear()
+        got = [
+            self.call(["--help"], capsys),
+            self.call(["weighted", "9", "7"], capsys),
+        ]
+        assert got == expected
+        (rc, out), _ = got[0]
+        assert rc == 0 and out.startswith("usage: tripoly ")
+        assert got[1][0] == (0, DIGON_9_7)
 
 
 class TestModuleEntry:

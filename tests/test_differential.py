@@ -11,7 +11,10 @@ each move skips, counted from the decoded roof paths, in immediate mode
 on the states an immediate sweep can meet; the moves of every live state
 must depend only on its memo key.  The memoised sweep is compared with a
 loop that expands every state by ``successors``.
-Realized weighted polygons are compared with the weighted closed form.
+Realized weighted polygons are compared with the weighted closed form,
+and the closed form's packed three-term recurrence with the Kronecker
+product of the edge polynomials, also where its field width changes by
+a byte.
 The covering-roofs route of a near-edge is compared with the transfer
 route, and its counts by roof length with one ceiling sweep per covering
 roof.  No traced roof of an immediate sweep, over a near-edge or a
@@ -30,7 +33,8 @@ import random
 
 import pytest
 
-from tripoly.neargon import covering_roof_edge_poly
+from tripoly.exactmath import complete_edge_basis
+from tripoly.neargon import compose, covering_roof_edge_poly, edge_poly
 from tripoly.oracle import _count_fillings, oracle_complete_poly, oracle_region_poly
 from tripoly.planar import (
     Configuration,
@@ -58,7 +62,11 @@ from tripoly.transfer import (
     max_region_count_points,
     region_poly,
 )
-from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
+from tripoly.weighted import (
+    straight_edge,
+    weighted_complete_poly,
+    weighted_polygon_config,
+)
 
 from corpus import (
     COLUMNS11,
@@ -468,6 +476,57 @@ def test_weighted_polygons_match_the_closed_form(ws):
     # skip-count fields of its packed multiplicities
     cfg = weighted_polygon_config(ws)
     assert complete_config_poly(cfg).c == weighted_complete_poly(ws).c
+
+
+def kronecker_poly(ws):
+    """The weighted polygon's polynomial as a near-gon of straight edges:
+    the ``PolyST`` product of the edge polynomials, paired by
+    ``catalan_pair_st``."""
+    return compose([edge_poly(straight_edge(a)) for a in ws])
+
+
+def weight_multisets(count: int, seed: int, top: int = 25):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.randint(1, top) for _ in range(rng.randint(2, 7)))
+        for _ in range(count)
+    ]
+
+
+def bound_bits(ws) -> int:
+    """Bit length of the product of the l1 norms of the complete edge
+    bases, the bound that fixes the packed field width."""
+    bound = 1
+    for a in ws:
+        bound *= sum(map(abs, complete_edge_basis(a).c.values()))
+    return bound.bit_length()
+
+
+def test_weighted_recurrence_matches_the_kronecker_product():
+    for ws in weight_multisets(180, seed=14):
+        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
+
+
+def test_weighted_recurrence_with_unit_and_two_sides():
+    cases = [(1, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2), (1, 25), (2, 25)]
+    for i, ws in enumerate(weight_multisets(20, seed=15, top=12)):
+        cases.append(ws + (1 + i % 2,))
+    for ws in cases:
+        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
+
+
+def test_weighted_recurrence_on_both_sides_of_a_byte_edge():
+    # a bound of 8m - 1 bits packs into m bytes a field, one of 8m bits
+    # into m + 1: the width is tightest just below the edge
+    below, above = [], []
+    for ws in weight_multisets(400, seed=16, top=12):
+        bits = bound_bits(ws)
+        side = {7: below, 0: above}.get(bits % 8)
+        if side is not None and len(side) < 10:
+            side.append(ws)
+    assert len(below) == len(above) == 10
+    for ws in below + above:
+        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
 
 
 def random_edges(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:

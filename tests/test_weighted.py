@@ -6,9 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from tripoly.exactmath import catalan
+from tripoly.exactmath import catalan, complete_edge_basis
 from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import (
+    _basis_norm,
     digon_max_count,
     straight_edge,
     weighted_complete_poly,
@@ -126,7 +127,12 @@ class TestWeightedCompletePoly:
         with pytest.raises(ValueError, match=">= 1"):
             weighted_complete_poly((0, 3))
 
-    def test_cache_hands_out_fresh_polynomials(self):
+    def test_field_bound_is_the_l1_norm_of_the_complete_basis(self):
+        for a in range(1, 31):
+            norm = sum(map(abs, complete_edge_basis(a).c.values()))
+            assert _basis_norm(a) == norm, a
+
+    def test_hands_out_a_fresh_polynomial(self):
         first = weighted_complete_poly((2, 3, 2))
         first.c[99] = 7
         assert 99 not in weighted_complete_poly((2, 3, 2)).c
