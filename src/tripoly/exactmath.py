@@ -24,7 +24,8 @@ Products are schoolbook, term by term, except between two ``PolyST``,
 whose dense ``t`` runs make Kronecker substitution pay: per ``s``
 exponent, the ``t`` coefficients are packed into one int as fields of W
 bits, the packed groups multiply pairwise on CPython's big-int multiply,
-and ``unpack_fields`` reads back the sums per output ``s`` exponent.
+and one ``unpack_fields`` call reads back the sums of every output
+``s`` exponent, building its offset once.
 No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
 so W is that bound's bit length plus a sign bit, rounded up to whole
 bytes (``packed_bytes``); no field carries into the next and the
@@ -38,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _CATALAN = [1]
 
@@ -192,21 +193,25 @@ def packed_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def unpack_fields(packed: int, nbytes: int, fields: int) -> list[int]:
-    """The ``fields`` signed fields of ``nbytes`` bytes each that make up
-    ``packed``, lowest first.
+def unpack_fields(
+    packs: Iterable[int], nbytes: int, fields: int
+) -> Iterator[list[int]]:
+    """For every int of ``packs``, the ``fields`` signed fields of
+    ``nbytes`` bytes each that make it up, lowest first.
 
     Adding 2^(W - 1) to every field (W = 8 * nbytes) makes all of them
     non-negative, and the bytes of the sum read them back.  Every field
     must lie in [-2^(W - 1), 2^(W - 1)).
     """
     half = 1 << (8 * nbytes - 1)
+    size = nbytes * fields
     offset = int.from_bytes(half.to_bytes(nbytes, "little") * fields, "little")
-    raw = (packed + offset).to_bytes(nbytes * fields, "little")
-    return [
-        int.from_bytes(raw[j : j + nbytes], "little") - half
-        for j in range(0, nbytes * fields, nbytes)
-    ]
+    for packed in packs:
+        raw = (packed + offset).to_bytes(size, "little")
+        yield [
+            int.from_bytes(raw[j : j + nbytes], "little") - half
+            for j in range(0, size, nbytes)
+        ]
 
 
 def _packed_product(
@@ -236,8 +241,8 @@ def _packed_product(
             sums[s] = sums.get(s, 0) + x * y
     out: dict[tuple[int, int], int] = {}
     t0 = ta + tb
-    for s, packed in sums.items():
-        for j, v in enumerate(unpack_fields(packed, nbytes, fields)):
+    for s, row in zip(sums, unpack_fields(sums.values(), nbytes, fields)):
+        for j, v in enumerate(row):
             if v:
                 out[s, t0 + j] = v
     return out

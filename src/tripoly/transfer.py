@@ -76,15 +76,22 @@ length L at step L.  Along every move k − Φ + 2j stays constant, so
 field j of a code is its multiplicity at step k = Φ − 2j − 1; only the
 replay after the sweep uses k.
 
-Field width.  A field counts pairs of a floor state and a move sequence
-from it.  There are at most 2^(n-1) floor states.  A state has at most
-n − 1 moves: an interior point off the roof can only be inserted into
-the segment whose index range holds it, and one on the roof can only be
-merged away.  A sequence has fewer than 2n moves, as each adds a
-triangle of a triangulation of at most n + 1 points.  A payoff sum adds
-at most one field per code, and there are fewer than n · 2^(n-1) codes.
-Every sum thus stays below 2^(2(n-1)) · n · (n − 1)^(2n), which fits in
-2(n − 1) + bitlen(n) + 2n · bitlen(n − 1) bits.
+Field width.  A field of a complete-mode multiplicity is ``data`` bits
+wide plus g bits of headroom above them, g the bit length of
+(n + 1) · 2^(n-1); there are at most n · 2^(n-1) codes.  The guard mask
+holds the headroom bits of every field.  Every code is checked with
+``mult & guard == 0``, all its fields below 2^data, before it is paid
+off or expanded, and only a checked code adds terms.  A sum the sweep
+forms, the moves into one code or the codes of one payoff, has at most
+one term per code plus a floor roof's start, fewer than 2^g terms below
+2^data each, so it fits in its field and no carry crosses into the
+next.  When a check fails, the sweep doubles ``data`` until the
+bucket's largest field fits and repacks the current and pending buckets
+in place: their fields are exact sums, and the terms still to come are
+below the new 2^data.  ``data`` starts at ``_DATA_BITS`` and at least
+doubles at each widening, so a run widens a few times at most.  An
+immediate sweep skips no point: its multiplicities are plain ints, one
+field with no guard.
 
 Three modes share the loop, and one payoff rule: a state pays off when
 ``(bits ^ required) & care`` is 0.
@@ -175,6 +182,8 @@ from .roofs import decode
 
 TraceFn = Callable[[int, dict[int, int], dict[int, int]], None]
 
+_DATA_BITS = 32  # the data bits of a complete-mode field before widening
+
 
 class _Sweep:
     """Bitmask successor machine over a fixed host point sequence."""
@@ -193,7 +202,9 @@ class _Sweep:
         self.shift = n - 1
         self.mask = (1 << (n - 1)) - 1
         self.immediate = immediate
-        self.width = 2 * (n - 1) + n.bit_length() + 2 * n * (n - 1).bit_length()
+        # the headroom bits of a complete-mode field; 2^headroom exceeds
+        # the number of terms of any sum the sweep forms (Field width)
+        self.headroom = ((n + 1) << (n - 1)).bit_length()
         size = n + 1
         # a move is the code it reaches plus e << skip_shift, e being the
         # points it skips; codes stay below 1 << skip_shift
@@ -352,12 +363,17 @@ class _Sweep:
         d = (bits & self.low[m]).bit_count() + 1 if m else 0
         return d << self.shift | bits
 
-    def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
+    def payoff(
+        self, vec: Mapping[int, int], guard: int = 0
+    ) -> dict[int, int] | None:
         """Roof length -> summed multiplicity of the states that pay off:
-        those whose bits match the ceiling, every state without one."""
+        those whose bits match the ceiling, every state without one.
+        None when a multiplicity has a bit of ``guard`` set."""
         out: dict[int, int] = {}
         mask, need, care = self.mask, self.required, self.care
         for code, mult in vec.items():
+            if guard and mult & guard:  # an immediate sweep has no guard
+                return None
             bits = code & mask
             if (bits ^ need) & care:
                 continue
@@ -367,7 +383,12 @@ class _Sweep:
 
 
 def _fields(packed: int, width: int) -> Iterator[tuple[int, int]]:
-    """(j, value) of the non-zero fields of a packed multiplicity."""
+    """(j, value) of the non-zero fields of a packed multiplicity; one
+    field when the width is 0."""
+    if not width:
+        if packed:
+            yield 0, packed
+        return
     mask = (1 << width) - 1
     j = 0
     while packed:
@@ -376,6 +397,14 @@ def _fields(packed: int, width: int) -> Iterator[tuple[int, int]]:
             yield j, value
         packed >>= width
         j += 1
+
+
+def _layout(data: int, headroom: int, fields: int) -> tuple[int, int]:
+    """The width of a field of ``data`` bits and ``headroom`` bits above
+    them, and the guard mask of the headroom of ``fields`` fields."""
+    width = data + headroom
+    head = ((1 << headroom) - 1) << data
+    return width, sum(head << width * j for j in range(fields))
 
 
 def _floor_roofs(
@@ -429,15 +458,21 @@ def _run(
     from 1 until the vector empties, that last empty step included.  A
     maximal run traces from its floor roof to its last non-empty vector.
     """
-    width = sweep.width
-    top = 2 * (sweep.n + 1)
+    n = sweep.n
+    # a complete-mode field is data bits plus headroom; the guard flags
+    # the headroom of fields 0 to n - 1, as a run skips at most n - 1 points
+    data = width = guard = 0
+    if not sweep.immediate:
+        data = _DATA_BITS
+        width, guard = _layout(data, sweep.headroom, n)
+    top = 2 * (n + 1)
     limit = top - 2  # the largest potential of a roof
     buckets: list[dict[int, int]] = [{} for _ in range(limit + 2)]
     for bits, skipped in _floor_roofs(sweep.points, floor, sweep.immediate):
         # the roof covers its own points and the floor points it skips
         buckets[bits.bit_count() + 2 + 2 * skipped][bits] = 1 << width * skipped
     paid: dict[tuple[int, int], int] = {}
-    kept: list[tuple[int, dict[int, int]]] = []
+    kept: list[tuple[int, int, dict[int, int]]] = []
     expand = sweep.successors
     shift = sweep.skip_shift
     plain = 1 << shift  # moves below it skip no point
@@ -446,7 +481,7 @@ def _run(
     memo: dict[int, tuple[int, ...]] = {}
     shared: dict = {}  # one object per distinct delta and delta tuple
     low, marker = sweep.low, sweep.shift
-    cut = [0] + [-(1 << (a - 1)) for a in range(1, sweep.n)]
+    cut = [0] + [-(1 << (a - 1)) for a in range(1, n)]
     for phi in range(limit + 2):
         bucket = buckets[phi]
         if not bucket:
@@ -454,7 +489,22 @@ def _run(
         if phi > limit:
             raise AssertionError(f"a roof at potential {phi}, past {limit}")
         buckets[phi] = {}
-        for length, total in sweep.payoff(bucket).items():
+        while (payoffs := sweep.payoff(bucket, guard)) is None:
+            # a field outgrew its data bits: double them until the
+            # bucket's largest field fits, and repack what is not expanded
+            big = max(
+                value.bit_length()
+                for mult in bucket.values()
+                for _, value in _fields(mult, width)
+            )
+            while data < big:
+                data *= 2
+            wide, guard = _layout(data, sweep.headroom, n)
+            for vec in [bucket, *buckets[phi + 1 :]]:
+                for code, mult in vec.items():
+                    vec[code] = sum(v << wide * j for j, v in _fields(mult, width))
+            width = wide
+        for length, total in payoffs.items():
             if sweep.ceiling_bits is not None and phi != top - 1 - length:
                 raise AssertionError(
                     f"ceiling payoff at potential {phi}, not {top - 1 - length}"
@@ -464,7 +514,7 @@ def _run(
                 key = (covered - j, length)
                 paid[key] = paid.get(key, 0) + mult
         if trace is not None:
-            kept.append((phi, bucket))
+            kept.append((phi, width, bucket))
         nxt = buckets[phi + 1]
         get = nxt.get
         for code, mult in bucket.items():
@@ -502,14 +552,15 @@ def _run(
 
 
 def _replay(
-    sweep: _Sweep, kept: Sequence[tuple[int, dict[int, int]]], trace: TraceFn
+    sweep: _Sweep, kept: Sequence[tuple[int, int, dict[int, int]]], trace: TraceFn
 ) -> None:
     """Call ``trace`` with the vector V_k of every step k and its payoffs,
-    the states as :func:`tripoly.roofs.encode` codes."""
+    the states as :func:`tripoly.roofs.encode` codes; each bucket is read
+    at the field width it was paid off with."""
     steps: dict[int, dict[int, int]] = {}
-    for phi, bucket in kept:
+    for phi, width, bucket in kept:
         for code, packed in bucket.items():
-            for j, mult in _fields(packed, sweep.width):
+            for j, mult in _fields(packed, width):
                 steps.setdefault(phi - 2 * j - 1, {})[code] = mult
     # a maximal trace spans its non-empty vectors; the others start at
     # step 1 and end on the first empty one

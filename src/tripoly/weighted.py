@@ -117,7 +117,7 @@ def weighted_complete_poly(weights: Sequence[int]) -> PolyS:
     poly: dict[int, int] = {}
     for s, packed in groups.items():
         low = max((s + 1) // 2, 2)
-        fields = unpack_fields(packed >> (width * low), nbytes, s - low + 1)
+        (fields,) = unpack_fields([packed >> (width * low)], nbytes, s - low + 1)
         poly[s] = sum(map(mul, fields, cats[low - 2 :]))
     return PolyS(poly)
 

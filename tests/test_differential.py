@@ -10,7 +10,11 @@ state by state, with the tuple-based moves of
 each move skips, counted from the decoded roof paths, in immediate mode
 on the states an immediate sweep can meet; the moves of every live state
 must depend only on its memo key.  The memoised sweep is compared with a
-loop that expands every state by ``successors``.
+loop that expands every state by ``successors`` and keeps plain-int
+multiplicities keyed by (code, points skipped), so it shares no field
+packing with the sweep.  Every sweep route must give the same results
+and traced vectors when the complete-mode fields start at 1 or 2 data
+bits and widen many times.
 Realized weighted polygons are compared with the weighted closed form,
 and the closed form's packed three-term recurrence with the Kronecker
 product of the edge polynomials, also where its field width changes by
@@ -49,10 +53,10 @@ from tripoly.planar import (
     region_host,
     upper_hull,
 )
+from tripoly import transfer
 from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
 from tripoly.transfer import (
     _Sweep,
-    _fields,
     _floor_roofs,
     _run,
     complete_config_poly,
@@ -395,29 +399,28 @@ def test_bitmask_moves_match_under_ceiling_runs_and_valleys(pts):
 
 def memo_free_run(sweep, floor):
     """The sweep loop of ``_run`` with ``successors`` called on every
-    code: payoffs keyed by (vertices used, roof length) and the non-empty
-    vectors V_k of :func:`encode` codes."""
-    width, shift = sweep.width, sweep.skip_shift
+    code and plain-int multiplicities keyed by (code, points skipped), so
+    that it shares no field packing with ``_run``: payoffs keyed by
+    (vertices used, roof length) and the non-empty vectors V_k of
+    :func:`encode` codes."""
+    shift = sweep.skip_shift
     buckets = {}
     for bits, skipped in _floor_roofs(sweep.points, floor, sweep.immediate):
         phi = bits.bit_count() + 2 + 2 * skipped
-        buckets.setdefault(phi, {})[bits] = 1 << width * skipped
+        buckets.setdefault(phi, {})[bits, skipped] = 1
     paid, steps = {}, {}
     while buckets:
         phi = min(buckets)
-        bucket = buckets.pop(phi)
-        for length, total in sweep.payoff(bucket).items():
-            for j, mult in _fields(total, width):
+        for (code, j), mult in buckets.pop(phi).items():
+            steps.setdefault(phi - 2 * j - 1, {})[sweep.roof_code(code)] = mult
+            for length, total in sweep.payoff({code: mult}).items():
                 key = ((phi + length + 1) // 2 - j, length)
-                paid[key] = paid.get(key, 0) + mult
-        for code, packed in bucket.items():
-            for j, mult in _fields(packed, width):
-                steps.setdefault(phi - 2 * j - 1, {})[sweep.roof_code(code)] = mult
+                paid[key] = paid.get(key, 0) + total
             for move in sweep.successors(code):
                 e = move >> shift
-                succ = move & ((1 << shift) - 1)
+                succ = (move & ((1 << shift) - 1), j + e)
                 out = buckets.setdefault(phi + 1 + 2 * e, {})
-                out[succ] = out.get(succ, 0) + (packed << width * e)
+                out[succ] = out.get(succ, 0) + mult
     return paid, steps
 
 
@@ -456,6 +459,58 @@ def test_memoised_sweep_matches_a_memo_free_loop(host, floor, ceiling):
         codes += len({code for vec in vectors.values() for code in vec})
     if len(host) > 11:
         assert expanded < codes
+
+
+def widening_runs():
+    """Calls of every sweep route on the generated sets: complete and
+    maximal configurations and regions, ``tm`` edges and near-gons of
+    them, weighted polygons, and the traced vectors of memo hosts."""
+    calls = []
+    for pts in SMALL[::2] + LARGE[:2] + ceiling_runs(6, seed=10):
+        cfg = Configuration(pts)
+        calls += [
+            lambda c=cfg: complete_config_poly(c),
+            lambda c=cfg: max_config_count(c),
+        ]
+        for floor, ceiling in hull_regions(cfg)[:2] + valley_regions(cfg, 2, seed=26):
+            if not flat(cfg, floor, ceiling):
+                for maximal in (False, True):
+                    calls.append(
+                        lambda c=cfg, f=floor, g=ceiling, m=maximal: region_poly(
+                            c, f, g, maximal=m
+                        )
+                    )
+    edges = [edge_poly(NearEdge(pts), "tm") for pts in random_edges(24, seed=27)]
+    calls += [lambda e=e: e.complete for e in edges]
+    calls += [lambda i=i: compose(edges[i : i + 3]) for i in range(0, 24, 3)]
+    calls += [
+        lambda ws=ws: complete_config_poly(weighted_polygon_config(ws))
+        for ws in weight_tuples(4, seed=28)
+    ]
+    for host, floor, ceiling in memo_hosts()[::2]:
+        for mode in ({"ceiling": ceiling}, {}):
+            def traced(host=host, floor=floor, mode=mode):
+                vectors = {}
+                trace = lambda k, vec, w: vectors.update({k: (vec, w)})  # noqa: E731
+                return _run(_Sweep(host, **mode), floor, trace), vectors
+
+            calls.append(traced)
+    return calls
+
+
+@pytest.mark.parametrize("data", [1, 2])
+def test_forced_widening_keeps_every_result(monkeypatch, data):
+    # complete-mode fields starting at 1 or 2 data bits widen in nearly
+    # every run, several times; every result and traced vector must stay
+    widened = []
+    real = transfer._layout
+    calls = widening_runs()
+    want = [call() for call in calls]
+    monkeypatch.setattr(transfer, "_DATA_BITS", data)
+    monkeypatch.setattr(transfer, "_layout", lambda *a: widened.append(a) or real(*a))
+    for call, result in zip(calls, want):
+        assert call() == result
+    assert len(calls) > 150 and sum(d > data for d, _, _ in widened) > 100
 
 
 def weight_tuples(count: int, seed: int) -> list[tuple[int, ...]]:

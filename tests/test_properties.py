@@ -7,13 +7,28 @@ complete sweep derive their moves from the same orient tests, which
 split the points of each collinear row into above, on and below; the
 complete polynomial must match the brute-force oracle, and the maximal
 count must be its leading coefficient.
+
+The four near-edge routes agree wherever they all apply: ``tm`` runs the
+packed edge-mode sweep, in which every code pays off, ``roofs`` sums the
+covering roofs of one immediate sweep per sub-edge, ``convex`` pairs the
+states of a sign profile, and ``auto`` picks one per prime factor.
+``convex`` applies exactly when every prime factor is strictly convex.
 """
 from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
+import pytest
+
+from tripoly.neargon import edge_poly
 from tripoly.oracle import oracle_complete_poly
-from tripoly.planar import Configuration
+from tripoly.planar import (
+    Configuration,
+    NearEdge,
+    convex_profile,
+    factorize,
+    profile_realization,
+)
 from tripoly.transfer import complete_config_poly, max_config_count
 
 HUGE = 10**40
@@ -41,3 +56,33 @@ def test_maximal_count_is_the_leading_coefficient(pts):
     poly = complete_config_poly(cfg)
     assert poly == oracle_complete_poly(cfg)
     assert max_config_count(cfg) == poly.leading()
+
+
+@st.composite
+def near_edges(draw) -> NearEdge:
+    """Near-edges of weight 1-8: strictly convex ones of a sign profile,
+    or heights in [-2, 2] with collinear runs on and off the chord.  A
+    shear keeps the x order and every orientation; some are scaled by
+    10^40."""
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from((1, -1)), max_size=7))
+        pts = profile_realization(signs).points
+    else:
+        heights = draw(st.lists(st.integers(-2, 2), max_size=7))
+        pts = ((0, 0), *enumerate(heights, 1), (len(heights) + 1, 0))
+    k = draw(st.integers(-2, 2))
+    scale = HUGE if draw(st.booleans()) else 1
+    return NearEdge([(x * scale, (y + k * x) * scale) for x, y in pts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_edges())
+def test_edge_routes_agree_wherever_they_apply(edge):
+    want = edge_poly(edge, "tm").complete
+    assert edge_poly(edge, "roofs").complete == want
+    assert edge_poly(edge, "auto").complete == want
+    if all(convex_profile(f) is not None for f in factorize(edge)):
+        assert edge_poly(edge, "convex").complete == want
+    else:
+        with pytest.raises(ValueError, match="not strictly convex"):
+            edge_poly(edge, "convex")
