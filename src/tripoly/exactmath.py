@@ -14,13 +14,14 @@ adds on top:
 * ``PolyST``  -- bivariate in ``(s, t)``.  Edge polynomials are sums of
   terms ``c * s^a * p_j`` over the edge basis ``p_j``; ``PolyST.from_p``
   builds every one of them from its coefficients keyed by ``(a, j)``.
-* ``PolySUW`` -- trivariate state of the convex-edge recursion.
+* ``PolySUW`` -- trivariate in ``(s, u, w)``: a decoded state of the
+  convex-edge recursion, which ``tripoly.neargon`` runs on packed ints.
 
 The central linear functional ``catalan_pair_t`` sends ``t^n`` to the
 Catalan number ``C_{n-2}`` for ``n >= 2`` and annihilates ``1`` and
 ``t``; the other pairings are variable-wise variants of it.
 
-Products are schoolbook, term by term, except between two ``PolyST``,
+Products are term by term, except between two ``PolyST``,
 whose dense ``t`` runs make Kronecker substitution pay: per ``s``
 exponent, the ``t`` coefficients are packed into one int as fields of W
 bits, the packed groups multiply pairwise on CPython's big-int multiply,
@@ -32,7 +33,8 @@ bytes (``packed_bytes``); no field carries into the next and the
 product is exact.  ``tripoly.weighted`` packs its product of complete
 edge bases the same way, but multiplies through the edge basis
 recurrence with shifts instead, and reads it back with the same
-decoder.
+decoder; so does the convex-edge recursion of ``tripoly.neargon``.
+The terms of each ``p_n`` are built once, in ``_edge_basis``.
 """
 from __future__ import annotations
 
@@ -42,6 +44,8 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _CATALAN = [1]
+# term tuples of the edge basis p_n; entry 0 is never read
+_EDGE_BASIS: list[tuple[tuple[int, int], ...]] = [()]
 
 
 def catalan(n: int) -> int:
@@ -52,6 +56,18 @@ def catalan(n: int) -> int:
         m = len(_CATALAN)
         _CATALAN.append(_CATALAN[-1] * 2 * (2 * m - 1) // (m + 1))
     return _CATALAN[n]
+
+
+def _edge_basis(n: int) -> tuple[tuple[int, int], ...]:
+    """Terms (t-exponent, coefficient) of p_n, n >= 1, highest first."""
+    if n < 1:
+        raise ValueError(f"edge weight must be >= 1, got {n}")
+    while len(_EDGE_BASIS) <= n:
+        m = len(_EDGE_BASIS)
+        _EDGE_BASIS.append(
+            tuple((m - k, (-1) ** k * comb(m - k, k)) for k in range(m // 2 + 1))
+        )
+    return _EDGE_BASIS[n]
 
 
 def binomial(n: int, k: int) -> int:
@@ -263,7 +279,7 @@ class PolyST(_Sparse):
         """Sum of c * s^a * p_j over the terms {(a, j): c}, every j >= 1."""
         out: dict[tuple[int, int], int] = {}
         for (a, j), c in coeffs.items():
-            for t, v in maximal_edge_basis(j).c.items():
+            for t, v in _edge_basis(j):
                 out[a, t] = out.get((a, t), 0) + c * v
         return cls(out)
 
@@ -315,9 +331,7 @@ class PolySUW(_Sparse):
 
 def maximal_edge_basis(n: int) -> PolyT:
     """Basis polynomial p_n = sum_k (-1)^k binom(n-k, k) t^(n-k), n >= 1."""
-    if n < 1:
-        raise ValueError(f"edge weight must be >= 1, got {n}")
-    return PolyT({n - k: (-1) ** k * comb(n - k, k) for k in range(n // 2 + 1)})
+    return PolyT(dict(_edge_basis(n)))
 
 
 def complete_edge_basis(n: int) -> PolyST:

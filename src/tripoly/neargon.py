@@ -8,25 +8,32 @@ variable recursion over their sign profile, and everything else falls
 back to the transfer iteration.  The inverse direction recovers an
 unknown edge polynomial from maximal counts and realizes an abstract
 near-gon as an integer configuration.
+
+The convex recursion holds a state as one packed int per power of w, so
+a factor s or u is a shift; realizations map the flattened edges in
+integer complex arithmetic over one common denominator.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from itertools import combinations
+from math import gcd, lcm
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .exactmath import (
     PolyS,
     PolyST,
     PolySUW,
     PolyT,
+    catalan,
     catalan_pair_st,
     catalan_pair_t,
     complete_edge_basis,
     maximal_edge_basis,
     p_basis_coefficients,
-    series_pair_uw,
+    packed_bytes,
     solve_integer_system,
+    unpack_fields,
 )
 from .planar import (
     Configuration,
@@ -36,11 +43,13 @@ from .planar import (
     convex_profile,
     factorize,
     order_type_equivalent,
+    orient,
 )
 from .roofs import sub_edges
 from .transfer import complete_edge_poly_tm, covering_roof_counts
 
-# unused here; bench/tracer.py patches both names in this namespace
+# unused here; bench/tracer.py patches these names in this namespace
+from .exactmath import series_pair_uw  # noqa: F401
 from .roofs import covering_roofs  # noqa: F401
 from .transfer import max_region_count_points  # noqa: F401
 
@@ -131,6 +140,54 @@ def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
     return EdgePolynomial(edge.weight, PolyST.from_p(out))
 
 
+def _pair_w(r: list[int]) -> int:
+    """Pair a packed state against sum_n C_n w^n."""
+    return sum(map(mul, r, map(catalan, range(len(r)))))
+
+
+def _convex_run(
+    profile: Sequence[int], complete: bool, width: int, stride: int
+) -> Iterator[list[int]]:
+    """Packed states of the convex-edge recursion, the seed first.
+
+    A state is a list over the powers of w whose entry packs the
+    coefficients of s^a u^j in the ``width``-bit field j * stride + a;
+    in maximal mode s stays at 0.  Width 0 runs it at s = u = 1.
+    """
+    ds = width if complete else 0
+    su = ds + width * stride
+    r = [1 << su]
+    yield r
+    for eps in profile:
+        if eps == 1:  # times s^σ u w, plus 1 in complete mode
+            up = [0, *(v << su for v in r)]
+            r = list(map(add, up, [*r, 0])) if complete else up
+        elif eps == -1:  # times s^σ w, plus the w-paired state times s^σ u
+            r = [_pair_w(r) << su, *(v << ds for v in r)]
+        else:
+            raise ValueError(f"profile entries must be +1 or -1, got {eps}")
+        yield r
+
+
+def _convex_packed(
+    profile: Sequence[int], mode: str
+) -> tuple[Iterator[list[int]], int, int]:
+    """The packed states, their bytes per field and fields per power of u.
+
+    Every coefficient is >= 0, so at s = u = 1 each entry of a state, and
+    the w-pairing of the last one, sums the fields it packs.
+    """
+    if mode not in ("complete", "maximal"):
+        raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
+    complete = mode == "complete"
+    top = 0
+    for r in _convex_run(profile, complete, 0, 0):
+        top = max(top, *r)
+    nbytes = packed_bytes(max(top, _pair_w(r)))
+    stride = len(profile) + 2 if complete else 1
+    return _convex_run(profile, complete, 8 * nbytes, stride), nbytes, stride
+
+
 def convex_edge_states(
     profile: Sequence[int], mode: str = "complete"
 ) -> list[PolySUW]:
@@ -142,39 +199,37 @@ def convex_edge_states(
     Catalan pairing in w.  Entry 0 is the seed, entry i the state after
     the i-th sign.
     """
-    if mode == "complete":
-        s = 1
-    elif mode == "maximal":
-        s = 0
-    else:
-        raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
-    r = PolySUW.monomial(s, 1, 0)
-    out = [r]
-    for eps in profile:
-        if eps == 1:
-            step = PolySUW.monomial(s, 1, 1)
-            if mode == "complete":
-                step = step + PolySUW.monomial(0, 0, 0)
-            r = r * step
-        elif eps == -1:
-            r = r * PolySUW.monomial(s, 0, 1) + r.pair_w() * PolySUW.monomial(
-                s, 1, 0
-            )
-        else:
-            raise ValueError(f"profile entries must be +1 or -1, got {eps}")
-        out.append(r)
-    return out
+    states, nbytes, stride = _convex_packed(profile, mode)
+    fields = stride * (len(profile) + 2)
+    return [
+        PolySUW({
+            (f % stride, f // stride, w): v
+            for w, row in enumerate(unpack_fields(r, nbytes, fields))
+            for f, v in enumerate(row)
+        })
+        for r in states
+    ]
+
+
+def _convex_paired(profile: Sequence[int], mode: str) -> PolyST:
+    """The last state of the recursion paired out in u and w."""
+    states, nbytes, stride = _convex_packed(profile, mode)
+    for r in states:
+        pass
+    (row,) = unpack_fields([_pair_w(r)], nbytes, stride * (len(profile) + 2))
+    return PolyST.from_p(
+        {(f % stride, f // stride): v for f, v in enumerate(row) if v}
+    )
 
 
 def convex_edge_complete(profile: Sequence[int]) -> PolyST:
     """Complete polynomial of the convex edge with the given sign profile."""
-    return series_pair_uw(convex_edge_states(profile, "complete")[-1])
+    return _convex_paired(profile, "complete")
 
 
 def convex_edge_maximal(profile: Sequence[int]) -> PolyT:
     """Maximal polynomial of the convex edge with the given sign profile."""
-    states = convex_edge_states(profile, "maximal")
-    return series_pair_uw(states[-1]).coefficient_s(0)
+    return _convex_paired(profile, "maximal").coefficient_s(0)
 
 
 def _prime_edge_poly(edge: NearEdge, method: str) -> PolyST:
@@ -268,79 +323,89 @@ def recover_edge_poly_from_counts(
     return out
 
 
-_Complex = tuple[Fraction, Fraction]
-
-
-def _c_sub(a: _Complex, b: _Complex) -> _Complex:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _c_add(a: _Complex, b: _Complex) -> _Complex:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _c_mul(a: _Complex, b: _Complex) -> _Complex:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _c_div(a: _Complex, b: _Complex) -> _Complex:
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
 def _realize_at(
-    edges: Sequence[NearEdge],
-    base: Sequence[Point],
-    eps: Fraction,
-) -> Configuration | None:
-    l = len(edges)
-    seen: set[_Complex] = set()
-    out: list[_Complex] = []
+    edges: Sequence[NearEdge], base: Sequence[Point], m: int
+) -> list[list[Point]] | None:
+    """Per edge, the images of its points with every height scaled by
+    2^-m; None if two points merge.  With Q = 2^m * q and
+    F = 2^m * (last point), edge i sends q to
+    (d * conj(F) * Q + |F|^2 * b_i) / |F|^2 in complex numbers, on the
+    side d = b_(i+1) - b_i.  The images are kept over M = lcm(|F|^2) and
+    divided by gcd(M, every coordinate).
+    """
+    sides = []
     for i, edge in enumerate(edges):
-        flat = [
-            (Fraction(x), eps * y)
-            for x, y in edge.translate_to_origin().points
-        ]
-        dst0: _Complex = (Fraction(base[i][0]), Fraction(base[i][1]))
-        nxt = base[(i + 1) % l]
-        dst1: _Complex = (Fraction(nxt[0]), Fraction(nxt[1]))
-        a = _c_div(_c_sub(dst1, dst0), flat[-1])
-        for q in flat:
-            img = _c_add(_c_mul(a, q), dst0)
-            if img not in seen:
-                seen.add(img)
-                out.append(img)
+        x0, y0 = edge.points[0]
+        flat = [((x - x0) << m, y - y0) for x, y in edge.points]
+        fx, fy = flat[-1]
+        (bx, by), (nx, ny) = base[i], base[(i + 1) % len(base)]
+        dx, dy = nx - bx, ny - by
+        norm = fx * fx + fy * fy
+        sides.append((flat, dx * fx + dy * fy, dy * fx - dx * fy, norm, bx, by))
+    big = lcm(*(side[3] for side in sides))
+    images = []
+    for flat, gx, gy, norm, bx, by in sides:
+        k = big // norm
+        gx, gy, bx, by = gx * k, gy * k, bx * big, by * big
+        images.append([(gx * x - gy * y + bx, gx * y + gy * x + by) for x, y in flat])
+    out = set().union(*images)
     if len(out) != sum(e.weight for e in edges):
         return None
-    denom = lcm(*(c.denominator for p in out for c in p))
-    return Configuration(
-        (int(p[0] * denom), int(p[1] * denom)) for p in out
+    g = gcd(big, *(c for p in out for c in p))
+    return [[(x // g, y // g) for x, y in imgs] for imgs in images]
+
+
+def _turns_as_limit(
+    edges: Sequence[NearEdge], base: Sequence[Point], images: list[list[Point]]
+) -> bool:
+    """Whether every triple not on one closed edge turns as its limit,
+    where point (x, y) of edge i tends to b_i + (x - x_0) / (x_L - x_0) * d_i.
+    A triple on one edge keeps its turn at any height scale."""
+    span = lcm(*(e.points[-1][0] - e.points[0][0] for e in edges))
+    tags: dict[Point, tuple[Point, int]] = {}
+    for i, (edge, imgs) in enumerate(zip(edges, images)):
+        x0 = edge.points[0][0]
+        k = span // (edge.points[-1][0] - x0)
+        (bx, by), (nx, ny) = base[i], base[(i + 1) % len(base)]
+        for (x, _), p in zip(edge.points, imgs):
+            lam = (x - x0) * k
+            lim = (span * bx + lam * (nx - bx), span * by + lam * (ny - by))
+            tags[p] = (lim, tags.get(p, (lim, 0))[1] | 1 << i)
+    triples = combinations(tags.items(), 3)
+    return all(
+        ea & eb & ec or orient(p, q, r) == orient(lp, lq, lr)
+        for (p, (lp, ea)), (q, (lq, eb)), (r, (lr, ec)) in triples
     )
 
 
 def realize(gon: NearGon | Sequence[NearEdge]) -> Configuration:
     """Integer configuration realizing a near-gon.
 
-    Each edge is flattened toward its chord, mapped onto a side of a
+    Each edge's heights are scaled down, it is mapped onto a side of a
     convex polygon by an orientation-preserving similitude (interior
     points of an edge bulging above the chord end up inside), and the
-    flattening is halved until the order type of the result stops
-    changing.  Two-edge near-gons have no convex carrier polygon and are
-    rejected.
+    scale is halved until the order type stops changing and is that of
+    the limit.  Two-edge near-gons have no convex carrier polygon and
+    are rejected.
     """
     edges = tuple(getattr(gon, "edges", gon))
     if len(edges) < 3:
         raise ValueError("realization needs at least three edges")
     base = convex_polygon_points(len(edges))
-    prev: Configuration | None = None
+    prev = None
     for m in range(1, PRECISION_STEPS + 1):
-        cfg = _realize_at(edges, base, Fraction(1, 2**m))
-        if cfg is None:
+        images = _realize_at(edges, base, m)
+        if images is None:
             prev = None
             continue
-        if prev is not None and order_type_equivalent(prev.points, cfg.points):
-            return prev
-        prev = cfg
+        cfg = Configuration(set().union(*images))
+        if (
+            prev is not None
+            and order_type_equivalent(prev[0].points, cfg.points)
+            and _turns_as_limit(edges, base, prev[1])
+        ):
+            return prev[0]
+        prev = cfg, images
     raise ValueError(
         f"the realization did not stabilise within {PRECISION_STEPS} halvings"
     )

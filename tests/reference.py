@@ -1,0 +1,88 @@
+"""Plain reference versions of kernels the package runs on packed ints.
+
+* ``schoolbook_convex_states`` -- the convex-edge recursion multiplied
+  out term by term on ``PolySUW`` dicts.
+* ``fraction_realize_at`` -- one flattening of ``realize`` in
+  ``Fraction`` complex arithmetic, scaled by the lcm of the reduced
+  denominators.
+
+Both share nothing with the packed routes but ``PolySUW`` and
+``Configuration``.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+from tripoly.exactmath import PolySUW
+from tripoly.planar import Configuration, NearEdge, Point
+
+
+def schoolbook_convex_states(
+    profile: Sequence[int], mode: str = "complete"
+) -> list[PolySUW]:
+    """States of the convex-edge recursion: seed s^σ u, then per sign
+    r * (s^σ u w [+ 1 in complete mode]) for +1 and
+    r * s^σ w + pair_w(r) * s^σ u for -1, σ = 1 in complete mode."""
+    s = {"complete": 1, "maximal": 0}[mode]
+    r = PolySUW.monomial(s, 1, 0)
+    out = [r]
+    for eps in profile:
+        if eps == 1:
+            step = PolySUW.monomial(s, 1, 1)
+            if mode == "complete":
+                step = step + PolySUW.monomial(0, 0, 0)
+            r = r * step
+        else:
+            assert eps == -1, eps
+            r = r * PolySUW.monomial(s, 0, 1) + r.pair_w() * PolySUW.monomial(
+                s, 1, 0
+            )
+        out.append(r)
+    return out
+
+
+Complex = tuple[Fraction, Fraction]
+
+
+def _sub(a: Complex, b: Complex) -> Complex:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _add(a: Complex, b: Complex) -> Complex:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _mul(a: Complex, b: Complex) -> Complex:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _div(a: Complex, b: Complex) -> Complex:
+    d = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+
+def fraction_realize_at(
+    edges: Sequence[NearEdge], base: Sequence[Point], eps: Fraction
+) -> Configuration | None:
+    """Every edge flattened by ``eps`` toward its chord and mapped onto its
+    side of ``base``; None when two images coincide."""
+    l = len(edges)
+    seen: set[Complex] = set()
+    out: list[Complex] = []
+    for i, edge in enumerate(edges):
+        flat = [(Fraction(x), eps * y) for x, y in edge.translate_to_origin().points]
+        dst0: Complex = (Fraction(base[i][0]), Fraction(base[i][1]))
+        nxt = base[(i + 1) % l]
+        dst1: Complex = (Fraction(nxt[0]), Fraction(nxt[1]))
+        a = _div(_sub(dst1, dst0), flat[-1])
+        for q in flat:
+            img = _add(_mul(a, q), dst0)
+            if img not in seen:
+                seen.add(img)
+                out.append(img)
+    if len(out) != sum(e.weight for e in edges):
+        return None
+    denom = lcm(*(c.denominator for p in out for c in p))
+    return Configuration((int(p[0] * denom), int(p[1] * denom)) for p in out)

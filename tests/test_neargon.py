@@ -288,6 +288,17 @@ class TestRealize:
         assert len(cfg) == 3
         assert complete_config_poly(cfg).c == {3: 1}
 
+    def test_waits_for_the_order_type_of_the_limit(self):
+        # the first two flattenings share an order type that is not the
+        # near-gon's: 110 maximal triangulations against 109
+        edges = [
+            NearEdge(((0, 0), (1, 0), (2, 3), (3, 3), (4, 4))),
+            NearEdge(((0, 0), (1, 1), (2, 0), (3, 0), (4, 0))),
+            straight_edge(1),
+        ]
+        want = compose([edge_poly(e) for e in edges], maximal=True)
+        assert max_config_count(realize(edges)) == want == 109
+
     def test_straight_gon_matches_weighted_realization(self):
         cfg = realize([straight_edge(a) for a in (2, 3, 2)])
         assert complete_config_poly(cfg).c == weighted_complete_poly((2, 3, 2)).c

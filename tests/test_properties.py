@@ -13,6 +13,9 @@ packed edge-mode sweep, in which every code pays off, ``roofs`` sums the
 covering roofs of one immediate sweep per sub-edge, ``convex`` pairs the
 states of a sign profile, and ``auto`` picks one per prime factor.
 ``convex`` applies exactly when every prime factor is strictly convex.
+
+A near-gon of such edges, realized as an integer configuration, has as
+many maximal triangulations as its edge polynomials give when composed.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from tripoly.neargon import edge_poly
+from tripoly.neargon import compose, edge_poly, realize
 from tripoly.oracle import oracle_complete_poly
 from tripoly.planar import (
     Configuration,
@@ -59,16 +62,17 @@ def test_maximal_count_is_the_leading_coefficient(pts):
 
 
 @st.composite
-def near_edges(draw) -> NearEdge:
-    """Near-edges of weight 1-8: strictly convex ones of a sign profile,
-    or heights in [-2, 2] with collinear runs on and off the chord.  A
+def near_edges(draw, inner: int = 7) -> NearEdge:
+    """Near-edges of weight 1 to inner + 1: strictly convex ones of a sign
+    profile, or heights in [-2, 2] with collinear runs on and off the
+    chord.  A
     shear keeps the x order and every orientation; some are scaled by
     10^40."""
     if draw(st.booleans()):
-        signs = draw(st.lists(st.sampled_from((1, -1)), max_size=7))
+        signs = draw(st.lists(st.sampled_from((1, -1)), max_size=inner))
         pts = profile_realization(signs).points
     else:
-        heights = draw(st.lists(st.integers(-2, 2), max_size=7))
+        heights = draw(st.lists(st.integers(-2, 2), max_size=inner))
         pts = ((0, 0), *enumerate(heights, 1), (len(heights) + 1, 0))
     k = draw(st.integers(-2, 2))
     scale = HUGE if draw(st.booleans()) else 1
@@ -86,3 +90,17 @@ def test_edge_routes_agree_wherever_they_apply(edge):
     else:
         with pytest.raises(ValueError, match="not strictly convex"):
             edge_poly(edge, "convex")
+
+
+@st.composite
+def near_gons(draw) -> list[NearEdge]:
+    """3-5 near-edges of the strategy above, 14 points at most in all."""
+    sides = draw(st.integers(3, 5))
+    return draw(st.lists(near_edges(14 // sides - 1), min_size=sides, max_size=sides))
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_gons())
+def test_realized_near_gons_count_as_composed(edges):
+    want = compose([edge_poly(e) for e in edges], maximal=True)
+    assert max_config_count(realize(edges)) == want
