@@ -13,7 +13,8 @@ adds on top:
   triangulations by the number of vertices they use.
 * ``PolyST``  -- bivariate in ``(s, t)``.  Edge polynomials are sums of
   terms ``c * s^a * p_j`` over the edge basis ``p_j``; ``PolyST.from_p``
-  builds every one of them from its coefficients keyed by ``(a, j)``.
+  builds one from its terms ``{(a, j): c}`` and ``PolyST.p_terms``, by
+  the in-place expansion ``_p_expand``, reads them back.
 * ``PolySUW`` -- trivariate in ``(s, u, w)``: a decoded state of the
   convex-edge recursion, which ``tripoly.neargon`` runs on packed ints.
 
@@ -21,26 +22,25 @@ The central linear functional ``catalan_pair_t`` sends ``t^n`` to the
 Catalan number ``C_{n-2}`` for ``n >= 2`` and annihilates ``1`` and
 ``t``; the other pairings are variable-wise variants of it.
 
-Products are term by term, except between two ``PolyST``,
-whose dense ``t`` runs make Kronecker substitution pay: per ``s``
-exponent, the ``t`` coefficients are packed into one int as fields of W
-bits, the packed groups multiply pairwise on CPython's big-int multiply,
-and one ``unpack_fields`` call reads back the sums of every output
-``s`` exponent, building its offset once.
-No product coefficient exceeds ``||a||_1 * ||b||_1`` in absolute value,
-so W is that bound's bit length plus a sign bit, rounded up to whole
-bytes (``packed_bytes``); no field carries into the next and the
-product is exact.  ``tripoly.weighted`` packs its product of complete
-edge bases the same way, but multiplies through the edge basis
-recurrence with shifts instead, and reads it back with the same
-decoder; so does the convex-edge recursion of ``tripoly.neargon``.
-The terms of each ``p_n`` are built once, in ``_edge_basis``.
+Products of these views are term by term.  The paper's main formula,
+the triangulation polynomial of a convex near-gon as the pairing of the
+product of its edge polynomials, has one kernel of its own,
+``pair_edge_product``; a weighted convex polygon is the near-gon whose
+edges are straight.  It takes each factor over the edge basis and keeps,
+per power of s, one int whose signed W-bit fields are the
+t-coefficients, so the factor t of p_j = t (p_(j-1) - p_(j-2)) is a
+shift and no big int multiplies another.  W holds the product over the
+factors of their l1 norms (``edge_product_bound``) plus a sign bit,
+rounded up to whole bytes (``packed_bytes``), so the final fields do not
+carry.  ``unpack_fields`` reads them back for the pairing, as it does
+for the convex-edge recursion of ``tripoly.neargon``.  The terms of
+each ``p_n`` are built once, in ``_edge_basis``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _CATALAN = [1]
@@ -68,6 +68,21 @@ def _edge_basis(n: int) -> tuple[tuple[int, int], ...]:
             tuple((m - k, (-1) ** k * comb(m - k, k)) for k in range(m // 2 + 1))
         )
     return _EDGE_BASIS[n]
+
+
+def _p_expand(row: dict[int, int]) -> dict[int, int]:
+    """The coefficients {j: c} of the t-polynomial ``row`` over the edge
+    basis, with p_0 = 1, top degree first.  ``row`` is emptied in place."""
+    out: dict[int, int] = {}
+    for j in range(max(row, default=0), 0, -1):
+        c = row.pop(j, 0)
+        if c:
+            out[j] = c
+            for t, v in _edge_basis(j)[1:]:
+                row[t] = row.get(t, 0) - c * v
+    if row.get(0):
+        out[0] = row.pop(0)
+    return out
 
 
 def binomial(n: int, k: int) -> int:
@@ -192,17 +207,6 @@ class PolyS(_Sparse):
         return (e, self.c[e])
 
 
-def _pack_by_s(
-    c: Mapping[tuple[int, int], int], t0: int, width: int
-) -> dict[int, int]:
-    """Per s exponent, the t-coefficients packed as one int whose field j
-    (``width`` bits wide, signed) holds the coefficient of t^(t0 + j)."""
-    out: dict[int, int] = {}
-    for (s, t), v in c.items():
-        out[s] = out.get(s, 0) + (v << (width * (t - t0)))
-    return out
-
-
 def packed_bytes(bound: int) -> int:
     """Bytes per field that hold every value of absolute value at most
     ``bound``: its bit length plus a sign bit, rounded up."""
@@ -230,40 +234,6 @@ def unpack_fields(
         ]
 
 
-def _packed_product(
-    a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    """Exact product of two (s, t) coefficient dicts by Kronecker packing.
-
-    Every coefficient of the product is bounded by |c| <= ||a||_1 ||b||_1,
-    so fields of that many bits plus a sign bit, rounded up to bytes,
-    never carry into each other.  Products of packed groups are summed
-    per output s exponent and read back by ``unpack_fields``.
-    """
-    if not a or not b:
-        return {}
-    bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
-    nbytes = packed_bytes(bound)
-    width = 8 * nbytes
-    ta = min(t for _, t in a)
-    tb = min(t for _, t in b)
-    fields = max(t for _, t in a) - ta + max(t for _, t in b) - tb + 1
-    pa = _pack_by_s(a, ta, width)
-    pb = _pack_by_s(b, tb, width)
-    sums: dict[int, int] = {}
-    for s1, x in pa.items():
-        for s2, y in pb.items():
-            s = s1 + s2
-            sums[s] = sums.get(s, 0) + x * y
-    out: dict[tuple[int, int], int] = {}
-    t0 = ta + tb
-    for s, row in zip(sums, unpack_fields(sums.values(), nbytes, fields)):
-        for j, v in enumerate(row):
-            if v:
-                out[s, t0 + j] = v
-    return out
-
-
 class PolyST(_Sparse):
     """Sparse integer polynomial in (s, t)."""
 
@@ -283,10 +253,22 @@ class PolyST(_Sparse):
                 out[a, t] = out.get((a, t), 0) + c * v
         return cls(out)
 
+    def p_terms(self) -> dict[tuple[int, int], int]:
+        """The terms {(a, j): c} of this polynomial over s^a * p_j, p_0 = 1;
+        the inverse of ``from_p``."""
+        rows: dict[int, dict[int, int]] = {}
+        for (a, t), v in self.c.items():
+            rows.setdefault(a, {})[t] = v
+        return {
+            (a, j): c for a, row in rows.items() for j, c in _p_expand(row).items()
+        }
+
     def coefficient_s(self, a: int) -> PolyT:
         return PolyT({t: v for (s, t), v in self.c.items() if s == a})
 
-    _product = staticmethod(_packed_product)
+    @staticmethod
+    def _add_exp(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     @staticmethod
     def _order(key: tuple[int, int]) -> tuple[int, int]:
@@ -339,6 +321,64 @@ def complete_edge_basis(n: int) -> PolyST:
     if n < 1:
         raise ValueError(f"edge weight must be >= 1, got {n}")
     return PolyST.from_p({(k, k): comb(n - 1, k - 1) for k in range(1, n + 1)})
+
+
+def edge_product_bound(factors: Sequence[Mapping[tuple[int, int], int]]) -> int:
+    """Product over the factors of sum |c| * ||p_j||_1 over their terms
+    {(a, j): c}, which bounds every coefficient of their product; the
+    alternating binomials of p_j sum to ||p_j||_1 = F_(j+1) in absolute
+    value."""
+    norms = [1, 1]  # ||p_0||_1, ||p_1||_1
+    bound = 1
+    for terms in factors:
+        top = max((j for _, j in terms), default=0)
+        while len(norms) <= top:
+            norms.append(norms[-1] + norms[-2])
+        bound *= sum(abs(c) * norms[j] for (_, j), c in terms.items())
+    return bound
+
+
+def pair_edge_product(factors: Sequence[Mapping[tuple[int, int], int]]) -> PolyS:
+    """Pair t out of the product of the factors, each given by its terms
+    {(a, j): c} over s^a * p_j, with p_0 = 1.
+
+    Per power of s the product is one int whose signed W-bit fields are
+    its t-coefficients, its value at t = 2^W.  Every p_j comes from
+    p_j = t (p_(j-1) - p_(j-2)), p_(-1) = 0, where a factor t is a W-bit
+    shift, so no big int multiplies another.  W fits the bound of
+    ``edge_product_bound``.  A term raises t - s by at most j - a and
+    2t - s by at least j - a, which fixes the fields each power of s
+    reads when it is paired against the Catalan numbers.
+    """
+    nbytes = packed_bytes(edge_product_bound(factors))
+    width = 8 * nbytes
+    groups = [1]  # groups[s]: coefficient of s^s at t = 2^width
+    top = rise = fall = 0  # t-degree, most and least t - s
+    for terms in factors:
+        if not terms:
+            return PolyS()
+        ordered = sorted((j, a, c) for (a, j), c in terms.items())
+        out = [0] * (len(groups) + max(a for a, _ in terms))
+        for s0, x in enumerate(groups):
+            if x:
+                at, before, now = 0, 0, x  # now = x * p_at
+                for j, a, c in ordered:
+                    while at < j:
+                        at, before, now = at + 1, now, (now - before) << width
+                    out[s0 + a] += c * now
+        groups = out
+        top += ordered[-1][0]
+        rise += max(j - a for a, j in terms)
+        fall += min(j - a for a, j in terms)
+    cats = [0, 0, *map(catalan, range(top - 1))]  # t^n pairs to cats[n]
+    poly: dict[int, int] = {}
+    for s, x in enumerate(groups):
+        if x:
+            low = max((s + fall + 1) // 2, 0)  # the fields below are 0
+            high = min(s + rise, top)
+            (fields,) = unpack_fields([x >> (width * low)], nbytes, high - low + 1)
+            poly[s] = sum(map(mul, fields, cats[low:]))
+    return PolyS(poly)
 
 
 def catalan_pair_t(q: PolyT) -> int:
@@ -425,14 +465,8 @@ def hankel_recover(values: Sequence[int], alpha: int, d: int) -> PolyT:
 
 
 def p_basis_coefficients(q: PolyT) -> dict[int, int]:
-    """Express q as sum c_j p_j; fails if q is not in the span."""
-    rest = PolyT(q.c)
-    out: dict[int, int] = {}
-    while rest:
-        j = rest.degree()
-        if j < 1:
-            raise ValueError("polynomial is not a combination of the edge basis")
-        cj = rest.coeff(j)
-        out[j] = cj
-        rest = rest - cj * maximal_edge_basis(j)
-    return {j: c for j, c in sorted(out.items()) if c}
+    """Express q as sum c_j p_j over j >= 1; fails if q is not in their span."""
+    out = _p_expand(dict(q.c))
+    if 0 in out:
+        raise ValueError("polynomial is not a combination of the edge basis")
+    return dict(sorted(out.items()))

@@ -26,12 +26,12 @@ from .exactmath import (
     PolySUW,
     PolyT,
     catalan,
-    catalan_pair_st,
     catalan_pair_t,
     complete_edge_basis,
     maximal_edge_basis,
     p_basis_coefficients,
     packed_bytes,
+    pair_edge_product,
     solve_integer_system,
     unpack_fields,
 )
@@ -49,7 +49,7 @@ from .roofs import sub_edges
 from .transfer import complete_edge_poly_tm, covering_roof_counts
 
 # unused here; bench/tracer.py patches these names in this namespace
-from .exactmath import series_pair_uw  # noqa: F401
+from .exactmath import catalan_pair_st, series_pair_uw  # noqa: F401
 from .roofs import covering_roofs  # noqa: F401
 from .transfer import max_region_count_points  # noqa: F401
 
@@ -73,7 +73,7 @@ class EdgePolynomial:
         return self.length == other.length and self.complete == other.complete
 
     def __hash__(self) -> int:
-        return hash((self.length, self.complete))
+        return hash((self.length, frozenset(self.complete.c.items())))
 
     def __repr__(self) -> str:
         return f"EdgePolynomial(length={self.length!r}, complete={self.complete!r})"
@@ -272,19 +272,15 @@ def compose(
 
     Complete polynomials multiply and pair to the triangulation
     polynomial of the near-gon; with maximal=True only the top slices
-    multiply, giving the number of maximal triangulations.
+    multiply, giving the number of maximal triangulations.  Both expand
+    over the edge basis and run ``pair_edge_product``.
     """
     if len(polys) < 2:
         raise ValueError("a near-gon needs at least two edges")
     if maximal:
-        prod = PolyT({0: 1})
-        for ep in polys:
-            prod = prod * ep.maximal
-        return catalan_pair_t(prod)
-    prod = PolyST({(0, 0): 1})
-    for ep in polys:
-        prod = prod * ep.complete
-    return catalan_pair_st(prod)
+        tops = [PolyST.from_t(ep.maximal) for ep in polys]
+        return pair_edge_product([top.p_terms() for top in tops]).coeff(0)
+    return pair_edge_product([ep.complete.p_terms() for ep in polys])
 
 
 def recover_edge_poly_from_counts(

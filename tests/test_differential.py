@@ -16,7 +16,7 @@ packing with the sweep.  Every sweep route must give the same results
 and traced vectors when the complete-mode fields start at 1 or 2 data
 bits and widen many times.
 Realized weighted polygons are compared with the weighted closed form,
-and the closed form's packed three-term recurrence with the Kronecker
+and the closed form's packed three-term recurrence with the schoolbook
 product of the edge polynomials, also where its field width changes by
 a byte.
 The covering-roofs route of a near-edge is compared with the transfer
@@ -37,7 +37,7 @@ import random
 
 import pytest
 
-from tripoly.exactmath import complete_edge_basis
+from tripoly.exactmath import PolyST, catalan_pair_st, complete_edge_basis
 from tripoly.neargon import compose, covering_roof_edge_poly, edge_poly
 from tripoly.oracle import _count_fillings, oracle_complete_poly, oracle_region_poly
 from tripoly.planar import (
@@ -66,11 +66,7 @@ from tripoly.transfer import (
     max_region_count_points,
     region_poly,
 )
-from tripoly.weighted import (
-    straight_edge,
-    weighted_complete_poly,
-    weighted_polygon_config,
-)
+from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
 
 from corpus import (
     COLUMNS11,
@@ -533,11 +529,14 @@ def test_weighted_polygons_match_the_closed_form(ws):
     assert complete_config_poly(cfg).c == weighted_complete_poly(ws).c
 
 
-def kronecker_poly(ws):
+def schoolbook_poly(ws):
     """The weighted polygon's polynomial as a near-gon of straight edges:
-    the ``PolyST`` product of the edge polynomials, paired by
-    ``catalan_pair_st``."""
-    return compose([edge_poly(straight_edge(a)) for a in ws])
+    the schoolbook ``PolyST`` product of the complete edge bases, paired
+    by ``catalan_pair_st``.  It shares no code with the packed kernel."""
+    prod = PolyST({(0, 0): 1})
+    for a in ws:
+        prod = prod * complete_edge_basis(a)
+    return catalan_pair_st(prod)
 
 
 def weight_multisets(count: int, seed: int, top: int = 25):
@@ -557,9 +556,9 @@ def bound_bits(ws) -> int:
     return bound.bit_length()
 
 
-def test_weighted_recurrence_matches_the_kronecker_product():
+def test_weighted_recurrence_matches_the_schoolbook_product():
     for ws in weight_multisets(180, seed=14):
-        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
+        assert weighted_complete_poly(ws) == schoolbook_poly(ws), ws
 
 
 def test_weighted_recurrence_with_unit_and_two_sides():
@@ -567,7 +566,7 @@ def test_weighted_recurrence_with_unit_and_two_sides():
     for i, ws in enumerate(weight_multisets(20, seed=15, top=12)):
         cases.append(ws + (1 + i % 2,))
     for ws in cases:
-        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
+        assert weighted_complete_poly(ws) == schoolbook_poly(ws), ws
 
 
 def test_weighted_recurrence_on_both_sides_of_a_byte_edge():
@@ -581,7 +580,7 @@ def test_weighted_recurrence_on_both_sides_of_a_byte_edge():
             side.append(ws)
     assert len(below) == len(above) == 10
     for ws in below + above:
-        assert weighted_complete_poly(ws) == kronecker_poly(ws), ws
+        assert weighted_complete_poly(ws) == schoolbook_poly(ws), ws
 
 
 def random_edges(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:

@@ -302,6 +302,20 @@ class TestFromP:
                 for a in sorted({a for a, _ in terms})
             }
 
+    def test_p_terms_inverts_it(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            terms = {
+                (rng.randrange(6), rng.randint(1, 12)):
+                rng.choice((-1, 1)) * rng.randint(1, 10**20)
+                for _ in range(rng.randint(0, 6))
+            }
+            assert PolyST.from_p(terms).p_terms() == terms
+        # a constant term is c * p_0
+        assert PolyST({(2, 0): 5, (2, 2): 1, (0, 1): -1}).p_terms() == {
+            (2, 2): 1, (2, 1): 1, (2, 0): 5, (0, 1): -1,
+        }
+
     def test_shared_keys_accumulate(self):
         p = PolyST.from_p({(1, 2): 3, (1, 1): 5, (0, 2): -1})
         assert p.c == {(1, 2): 3, (1, 1): 2, (0, 2): -1, (0, 1): 1}

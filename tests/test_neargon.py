@@ -1,11 +1,14 @@
 """Near-edges and near-gons: edge polynomials, gluing, recovery, realization."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tripoly.exactmath import (
     PolyST,
     PolyT,
+    catalan_pair_st,
     catalan_pair_t,
     complete_edge_basis,
     maximal_edge_basis,
@@ -72,6 +75,13 @@ class TestEdgePolynomial:
         assert ep == EdgePolynomial(5, ep.complete)
         assert ep != EdgePolynomial(4, ep.complete)
         assert ep != (5, ep.complete)
+
+    def test_hash(self):
+        ep = edge_poly(NearEdge(EDGE_C))
+        twin = EdgePolynomial(5, PolyST(dict(ep.complete.c)))
+        assert hash(ep) == hash(twin)
+        assert {ep: "c"}[twin] == "c"
+        assert len({ep, twin, EdgePolynomial(4, ep.complete)}) == 2
 
     def test_maximal_of_the_zigzag(self):
         q = edge_poly(NearEdge(EDGE_A)).maximal
@@ -231,6 +241,27 @@ class TestCompose:
     def test_needs_two_polynomials(self):
         with pytest.raises(ValueError, match="two edges"):
             compose([edge_poly(NearEdge(EDGE_A))])
+
+    def test_signed_polynomials_match_the_schoolbook_product(self):
+        # t^0 and t^1 terms expand to p_0 and p_1; both pair to 0, so a
+        # negative field below t^2 must not borrow from the fields above
+        rng = random.Random(17)
+        for i in range(400):
+            polys = []
+            for k in range(rng.randint(2, 4)):
+                length = rng.randint(0, 4)
+                empty = i % 40 == 0 and k == 1
+                terms = {
+                    (rng.randint(0, length), rng.randint(0, 5)):
+                    rng.choice((-1, 1)) * rng.choice((1, 3, 10**30))
+                    for _ in range(0 if empty else rng.randint(1, 6))
+                }
+                polys.append(EdgePolynomial(length, PolyST(terms)))
+            complete, top = PolyST({(0, 0): 1}), PolyT({0: 1})
+            for ep in polys:
+                complete, top = complete * ep.complete, top * ep.maximal
+            assert compose(polys) == catalan_pair_st(complete), polys
+            assert compose(polys, maximal=True) == catalan_pair_t(top), polys
 
 
 class TestRecovery:

@@ -16,6 +16,9 @@ states of a sign profile, and ``auto`` picks one per prime factor.
 
 A near-gon of such edges, realized as an integer configuration, has as
 many maximal triangulations as its edge polynomials give when composed.
+A weighted convex polygon, realized with its side points, sweeps to the
+polynomial and the count that the packed edge-basis product gives; the
+sweep shares no code with that product.
 """
 from __future__ import annotations
 
@@ -33,6 +36,11 @@ from tripoly.planar import (
     profile_realization,
 )
 from tripoly.transfer import complete_config_poly, max_config_count
+from tripoly.weighted import (
+    weighted_complete_poly,
+    weighted_max_count,
+    weighted_polygon_config,
+)
 
 HUGE = 10**40
 
@@ -104,3 +112,13 @@ def near_gons(draw) -> list[NearEdge]:
 def test_realized_near_gons_count_as_composed(edges):
     want = compose([edge_poly(e) for e in edges], maximal=True)
     assert max_config_count(realize(edges)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=3, max_size=6).filter(lambda ws: sum(ws) <= 15)
+)
+def test_realized_weighted_polygons_sweep_to_the_closed_form(ws):
+    cfg = weighted_polygon_config(ws)
+    assert complete_config_poly(cfg) == weighted_complete_poly(ws)
+    assert max_config_count(cfg) == weighted_max_count(ws)

@@ -6,10 +6,9 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from tripoly.exactmath import catalan, complete_edge_basis
+from tripoly.exactmath import catalan, complete_edge_basis, edge_product_bound
 from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import (
-    _basis_norm,
     digon_max_count,
     straight_edge,
     weighted_complete_poly,
@@ -130,7 +129,8 @@ class TestWeightedCompletePoly:
     def test_field_bound_is_the_l1_norm_of_the_complete_basis(self):
         for a in range(1, 31):
             norm = sum(map(abs, complete_edge_basis(a).c.values()))
-            assert _basis_norm(a) == norm, a
+            pbar = {(k, k): comb(a - 1, k - 1) for k in range(1, a + 1)}
+            assert edge_product_bound([pbar]) == norm, a
 
     def test_hands_out_a_fresh_polynomial(self):
         first = weighted_complete_poly((2, 3, 2))
