@@ -106,43 +106,40 @@ Three modes share the loop, and one payoff rule: a state pays off when
 * edge (complete moves, no ceiling): both are 0, so every state pays off
   with its length ``popcount(bits) + 1``.
 
-Dead-end pruning compares bits.  Let the bad bits of a roof be its points
-off the ceiling path plus the ceiling points it needs and lacks: in
-maximal mode every on-ceiling point, in complete mode every ceiling
-corner.  A state matches the ceiling when it has no bad bit.  With c the
-last on-ceiling roof point at or before the walk's position, the frozen
-prefix up to c is dead when it holds a bad bit.  This is exact: the roof
-before c changes only after c is merged away, and a merged point lies
-strictly under the roof from then on, so it is never inserted again and
-the roof can never become the ceiling.  The prefix only grows along the
-walk, so the walk stops at the first dead position.
+Dead-end pruning under a ceiling is one cascade rule.  Let the bad bits
+of a roof be its points off the ceiling path plus the ceiling points it
+needs and lacks: in maximal mode every on-ceiling point, in complete mode
+every ceiling corner.  A state pays off when it has no bad bit.  Nothing
+is inserted left of the marker, and the marker moves left only by
+merging its own roof point, so a roof point at or before the marker
+keeps its left neighbour until it is merged, and merges there cascade
+right to left.  A roof needs a change at or before T when T is a bad bit
+or the right end of a segment with a host point strictly above it: that
+point stays uncovered while the segment stands, and a ceiling payoff
+covers every host point.  Every roof point past T up to the marker, and
+T itself when it is a roof point, must then be merged from its current
+left neighbour u.  A point v never is when it lies on the ceiling path,
+as a merged point lies strictly under every later roof, or when no move
+merges v from u; ``fixed[u]`` flags both kinds, and in an immediate
+sweep the moves already exclude e > 0.  ``exposed[x]`` flags y when
+A(x, y) is not empty.  The walk sets ``seen`` at a step from x to y that
+``exposed[x]`` flags or when a bad bit lies before y, and stops before
+the moves whose marker is y when ``seen`` is set and ``fixed[x]`` flags
+y.
+This is exact: no state past such a move pays off.  A traced sweep keeps
+the on-ceiling part of the rule only, so that its vectors are those of
+the frozen-prefix sweep, which drops a roof whose prefix up to an
+on-ceiling point holds a bad bit.
 
-Pruning needs no more in the memo key.  The walk stops after the first
-on-ceiling roof point at or past the lowest bad bit, and the sweep only
-meets codes whose prefix up to a is alive.  If a is on the ceiling, that
-prefix ends at a and holds no bad bit, so the lowest one lies past a.
-If a is off the ceiling, a is a bad bit and no on-ceiling roof point
-lies between the prefix and a, so the walk stops after the first one
-past a.  Either way the stop depends on a and the bits past it alone.
-
-Pruning also drops a state whose roof is stuck behind a vertex that can
-never be merged.  Two tables read off A and B decide it: ``exposed[x]``
-flags y when A(x, y) is not empty, some host point strictly between x
-and y lying strictly above P_x P_y, and ``fixed[u]`` flags v when v lies
-in no B(u, r), no host point P_r with r > v putting P_v strictly below
-the line P_u P_r.  The walk sets ``seen`` at a step from x to y that
-``exposed[x]`` flags, and stops before the moves whose marker is y when
-``seen`` is set and ``fixed[x]`` flags y.  This is exact.  Merges
-cascade right to left, one roof position per merge, and
-nothing is inserted left of the marker, so a roof vertex at or before
-the marker keeps its left neighbour until it is merged.  A move with
-marker y leaves y there with left neighbour x; being fixed from x, y is
-never merged, and every segment up to it is frozen for good.  A host
-point strictly above a frozen segment is never covered, and a ceiling
-payoff covers every host point, so no state past that move pays off.
-``seen`` starts at 0 at a and the tables depend on x and y alone, so the
-stop depends on the memo key.  The rule needs a ceiling; a traced sweep
-skips it, so that its vectors are those of the frozen-prefix sweep.
+Pruning needs no more in the memo key.  ``seen`` depends on the roof
+from a on and on the bad bits before a.  Take a code the sweep meets and
+a roof point v before its marker.  The last walk that moved the marker
+from at or before v to past it checked v and went on, so if a bad bit
+lies before v, v is not fixed and thus off the ceiling.  So a bad bit
+before a occurs only when a is itself bad; then the walk's first step
+sets ``seen`` whatever lies before a, and the stop depends on the key
+alone.  ``successors`` returns no move for a code the sweep never meets,
+one with a bad bit before an on-ceiling roof point at or before a.
 
 No host point other than a segment's two ends lies on a roof segment of
 an immediate sweep.  The floor roof of a maximal run holds every point on
@@ -269,23 +266,24 @@ class _Sweep:
                     1 << (i - 1) for i in range(1, n) if self.points[i] in corners
                 )
             self.care = (self.mask ^ on) | self.required
-        # with no interior point on the ceiling no prefix is ever a dead end
-        self.prune = bool(prune and self.ceiling_bits)
-        # the stuck rule; a traced sweep keeps the frozen-prefix rule only
-        self.stuck = prune and ceiling is not None and not traced
-        if self.stuck:
-            # exposed[x] flags y when a host point between them lies above
-            # x -> y; fixed[x] flags v when no r > v puts P_v below x -> r
-            self.exposed = [
-                sum(1 << (y - 1) for y in range(x + 2, n) if above[x][y])
-                for x in range(n)
-            ]
-            self.fixed = []
-            for x in range(n):
-                merged = 0
-                for r in range(x + 2, size):
-                    merged |= below[x][r]
-                self.fixed.append(self.mask & -(1 << x) & ~merged)
+        # the cascade rule (see the module docstring): exposed[x] flags y
+        # when a host point between them lies above x -> y; fixed[x] flags
+        # the points never merged from x: the on-ceiling ones and, in an
+        # untraced sweep, every v that no move merges from x
+        self.prune = False
+        if prune and ceiling is not None:
+            self.exposed = [0] * n
+            self.fixed = [on] * n
+            if not traced:
+                for x in range(n):
+                    self.exposed[x] = sum(
+                        1 << (y - 1) for y in range(x + 2, n) if above[x][y]
+                    )
+                    for v in range(x + 1, n):
+                        start = (x * size + v) * size
+                        if not any(self._merge[start + v + 1 : start + size]):
+                            self.fixed[x] |= 1 << (v - 1)
+            self.prune = any(self.fixed)
 
     # -- moves ---------------------------------------------------------------
 
@@ -296,10 +294,9 @@ class _Sweep:
         With m the marker's roof point and a the roof point before it,
         inserting q into a segment (x, y) at or past (m, ...) gives
         marker x; merging the middle point of a wedge (x, y, z) with x at
-        or past a gives marker x.  With pruning, the walk stops at the
-        first roof point whose frozen prefix is a dead end, or that can
-        never be merged from its left neighbour once a segment walked
-        from a has a host point above it.
+        or past a gives marker x.  With pruning, the walk stops before
+        the moves whose marker is a roof point that must be merged from
+        its left neighbour but never is (the cascade rule).
         """
         n = self.n
         size = n + 1
@@ -315,23 +312,18 @@ class _Sweep:
         b = lowb.bit_length() if lowb else n
         head = code + ((a - m) << shift)  # this roof with marker a
         insert = not m  # (a, m) lies before the marker
-        watch = 0  # the roof bit past which the frozen prefix is dead
-        if self.prune:
-            on = self.ceiling_bits
+        prune = self.prune
+        if prune:
             # roof points off the ceiling path, and the ceiling points a
             # ceiling roof needs that this one lacks
             bad = (bits ^ self.required) & self.care
-            # the frozen prefix ends at the last on-ceiling roof point at
-            # or before a, or at P_0 when there is none
-            last = (bits & on & ((1 << a) - 1)).bit_length()
+            # a code the sweep never meets: a bad bit lies before the last
+            # on-ceiling roof point at or before a
+            last = (bits & self.ceiling_bits & ((1 << a) - 1)).bit_length()
             if bad & ((1 << last) - 1):
                 return out
-            watch = bits & on & -(bad & -bad)
-            watch &= -watch
-        stuck = self.stuck
-        if stuck:
             exposed, fixed = self.exposed, self.fixed
-            seen = 0  # a point lies above a segment walked from a on
+            seen = 0  # a change is needed before the walk's next point
         while True:
             if insert:
                 for move in ins[a * size + b]:
@@ -344,10 +336,8 @@ class _Sweep:
             move = merge[(a * size + b) * size + c]
             if move:
                 out.append(head ^ move)
-            if lowb & watch:
-                break
-            if stuck:
-                seen |= exposed[a] & lowb
+            if prune:
+                seen |= exposed[a] & lowb | bad & (lowb - 1)
                 if seen and fixed[a] & lowb:
                     break
             head += (b - a) << shift

@@ -6,6 +6,8 @@ the edge basis builders to keep the tables readable.
 """
 from __future__ import annotations
 
+import random
+
 from tripoly import PolyST, PolyT, maximal_edge_basis
 from tripoly.cli import (  # the pinned examples of `selftest`
     EDGE_A,
@@ -20,7 +22,14 @@ from tripoly.cli import (  # the pinned examples of `selftest`
     SQUEEZE_FLOOR,
     TRIANGLE_POLY,
 )
-from tripoly.planar import NearEdge
+from tripoly.planar import (
+    Configuration,
+    NearEdge,
+    orient,
+    path_corners,
+    point_vs_path,
+    region_host,
+)
 from tripoly.roofs import decode
 from tripoly.weighted import weighted_polygon_config
 
@@ -220,3 +229,36 @@ def sweep_code(sweep, code: int) -> int:
     inverse."""
     roof = decode(code, sweep.n)
     return roof.indices[roof.d] << sweep.shift | code & sweep.mask
+
+
+def valley_regions(
+    cfg: Configuration, count: int, seed: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Regions above the lower hull under random ceilings through points
+    strictly above it, each with a valley corner, where the sweep can
+    merge a ceiling point away."""
+    rng = random.Random(seed)
+    pts = cfg.points
+    index = {p: i for i, p in enumerate(pts)}
+    lower = cfg.lower_boundary()
+    floor = tuple(index[p] for p in lower)
+    inner = [i for i in range(1, len(pts) - 1) if point_vs_path(pts[i], lower) > 0]
+    out = []
+    for _ in range(40):
+        if len(out) == count or not inner:
+            break
+        mid = sorted(rng.sample(inner, rng.randint(1, min(4, len(inner)))))
+        ceiling = (0, *mid, len(pts) - 1)
+        path = [pts[i] for i in ceiling]
+        corners = path_corners(path)
+        if any(p[0] >= q[0] for p, q in zip(path, path[1:])) or not any(
+            orient(a, b, c) > 0 for a, b, c in zip(corners, corners[1:], corners[2:])
+        ):
+            continue
+        try:
+            region_host(cfg, floor, ceiling)
+        except ValueError:
+            continue
+        if (floor, ceiling) not in out:
+            out.append((floor, ceiling))
+    return out

@@ -25,8 +25,9 @@ roof.  No traced roof of an immediate sweep, over a near-edge or a
 maximal region, may have a host point inside one of its segments: by
 that rule the route finds covering roofs, and an immediate move that
 skips no point sweeps an empty triangle.  No successor that the pruned
-walk drops may reach a ceiling payoff in the full move DAG.  Traced runs, which keep the frozen-prefix rule only,
-must give the results of untraced ones, and so must the images of a
+walk drops may reach a ceiling payoff in the full move DAG.  Traced
+runs, which keep only the on-ceiling part of the cascade rule, must give
+the results of untraced ones, and so must the images of a
 configuration under the integer symmetries and of a region under the
 mirrors, each of which sweeps in its own order.  The generators are
 seeded, so every run checks the same configurations.
@@ -39,7 +40,12 @@ import pytest
 
 from tripoly.exactmath import PolyST, catalan_pair_st, complete_edge_basis
 from tripoly.neargon import compose, covering_roof_edge_poly, edge_poly
-from tripoly.oracle import _count_fillings, oracle_complete_poly, oracle_region_poly
+from tripoly.oracle import (
+    _count_fillings,
+    oracle_complete_poly,
+    oracle_region_poly,
+    point_in_closed_triangle,
+)
 from tripoly.planar import (
     Configuration,
     NearEdge,
@@ -76,6 +82,7 @@ from corpus import (
     all_codes,
     small_configs,
     sweep_code,
+    valley_regions,
 )
 
 HUGE = 10**40
@@ -173,39 +180,6 @@ def ceiling_runs(count: int, seed: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def valley_regions(
-    cfg: Configuration, count: int, seed: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Regions above the lower hull under random ceilings through points
-    strictly above it, each with a valley corner, where the sweep can
-    merge a ceiling point away."""
-    rng = random.Random(seed)
-    pts = cfg.points
-    index = {p: i for i, p in enumerate(pts)}
-    lower = cfg.lower_boundary()
-    floor = tuple(index[p] for p in lower)
-    inner = [i for i in range(1, len(pts) - 1) if point_vs_path(pts[i], lower) > 0]
-    out = []
-    for _ in range(40):
-        if len(out) == count or not inner:
-            break
-        mid = sorted(rng.sample(inner, rng.randint(1, min(4, len(inner)))))
-        ceiling = (0, *mid, len(pts) - 1)
-        path = [pts[i] for i in ceiling]
-        corners = path_corners(path)
-        if any(p[0] >= q[0] for p, q in zip(path, path[1:])) or not any(
-            orient(a, b, c) > 0 for a, b, c in zip(corners, corners[1:], corners[2:])
-        ):
-            continue
-        try:
-            region_host(cfg, floor, ceiling)
-        except ValueError:
-            continue
-        if (floor, ceiling) not in out:
-            out.append((floor, ceiling))
-    return out
-
-
 MAXIMAL = SMALL + ceiling_runs(12, seed=6)
 MAXIMAL_LARGE = random_sets(3, seed=7, lo=13, hi=15, box=6) + random_sets(
     3, seed=8, lo=13, hi=15, box=40
@@ -292,20 +266,46 @@ def dead_end(points, roof, ceiling, immediate):
     return False
 
 
-def stuck(points, roof, a):
+def stuck(points, roof, a, ceiling, immediate):
     """True when the walk from roof point a stops before the marker of
     ``roof``: at a step (u, v) along its roof points from a to the marker,
-    no host point P_r with r > v puts P_v strictly below the line P_u P_r,
-    so v is never merged, and a host point lies strictly above a segment
-    walked from a up to v, so it is never covered."""
+    v must be merged from u but never is.  v must be merged once a change
+    is needed before it: a host point lies strictly above a segment
+    walked from a up to v, an interior roof point up to u is off the
+    ceiling path, or a host point before v that a ceiling roof needs is
+    off the roof.  v is never merged when it lies on the ceiling path, or
+    when no host point P_r with r > v puts P_v strictly below the line
+    P_u P_r; in immediate mode such an r counts only when the closed
+    triangle (u, v, r) holds no other host point."""
     n = len(points) - 1
     idx = roof.indices
+    on = {i for i in range(1, n) if point_on_path(points[i], ceiling)}
+    need = on if immediate else {
+        i for i in range(1, n) if points[i] in path_corners(ceiling)
+    }
     walk = idx[idx.index(a) : roof.d + 1]
     seen = False
     for u, v in zip(walk, walk[1:]):
         pu, pv = points[u], points[v]
-        seen = seen or any(orient(pu, pv, points[r]) > 0 for r in range(u + 1, v))
-        if seen and all(orient(pu, points[r], pv) >= 0 for r in range(v + 1, n + 1)):
+        seen = (
+            seen
+            or any(orient(pu, pv, points[r]) > 0 for r in range(u + 1, v))
+            or any(0 < i <= u and i not in on for i in idx)
+            or any(i < v and i not in idx for i in need)
+        )
+        merged = any(
+            orient(pu, points[r], pv) < 0
+            and not (
+                immediate
+                and any(
+                    q not in (u, v, r)
+                    and point_in_closed_triangle(points[q], pu, pv, points[r])
+                    for q in range(n + 1)
+                )
+            )
+            for r in range(v + 1, n + 1)
+        )
+        if seen and (v in on or not merged):
             return True
     return False
 
@@ -323,7 +323,7 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
     for r in successors(points, roof, immediate=immediate):
         if prune and dead_end(points, r, ceiling, immediate):
             continue
-        if prune and ceiling is not None and stuck(points, r, a):
+        if prune and ceiling is not None and stuck(points, r, a, ceiling, immediate):
             continue
         moved = set(roof.indices) ^ set(r.indices)
         out.append((encode(r, n), len(covered(points, r) - before - moved)))
@@ -701,28 +701,39 @@ def stuck_hosts():
     return out
 
 
-def test_the_stuck_rule_drops_no_live_code():
+def test_the_cascade_rule_drops_no_live_code():
     # the full move DAG, unpruned, marks the codes that can still pay
-    # off; no successor the pruned walk drops may be one of them
+    # off; no successor the pruned walk drops may be one of them.  A
+    # traced walk keeps the on-ceiling part of the rule only
     sweeps = dropped = 0
+    walked = {}  # (immediate, traced) -> codes the pruned walks reach
     for host, floor, ceiling in stuck_hosts():
         for immediate in (True, False):
             mode = {"ceiling": ceiling, "immediate": immediate}
             full = _Sweep(host, **mode)
-            frozen = _Sweep(host, **mode, prune=True, traced=True)
+            traced_sweep = _Sweep(host, **mode, prune=True, traced=True)
             pruned = _Sweep(host, **mode, prune=True)
-            assert pruned.stuck and not frozen.stuck
+            on, n = full.ceiling_bits, full.n
+            assert traced_sweep.exposed == [0] * n and traced_sweep.fixed == [on] * n
+            assert all(fixed & on == on for fixed in pruned.fixed)
             codes = (1 << full.skip_shift) - 1
             reached, live = move_dag(full, floor)
             for code in reached:
                 every = {m & codes for m in full.successors(code)}
-                old = {m & codes for m in frozen.successors(code)}
+                part = {m & codes for m in traced_sweep.successors(code)}
                 new = {m & codes for m in pruned.successors(code)}
-                assert new <= old <= every
+                assert new <= part <= every
                 assert not (every - new) & live, (host, ceiling, immediate, code)
-                dropped += len(old - new)
+                dropped += len(part - new)
+            for traced, sweep in ((False, pruned), (True, traced_sweep)):
+                key = (immediate, traced)
+                walked[key] = walked.get(key, 0) + len(move_dag(sweep, floor)[0])
             sweeps += 1
     assert sweeps > 800 and dropped > 3000
+    # the frozen-prefix and stuck rules that this rule merges reached
+    # 13,475 codes in immediate mode and 23,651 in complete mode
+    assert walked[True, False] < 13_475 and walked[False, False] < 23_651
+    assert walked[True, True] == 14_581 and walked[False, True] == 25_230
 
 
 def traced_hosts():
@@ -741,7 +752,7 @@ def traced_hosts():
 
 @pytest.mark.parametrize("cfg,floor,ceiling", traced_hosts())
 def test_traced_runs_match_untraced_runs(cfg, floor, ceiling):
-    # a traced run keeps the frozen-prefix rule only
+    # a traced run keeps only the on-ceiling part of the cascade rule
     if floor is None:
         runs = [max_config_count, complete_config_poly]
     else:

@@ -8,6 +8,11 @@ split the points of each collinear row into above, on and below; the
 complete polynomial must match the brute-force oracle, and the maximal
 count must be its leading coefficient.
 
+Dead-end pruning drops only states that can never pay off: on sets of
+at most 12 points of a 6x6 grid, some scaled by 10^40, and on regions
+under ceilings with valley corners, pruned and unpruned sweeps agree in
+both modes.
+
 The four near-edge routes agree wherever they all apply: ``tm`` runs the
 packed edge-mode sweep, in which every code pays off, ``roofs`` sums the
 covering roofs of one immediate sweep per sub-edge, ``convex`` pairs the
@@ -35,12 +40,14 @@ from tripoly.planar import (
     factorize,
     profile_realization,
 )
-from tripoly.transfer import complete_config_poly, max_config_count
+from tripoly.transfer import complete_config_poly, max_config_count, region_poly
 from tripoly.weighted import (
     weighted_complete_poly,
     weighted_max_count,
     weighted_polygon_config,
 )
+
+from corpus import valley_regions
 
 HUGE = 10**40
 
@@ -122,3 +129,28 @@ def test_realized_weighted_polygons_sweep_to_the_closed_form(ws):
     cfg = weighted_polygon_config(ws)
     assert complete_config_poly(cfg) == weighted_complete_poly(ws)
     assert max_config_count(cfg) == weighted_max_count(ws)
+
+
+@st.composite
+def grid_sets(draw) -> tuple[tuple[int, int], ...]:
+    """4-12 points of a 6x6 grid, not all collinear; some scaled by
+    10^40."""
+    pts = draw(
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=4, max_size=12)
+    )
+    assume(not Configuration(pts).all_collinear())
+    scale = HUGE if draw(st.booleans()) else 1
+    return tuple((x * scale, y * scale) for x, y in sorted(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_sets(), st.integers(0, 2**16))
+def test_pruned_sweeps_match_unpruned_ones(pts, seed):
+    cfg = Configuration(pts)
+    assert complete_config_poly(cfg) == complete_config_poly(cfg, prune=False)
+    assert max_config_count(cfg) == max_config_count(cfg, prune=False)
+    for floor, ceiling in valley_regions(cfg, 2, seed):
+        for maximal in (False, True):
+            assert region_poly(cfg, floor, ceiling, maximal=maximal) == region_poly(
+                cfg, floor, ceiling, maximal=maximal, prune=False
+            )
