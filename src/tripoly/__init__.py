@@ -1,138 +1,9 @@
-"""Exact triangulation polynomials of planar point configurations."""
+"""Exact triangulation polynomials of planar point configurations.
+
+Import each name from the module that defines it (``tripoly.planar``,
+``tripoly.transfer``, ``tripoly.neargon``, ...); the package root loads
+no submodule.
+"""
 from __future__ import annotations
 
 __version__ = "0.1.0"
-
-from .exactmath import (
-    PolyS,
-    PolyST,
-    PolySUW,
-    PolyT,
-    binomial,
-    catalan,
-    catalan_pair_st,
-    catalan_pair_t,
-    complete_edge_basis,
-    hankel_recover,
-    maximal_edge_basis,
-    p_basis_coefficients,
-    series_pair_uw,
-    solve_integer_system,
-)
-from .planar import (
-    Configuration,
-    NearEdge,
-    Point,
-    convex_profile,
-    extremal_points,
-    factorize,
-    load_points,
-    lower_hull,
-    on_segment,
-    order_type_equivalent,
-    orient,
-    parse_points,
-    profile_realization,
-    sweep_key,
-    upper_hull,
-    vertical_mirror,
-)
-from .roofs import (
-    DecoratedRoof,
-    covering_roofs,
-    decode,
-    encode,
-    is_covering,
-    sub_edges,
-    successors,
-)
-from .transfer import (
-    complete_config_poly,
-    complete_edge_poly_tm,
-    max_config_count,
-    max_region_count_points,
-    region_poly,
-    render_vector,
-)
-from .weighted import (
-    digon_max_count,
-    straight_edge,
-    weighted_complete_poly,
-    weighted_max_count,
-    weighted_polygon_config,
-)
-from .neargon import (
-    EdgePolynomial,
-    NearGon,
-    compose,
-    convex_edge_maximal,
-    convex_edge_states,
-    covering_roof_edge_poly,
-    edge_poly,
-    realize,
-    recover_edge_poly_from_counts,
-)
-from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly
-
-__all__ = [
-    "PolyS",
-    "PolyST",
-    "PolySUW",
-    "PolyT",
-    "binomial",
-    "catalan",
-    "catalan_pair_st",
-    "catalan_pair_t",
-    "complete_edge_basis",
-    "hankel_recover",
-    "maximal_edge_basis",
-    "p_basis_coefficients",
-    "series_pair_uw",
-    "solve_integer_system",
-    "Configuration",
-    "NearEdge",
-    "Point",
-    "convex_profile",
-    "extremal_points",
-    "factorize",
-    "load_points",
-    "lower_hull",
-    "on_segment",
-    "order_type_equivalent",
-    "orient",
-    "parse_points",
-    "profile_realization",
-    "sweep_key",
-    "upper_hull",
-    "vertical_mirror",
-    "DecoratedRoof",
-    "covering_roofs",
-    "decode",
-    "encode",
-    "is_covering",
-    "sub_edges",
-    "successors",
-    "complete_config_poly",
-    "complete_edge_poly_tm",
-    "max_config_count",
-    "max_region_count_points",
-    "region_poly",
-    "render_vector",
-    "digon_max_count",
-    "straight_edge",
-    "weighted_complete_poly",
-    "weighted_max_count",
-    "weighted_polygon_config",
-    "EdgePolynomial",
-    "NearGon",
-    "compose",
-    "convex_edge_maximal",
-    "convex_edge_states",
-    "covering_roof_edge_poly",
-    "edge_poly",
-    "realize",
-    "recover_edge_poly_from_counts",
-    "GuardExceeded",
-    "oracle_complete_poly",
-    "oracle_region_poly",
-]

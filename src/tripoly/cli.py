@@ -34,7 +34,6 @@ from .neargon import (
     realize,
     recover_edge_poly_from_counts,
 )
-from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly
 from .planar import Configuration, NearEdge, load_points, region_host
 from .transfer import (
     complete_config_poly,
@@ -272,16 +271,21 @@ def _run_verb(args: argparse.Namespace, out) -> int:
             print(lines, file=out)
         return 0
 
-    if verb == "oracle":
-        poly = oracle_complete_poly(_load_config(args.file))
-        print(_json_s(poly) if args.json else poly.text(), file=out)
-        return 0
+    if verb == "oracle" or verb == "oracle-region":
+        # imported here, so that only the brute-force verbs load it
+        from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly
 
-    if verb == "oracle-region":
         cfg = _load_config(args.file)
-        floor = _indices(args.floor, "floor")
-        ceiling = _indices(args.ceiling, "ceiling")
-        poly = oracle_region_poly(cfg, floor, ceiling)
+        try:
+            if verb == "oracle":
+                poly = oracle_complete_poly(cfg)
+            else:
+                floor = _indices(args.floor, "floor")
+                ceiling = _indices(args.ceiling, "ceiling")
+                poly = oracle_region_poly(cfg, floor, ceiling)
+        except GuardExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(_json_s(poly) if args.json else poly.text(), file=out)
         return 0
 
@@ -323,6 +327,8 @@ TRIANGLE_POLY = {
 
 
 def _selftest(out) -> int:
+    from .oracle import oracle_complete_poly, oracle_region_poly
+
     edges = tuple(NearEdge(e) for e in (EDGE_A, EDGE_B, EDGE_C))
     edge_a, _, edge_c = edges
 
@@ -435,9 +441,6 @@ def run(argv: Sequence[str], out=None) -> int:
         return 0
     try:
         return _run_verb(args, out)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,6 @@ each ``p_n`` are built once, in ``_edge_basis``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -415,6 +414,8 @@ def solve_integer_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) ->
     Raises ValueError if the matrix is singular or the unique rational
     solution has a non-integer entry.
     """
+    from fractions import Fraction  # imported here: only recovery solves systems
+
     m = len(matrix)
     if any(len(row) != m for row in matrix) or len(rhs) != m:
         raise ValueError("system is not square")

@@ -146,9 +146,6 @@ class Configuration:
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
 
-    def extremal(self) -> set[Point]:
-        return extremal_points(self.points)
-
     def lower_boundary(self) -> tuple[Point, ...]:
         return lower_hull(self.points)
 
@@ -193,9 +190,6 @@ class NearEdge:
         """Number of gaps, i.e. len - 1."""
         return len(self.points) - 1
 
-    def lower_corners(self) -> tuple[Point, ...]:
-        return lower_hull(self.points)
-
     def is_straight(self) -> bool:
         p = self.points
         return all(orient(p[0], p[-1], q) == 0 for q in p[1:-1])
@@ -207,12 +201,6 @@ class NearEdge:
     def translate_to_origin(self) -> "NearEdge":
         x0, y0 = self.points[0]
         return NearEdge((x - x0, y - y0) for x, y in self.points)
-
-    def mirror(self) -> "NearEdge":
-        """Reflect across a vertical axis, keeping the first abscissa."""
-        x0 = self.points[0][0]
-        xn = self.points[-1][0]
-        return NearEdge((x0 + xn - x, y) for x, y in reversed(self.points))
 
 
 def region_host(
@@ -272,8 +260,10 @@ def region_host(
 
 
 def vertical_mirror(edge: NearEdge) -> NearEdge:
-    """The mirror image of a near-edge across a vertical axis."""
-    return edge.mirror()
+    """Reflect a near-edge across a vertical axis, keeping its first abscissa."""
+    x0 = edge.points[0][0]
+    xn = edge.points[-1][0]
+    return NearEdge((x0 + xn - x, y) for x, y in reversed(edge.points))
 
 
 def convex_profile(edge: NearEdge) -> tuple[int, ...] | None:

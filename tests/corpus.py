@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from tripoly import PolyST, PolyT, maximal_edge_basis
 from tripoly.cli import (  # the pinned examples of `selftest`
     EDGE_A,
     EDGE_A_PCOEFFS,
@@ -22,6 +21,7 @@ from tripoly.cli import (  # the pinned examples of `selftest`
     SQUEEZE_FLOOR,
     TRIANGLE_POLY,
 )
+from tripoly.exactmath import PolyST, PolyT, maximal_edge_basis
 from tripoly.planar import (
     Configuration,
     NearEdge,

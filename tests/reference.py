@@ -5,14 +5,16 @@
 * ``fraction_realize_at`` -- one flattening of ``realize`` in
   ``Fraction`` complex arithmetic, scaled by the lcm of the reduced
   denominators.
+* ``residue_max_count`` -- the maximal count of a weighted convex
+  polygon as a residue, with binomials only.
 
-Both share nothing with the packed routes but ``PolySUW`` and
+They share nothing with the packed routes but ``PolySUW`` and
 ``Configuration``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from tripoly.exactmath import PolySUW
@@ -86,3 +88,39 @@ def fraction_realize_at(
         return None
     denom = lcm(*(c.denominator for p in out for c in p))
     return Configuration((int(p[0] * denom), int(p[1] * denom)) for p in out)
+
+
+def _one_minus_w_power(m: int, j: int) -> int:
+    """[w^j] (1 - w)^m, a generalized binomial when m < 0."""
+    return (-1) ** j * comb(m, j) if m >= 0 else comb(j - m - 1, j)
+
+
+def residue_max_count(weights: Sequence[int]) -> int:
+    """Maximal triangulations of a weighted convex polygon, by a residue.
+
+    With t = 1/(w(1 - w)) the edge basis is
+    p_k = ((1 - w) w^-k - w (1 - w)^-k) / (1 - 2w), and the Catalan
+    series at z = w(1 - w) is 1/(1 - w), so pairing the product of the
+    sides' p_(a_i) is a residue at w = 0.  Expanding the product over the
+    subsets S of sides that take their second term gives
+
+        M = sum over S of (-1)^|S| [w^(A - A_S - |S| - 2)]
+            (1 - w)^(l - |S| - A_S) (1 - 2w)^(1 - l)
+
+    for l sides, A = sum a_i and A_S = sum over S of a_i.
+    """
+    l, total = len(weights), sum(weights)
+    count = 0
+    for mask in range(1 << l):
+        taken = [a for i, a in enumerate(weights) if mask >> i & 1]
+        n = total - sum(taken) - len(taken) - 2
+        if n < 0:
+            continue
+        m = l - len(taken) - sum(taken)
+        # [w^k] (1 - 2w)^(1 - l) = C(l - 2 + k, k) 2^k
+        coeff = sum(
+            _one_minus_w_power(m, j) * (comb(l - 2 + n - j, n - j) << (n - j))
+            for j in range(n + 1)
+        )
+        count += -coeff if len(taken) % 2 else coeff
+    return count

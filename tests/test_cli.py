@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from corpus import (
 )
 
 UNIT = ((0, 0), (1, 0))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def cap(argv):
@@ -624,6 +626,41 @@ class TestModuleEntry:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @staticmethod
+    def loaded_by(code, *argv):
+        """The modules that ``code`` loads in a fresh interpreter that
+        finds the package through ``PYTHONPATH=src`` alone."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{code}\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return set(proc.stdout.split())
+
+    def test_package_root_loads_no_submodule(self):
+        loaded = self.loaded_by("import tripoly")
+        assert "tripoly" in loaded
+        assert not any(m.startswith("tripoly.") for m in loaded), loaded
+
+    def test_cli_import_leaves_the_oracle_and_fractions_out(self):
+        loaded = self.loaded_by("import tripoly.cli")
+        assert "tripoly.cli" in loaded and "tripoly.transfer" in loaded
+        assert not {"tripoly.oracle", "fractions", "decimal"} & loaded
+
+    def test_verbs_load_what_they_run(self, point_file):
+        run_verb = "import io, tripoly.cli; tripoly.cli.run(sys.argv[1:], out=io.StringIO())"
+        loaded = self.loaded_by(run_verb, "oracle", point_file(QUAD))
+        assert "tripoly.oracle" in loaded and "fractions" not in loaded
+        loaded = self.loaded_by(run_verb, "recover", "19", "87", "334", "--range", "3,5")
+        assert "fractions" in loaded and "tripoly.oracle" not in loaded
 
     def test_subprocess_invocation(self):
         proc = subprocess.run(

@@ -27,7 +27,7 @@ from tripoly.neargon import (
     realize,
     recover_edge_poly_from_counts,
 )
-from tripoly.planar import NearEdge, convex_profile, vertical_mirror
+from tripoly.planar import NearEdge, convex_profile, extremal_points, vertical_mirror
 from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import straight_edge, weighted_complete_poly
 
@@ -301,7 +301,7 @@ class TestRealize:
     def test_three_edge_gon_polynomial(self):
         cfg = realize(NearGon(gon_edges()))
         assert len(cfg) == 14
-        assert len(cfg.extremal()) == 7
+        assert len(extremal_points(cfg.points)) == 7
         assert complete_config_poly(cfg).c == GON_POLY
         assert max_config_count(cfg) == 194939
 

@@ -74,7 +74,7 @@ class TestHulls:
 
     def test_near_edge_boundaries(self):
         e = NearEdge(EDGE_A)
-        assert e.lower_corners() == ((0, 0), (2, -1), (4, -1), (5, 0))
+        assert lower_hull(e.points) == ((0, 0), (2, -1), (4, -1), (5, 0))
         assert upper_hull(e.points) == ((0, 0), (1, 1), (3, 1), (5, 0))
 
     @given(st.lists(points_st, min_size=1, max_size=12, unique=True))
@@ -150,7 +150,7 @@ class TestConfiguration:
         c = Configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
         assert c.lower_boundary() == lower_hull(c.points) == ((0, 2), (0, 0), (2, 0))
         assert c.upper_boundary() == upper_hull(c.points) == ((0, 2), (2, 2), (2, 0))
-        assert c.extremal() == {(0, 0), (2, 0), (2, 2), (0, 2)}
+        assert extremal_points(c.points) == {(0, 0), (2, 0), (2, 2), (0, 2)}
 
     def test_all_collinear(self):
         assert Configuration([(0, 0), (1, 1), (2, 2)]).all_collinear()

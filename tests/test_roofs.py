@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tripoly.planar import NearEdge
+from tripoly.planar import NearEdge, lower_hull
 from tripoly.roofs import (
     DecoratedRoof,
     closed_triangle_empty,
@@ -156,7 +156,7 @@ class TestSubEdges:
 
     def test_sub_edges_keep_lower_corners(self):
         pts = list(EDGE_A)
-        corner_idx = {pts.index(c) for c in NearEdge(EDGE_A).lower_corners()}
+        corner_idx = {pts.index(c) for c in lower_hull(EDGE_A)}
         for idx in sub_edges(EDGE_A):
             assert corner_idx <= set(idx)
 

@@ -4,7 +4,13 @@ from __future__ import annotations
 import pytest
 
 from tripoly.exactmath import PolyST, PolyS, catalan, maximal_edge_basis
-from tripoly.planar import Configuration, NearEdge, lower_hull, upper_hull
+from tripoly.planar import (
+    Configuration,
+    NearEdge,
+    extremal_points,
+    lower_hull,
+    upper_hull,
+)
 from tripoly.roofs import DecoratedRoof, covering_roofs, encode, skyline_points, sub_edges
 from tripoly.transfer import (
     _Sweep,
@@ -324,7 +330,7 @@ class TestConfigPolynomials:
     def test_lowest_term_counts_extremal_fillings(self):
         for pts in (COLUMNS11, SQUEEZE, QUAD, TRIANGLE_PLUS_CENTER):
             cfg = Configuration(pts)
-            m = len(cfg.extremal())
+            m = len(extremal_points(cfg.points))
             poly = complete_config_poly(cfg)
             assert poly.lowest() == (m, catalan(m - 2))
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tripoly.exactmath import catalan, complete_edge_basis, edge_product_bound
+from tripoly.planar import extremal_points
 from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import (
     digon_max_count,
@@ -17,6 +18,7 @@ from tripoly.weighted import (
 )
 
 from corpus import PENTAGON_POLY, TRIANGLE_POLY
+from reference import residue_max_count
 
 weights_st = st.lists(
     st.integers(min_value=1, max_value=3), min_size=2, max_size=5
@@ -93,6 +95,22 @@ class TestWeightedCounts:
         assert weighted_max_count(ws) == weighted_max_count(rev)
         assert weighted_max_count(ws) == weighted_max_count(rot)
 
+    def test_hexagon_by_residue(self):
+        ws = (20, 22, 17, 21, 20, 18)
+        want = 75098475640700197827962587644701620676
+        assert residue_max_count(ws) == want
+        assert weighted_max_count(ws) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(1), st.integers(1, 25)), min_size=2, max_size=6
+        )
+    )
+    def test_kernel_matches_the_residue(self, ws):
+        # the residue shares no code with pair_edge_product
+        assert weighted_max_count(ws) == residue_max_count(ws)
+
 
 class TestWeightedCompletePoly:
     def test_pentagon_polynomial(self):
@@ -154,7 +172,7 @@ class TestRealization:
 
     def test_corners_are_extremal_and_subdivisions_are_not(self):
         cfg = weighted_polygon_config((2, 3, 2))
-        assert len(cfg.extremal()) == 3
+        assert len(extremal_points(cfg.points)) == 3
 
     def test_needs_three_sides(self):
         with pytest.raises(ValueError, match="three sides"):
