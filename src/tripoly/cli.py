@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -177,92 +178,23 @@ def _tracer(out, host) -> Callable[[int, dict, dict], None]:
     return trace
 
 
-def _load_config(path: str) -> Configuration:
-    return Configuration(load_points(path))
-
-
-def _load_edge(path: str) -> NearEdge:
-    return NearEdge(load_points(path))
+def _print_result(result: int | PolyS | PolyT | PolyST, as_json: bool, out) -> None:
+    """Print a count or a polynomial, as text or as the JSON of its type."""
+    if as_json:
+        render = {int: _json_count, PolyS: _json_s, PolyT: _json_t, PolyST: _json_st}
+        print(render[type(result)](result), file=out)
+    else:
+        print(result if isinstance(result, int) else result.text(), file=out)
 
 
 def _run_verb(args: argparse.Namespace, out) -> int:
     verb = args.verb
 
-    if verb == "poly" or verb == "maxcount":
-        cfg = _load_config(args.file)
-        trace = _tracer(out, cfg.points) if args.trace else None
-        if verb == "poly":
-            poly = complete_config_poly(cfg, trace=trace)
-            print(_json_s(poly) if args.json else poly.text(), file=out)
-        else:
-            # a maximal trace lists the unpruned sweep, dead ends included
-            count = max_config_count(cfg, prune=not args.trace, trace=trace)
-            print(_json_count(count) if args.json else count, file=out)
-        return 0
-
-    if verb == "region":
-        cfg = _load_config(args.file)
-        floor = _indices(args.floor, "floor")
-        ceiling = _indices(args.ceiling, "ceiling")
-        trace = None
-        if args.trace:
-            host, _, _ = region_host(cfg, floor, ceiling)
-            trace = _tracer(out, host)
-        result = region_poly(
-            cfg,
-            floor,
-            ceiling,
-            maximal=args.maximal,
-            prune=not (args.trace and args.maximal),
-            trace=trace,
-        )
-        if args.maximal:
-            print(_json_count(result) if args.json else result, file=out)
-        else:
-            print(_json_s(result) if args.json else result.text(), file=out)
-        return 0
-
-    if verb == "edgepoly":
-        ep = edge_poly(_load_edge(args.file), method=args.method)
-        print(_json_st(ep.complete) if args.json else ep.complete.text(), file=out)
-        return 0
-
-    if verb == "edgepoly-tm":
-        edge = _load_edge(args.file)
-        trace = _tracer(out, edge.points) if args.trace else None
-        poly = complete_edge_poly_tm(edge, trace=trace)
-        print(_json_st(poly) if args.json else poly.text(), file=out)
-        return 0
-
-    if verb == "weighted":
-        if args.maximal:
-            count = weighted_max_count(tuple(args.weights))
-            print(_json_count(count) if args.json else count, file=out)
-        else:
-            poly = weighted_complete_poly(tuple(args.weights))
-            print(_json_s(poly) if args.json else poly.text(), file=out)
-        return 0
-
-    if verb == "neargon":
-        polys = tuple(edge_poly(_load_edge(f)) for f in args.files)
-        result = compose(polys, maximal=args.maximal)
-        if args.maximal:
-            print(_json_count(result) if args.json else result, file=out)
-        else:
-            print(_json_s(result) if args.json else result.text(), file=out)
-        return 0
-
-    if verb == "recover":
-        span = _indices(args.basis_range, "range")
-        if len(span) != 2:
-            raise ValueError(f"--range wants two integers, got {args.basis_range!r}")
-        poly = recover_edge_poly_from_counts(tuple(args.counts), (span[0], span[1]))
-        print(_json_t(poly) if args.json else poly.text(), file=out)
-        return 0
+    if verb == "selftest":
+        return _selftest(out)
 
     if verb == "realize":
-        edges = tuple(_load_edge(f) for f in args.files)
-        cfg = realize(NearGon(edges))
+        cfg = realize(NearGon(tuple(NearEdge(load_points(f)) for f in args.files)))
         lines = "\n".join(f"{x} {y}" for x, y in cfg.points)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -271,28 +203,62 @@ def _run_verb(args: argparse.Namespace, out) -> int:
             print(lines, file=out)
         return 0
 
-    if verb == "oracle" or verb == "oracle-region":
+    if verb == "edgepoly":
+        result = edge_poly(NearEdge(load_points(args.file)), method=args.method).complete
+    elif verb == "edgepoly-tm":
+        edge = NearEdge(load_points(args.file))
+        trace = _tracer(out, edge.points) if args.trace else None
+        result = complete_edge_poly_tm(edge, trace=trace)
+    elif verb == "weighted":
+        solve = weighted_max_count if args.maximal else weighted_complete_poly
+        result = solve(tuple(args.weights))
+    elif verb == "neargon":
+        polys = tuple(edge_poly(NearEdge(load_points(f))) for f in args.files)
+        result = compose(polys, maximal=args.maximal)
+    elif verb == "recover":
+        span = _indices(args.basis_range, "range")
+        if len(span) != 2:
+            raise ValueError(f"--range wants two integers, got {args.basis_range!r}")
+        result = recover_edge_poly_from_counts(tuple(args.counts), (span[0], span[1]))
+    elif verb == "poly" or verb == "maxcount":
+        cfg = Configuration(load_points(args.file))
+        trace = _tracer(out, cfg.points) if args.trace else None
+        if verb == "poly":
+            result = complete_config_poly(cfg, trace=trace)
+        else:
+            # a maximal trace lists the unpruned sweep, dead ends included
+            result = max_config_count(cfg, prune=not args.trace, trace=trace)
+    elif verb == "region":
+        cfg = Configuration(load_points(args.file))
+        floor = _indices(args.floor, "floor")
+        ceiling = _indices(args.ceiling, "ceiling")
+        trace = _tracer(out, region_host(cfg, floor, ceiling)[0]) if args.trace else None
+        result = region_poly(
+            cfg,
+            floor,
+            ceiling,
+            maximal=args.maximal,
+            prune=not (args.trace and args.maximal),
+            trace=trace,
+        )
+    else:  # oracle or oracle-region
         # imported here, so that only the brute-force verbs load it
         from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly
 
-        cfg = _load_config(args.file)
+        cfg = Configuration(load_points(args.file))
         try:
             if verb == "oracle":
-                poly = oracle_complete_poly(cfg)
+                result = oracle_complete_poly(cfg)
             else:
                 floor = _indices(args.floor, "floor")
                 ceiling = _indices(args.ceiling, "ceiling")
-                poly = oracle_region_poly(cfg, floor, ceiling)
+                result = oracle_region_poly(cfg, floor, ceiling)
         except GuardExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(_json_s(poly) if args.json else poly.text(), file=out)
-        return 0
 
-    if verb == "selftest":
-        return _selftest(out)
-
-    raise ValueError(f"unknown verb {verb!r}")
+    _print_result(result, args.json, out)
+    return 0
 
 
 # The pinned examples of ``selftest``.  Near-edges are point tuples in
@@ -408,21 +374,12 @@ def _selftest(out) -> int:
     failures = 0
     for name, check in checks:
         try:
-            ok = check()
+            line = f"ok   {name}" if check() else f"FAIL {name}"
         except Exception as exc:  # pragma: no cover - defensive
-            ok = False
-            print(f"FAIL {name}: {exc}", file=out)
-            failures += 1
-            continue
-        if ok:
-            print(f"ok   {name}", file=out)
-        else:
-            print(f"FAIL {name}", file=out)
-            failures += 1
-    print(
-        f"{len(checks) - failures} of {len(checks)} examples passed",
-        file=out,
-    )
+            line = f"FAIL {name}: {exc}"
+        failures += line.startswith("FAIL")
+        print(line, file=out)
+    print(f"{len(checks) - failures} of {len(checks)} examples passed", file=out)
     return 1 if failures else 0
 
 
@@ -441,6 +398,9 @@ def run(argv: Sequence[str], out=None) -> int:
         return 0
     try:
         return _run_verb(args, out)
+    except BrokenPipeError:
+        # the reader closed the output early: there is no one to tell
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -450,7 +410,14 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -175,15 +175,17 @@ def _convex_packed(
     """The packed states, their bytes per field and fields per power of u.
 
     Every coefficient is >= 0, so at s = u = 1 each entry of a state, and
-    the w-pairing of the last one, sums the fields it packs.
+    the w-pairing of the last one, sums the fields it packs.  That
+    pairing bounds every entry of every state: each sign keeps every
+    entry of the previous state, shifted and plus non-negative terms,
+    and every Catalan number C_w is at least 1.
     """
     if mode not in ("complete", "maximal"):
         raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
     complete = mode == "complete"
-    top = 0
     for r in _convex_run(profile, complete, 0, 0):
-        top = max(top, *r)
-    nbytes = packed_bytes(max(top, _pair_w(r)))
+        pass
+    nbytes = packed_bytes(_pair_w(r))
     stride = len(profile) + 2 if complete else 1
     return _convex_run(profile, complete, 8 * nbytes, stride), nbytes, stride
 

@@ -36,26 +36,25 @@ def sweep_key(p: Point) -> tuple[int, int]:
     return (p[0], -p[1])
 
 
-def lower_hull(points: Sequence[Point]) -> tuple[Point, ...]:
-    """Corners of the lower convex boundary, in sweep order."""
-    pts = sorted(set(points), key=sweep_key)
+def _monotone_chain(points: Sequence[Point], turn: int) -> tuple[Point, ...]:
+    """The chain in sweep order whose every corner turns by ``turn``:
+    +1 (counterclockwise) for the lower hull, -1 for the upper."""
     chain: list[Point] = []
-    for p in pts:
-        while len(chain) >= 2 and orient(chain[-2], chain[-1], p) <= 0:
+    for p in sorted(set(points), key=sweep_key):
+        while len(chain) >= 2 and orient(chain[-2], chain[-1], p) != turn:
             chain.pop()
         chain.append(p)
     return tuple(chain)
+
+
+def lower_hull(points: Sequence[Point]) -> tuple[Point, ...]:
+    """Corners of the lower convex boundary, in sweep order."""
+    return _monotone_chain(points, 1)
 
 
 def upper_hull(points: Sequence[Point]) -> tuple[Point, ...]:
     """Corners of the upper convex boundary, in sweep order."""
-    pts = sorted(set(points), key=sweep_key)
-    chain: list[Point] = []
-    for p in pts:
-        while len(chain) >= 2 and orient(chain[-2], chain[-1], p) >= 0:
-            chain.pop()
-        chain.append(p)
-    return tuple(chain)
+    return _monotone_chain(points, -1)
 
 
 def extremal_points(points: Sequence[Point]) -> set[Point]:
@@ -118,18 +117,12 @@ def path_corners(path: Sequence[Point]) -> tuple[Point, ...]:
     return tuple(out)
 
 
-class Configuration:
-    """A finite set of integer points, at least 1, stored in sweep order."""
+class _Points:
+    """A tuple of points under a type: equal only to the same type with
+    the same points."""
 
     __slots__ = ("points",)
-
-    def __init__(self, points: Iterable[Point]):
-        pts = [(as_integer(x), as_integer(y)) for x, y in points]
-        if len(set(pts)) != len(pts):
-            raise ValueError("configuration has repeated points")
-        if not pts:
-            raise ValueError("configuration is empty")
-        self.points = tuple(sorted(pts, key=sweep_key))
+    points: tuple[Point, ...]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -138,13 +131,27 @@ class Configuration:
         return iter(self.points)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Configuration) and self.points == other.points
+        return isinstance(other, type(self)) and self.points == other.points
 
     def __hash__(self) -> int:
         return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"Configuration({list(self.points)!r})"
+        return f"{type(self).__name__}({list(self.points)!r})"
+
+
+class Configuration(_Points):
+    """A finite set of integer points, at least 1, stored in sweep order."""
+
+    __slots__ = ()
+
+    def __init__(self, points: Iterable[Point]):
+        pts = [(as_integer(x), as_integer(y)) for x, y in points]
+        if len(set(pts)) != len(pts):
+            raise ValueError("configuration has repeated points")
+        if not pts:
+            raise ValueError("configuration is empty")
+        self.points = tuple(sorted(pts, key=sweep_key))
 
     def lower_boundary(self) -> tuple[Point, ...]:
         return lower_hull(self.points)
@@ -157,10 +164,10 @@ class Configuration:
         return all(orient(p[0], p[1], q) == 0 for q in p[2:]) if len(p) >= 3 else True
 
 
-class NearEdge:
+class NearEdge(_Points):
     """Points with strictly increasing x coordinates, in that order."""
 
-    __slots__ = ("points",)
+    __slots__ = ()
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple((as_integer(x), as_integer(y)) for x, y in points)
@@ -169,21 +176,6 @@ class NearEdge:
         if any(a[0] >= b[0] for a, b in zip(pts, pts[1:])):
             raise ValueError("near-edge x coordinates must strictly increase")
         self.points = pts
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NearEdge) and self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(self.points)
-
-    def __repr__(self) -> str:
-        return f"NearEdge({list(self.points)!r})"
 
     @property
     def weight(self) -> int:
@@ -306,21 +298,23 @@ def factorize(edge: NearEdge) -> list[NearEdge]:
     above each line through two of the first k+1 points, and every
     earlier point lies strictly above each line through two of the
     last n-k+1 points.  Factors are translated to start at the origin.
+
+    Consecutive pairs suffice.  For x_a < x_b < x_q,
+    orient(a, b, q) = (x_a - x_q)(x_b - x_q) (slope(q, b) - slope(q, a)),
+    and the first two factors have the same sign.  So a later point q
+    lies strictly above every line through two head points exactly when
+    its slopes to them strictly increase along the head, which
+    consecutive pairs test.  An earlier point and the tail are the
+    mirror case, with x_q < x_a < x_b.
     """
     pts = edge.points
     n = len(pts) - 1
 
     def splits_at(k: int) -> bool:
         head, tail = pts[: k + 1], pts[k:]
-        for i in range(len(head)):
-            for j in range(i + 1, len(head)):
-                if any(orient(head[i], head[j], q) <= 0 for q in pts[k + 1 :]):
-                    return False
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
-                if any(orient(tail[i], tail[j], q) <= 0 for q in pts[:k]):
-                    return False
-        return True
+        return all(
+            orient(a, b, q) > 0 for a, b in zip(head, head[1:]) for q in pts[k + 1 :]
+        ) and all(orient(a, b, q) > 0 for a, b in zip(tail, tail[1:]) for q in pts[:k])
 
     factors: list[NearEdge] = []
     start = 0
@@ -393,5 +387,5 @@ def parse_points(text: str) -> list[Point]:
 
 
 def load_points(path: str) -> list[Point]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_points(fh.read())

@@ -7,9 +7,11 @@
   denominators.
 * ``residue_max_count`` -- the maximal count of a weighted convex
   polygon as a residue, with binomials only.
+* ``all_pairs_factorize`` -- the prime factors of a near-edge, each
+  split tested against the line through every pair of points.
 
-They share nothing with the packed routes but ``PolySUW`` and
-``Configuration``.
+They share nothing with the packed routes but ``PolySUW``,
+``Configuration``, ``NearEdge`` and ``orient``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from tripoly.exactmath import PolySUW
-from tripoly.planar import Configuration, NearEdge, Point
+from tripoly.planar import Configuration, NearEdge, Point, orient
 
 
 def schoolbook_convex_states(
@@ -124,3 +126,30 @@ def residue_max_count(weights: Sequence[int]) -> int:
         )
         count += -coeff if len(taken) % 2 else coeff
     return count
+
+
+def all_pairs_factorize(edge: NearEdge) -> list[NearEdge]:
+    """Prime factors of a near-edge, translated to the origin.  Position
+    k splits when every later point lies strictly above the line through
+    any two of the first k + 1 points, and every earlier point strictly
+    above the line through any two of the last n - k + 1."""
+    pts = edge.points
+    cuts = [0]
+    for k in range(1, len(pts) - 1):
+        head, tail = pts[: k + 1], pts[k:]
+        if all(
+            orient(head[i], head[j], q) > 0
+            for i in range(len(head))
+            for j in range(i + 1, len(head))
+            for q in pts[k + 1 :]
+        ) and all(
+            orient(tail[i], tail[j], q) > 0
+            for i in range(len(tail))
+            for j in range(i + 1, len(tail))
+            for q in pts[:k]
+        ):
+            cuts.append(k)
+    cuts.append(len(pts) - 1)
+    return [
+        NearEdge(pts[a : b + 1]).translate_to_origin() for a, b in zip(cuts, cuts[1:])
+    ]

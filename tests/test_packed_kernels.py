@@ -4,6 +4,9 @@
   decoded, must equal the term-by-term ``PolySUW`` recursion of
   ``reference.py`` in both modes, and its paired result the transfer
   route on the canonical edge of the profile.
+* The fields of the convex-edge recursion are sized from the w-pairing
+  of its last state at s = u = 1, which must bound every entry of every
+  state.
 * ``realize`` flattens near-gons in integer complex arithmetic; every
   flattening must give the configuration that ``Fraction`` arithmetic
   gives.
@@ -19,6 +22,8 @@ import pytest
 from tripoly.exactmath import series_pair_uw
 from tripoly.neargon import (
     PRECISION_STEPS,
+    _convex_run,
+    _pair_w,
     _realize_at,
     convex_edge_complete,
     convex_edge_maximal,
@@ -57,6 +62,18 @@ def test_convex_states_match_the_schoolbook_recursion(profile, mode):
         assert convex_edge_complete(profile) == paired
     else:
         assert convex_edge_maximal(profile) == paired.coefficient_s(0)
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "maximal"])
+def test_the_last_pairing_bounds_every_state(complete):
+    # the packed recursion sizes its fields from this pairing alone
+    rng = random.Random(41)
+    for n in range(41):
+        for _ in range(6):
+            profile = [rng.choice((1, -1)) for _ in range(n)]
+            states = list(_convex_run(profile, complete, 0, 0))
+            bound = _pair_w(states[-1])
+            assert all(v <= bound for r in states for v in r), profile
 
 
 def test_convex_route_matches_the_transfer_route():

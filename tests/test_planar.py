@@ -1,6 +1,8 @@
 """Planar primitives: hulls, paths, configurations and near-edges."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +29,7 @@ from tripoly.planar import (
 )
 
 from corpus import CATALOG_FACTOR_COUNTS, CATALOG_HEIGHTS, EDGE_A, SQUEEZE, catalog_edge
+from reference import all_pairs_factorize
 
 points_st = st.tuples(
     st.integers(min_value=-50, max_value=50),
@@ -255,6 +258,25 @@ class TestFactorize:
             assert all(f.points[0] == (0, 0) for f in factors)
             assert sum(f.weight for f in factors) == catalog_edge(key).weight
 
+    def test_consecutive_pairs_match_all_pairs(self):
+        # noise from small ranges puts many points on one line (collinear
+        # runs on and off the chord, straight edges at span 0); an upward
+        # bend makes edges of many factors
+        rng = random.Random(60)
+        several = 0
+        for trial in range(1500):
+            n = rng.randrange(2, 11)
+            span, bend = rng.choice((0, 1, 2, 4)), rng.choice((0, 1, 2, 4))
+            xs = sorted(rng.sample(range(3 * n), n))
+            pts = [(x, rng.randint(-span, span) + bend * x * x // (3 * n)) for x in xs]
+            if trial % 3 == 0:
+                pts = [(x * 10**40, y * 10**40) for x, y in pts]
+            edge = NearEdge(pts)
+            want = all_pairs_factorize(edge)
+            assert factorize(edge) == want, pts
+            several += len(want) > 1
+        assert several > 600
+
 
 class TestOrderType:
     def test_identity(self):
@@ -307,4 +329,10 @@ class TestPointIO:
     def test_load_points(self, tmp_path):
         path = tmp_path / "pts.txt"
         path.write_text("0 0\n5 -3\n")
+        assert load_points(str(path)) == [(0, 0), (5, -3)]
+
+    def test_load_points_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        path.write_text("0 0\n5 -3\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_points(str(path)) == [(0, 0), (5, -3)]
