@@ -379,8 +379,14 @@ def parse_points(text: str) -> list[Point]:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected `x y`, got {raw!r}")
+        x, y = parts
         try:
-            out.append((int(parts[0]), int(parts[1])))
+            # an optional sign and ASCII digits: int() also reads `1_0`
+            # and non-ASCII digits
+            both = x + y
+            if not both.isascii() or "_" in both:
+                raise ValueError
+            out.append((int(x), int(y)))
         except ValueError:
             raise ValueError(f"line {lineno}: coordinates must be integers: {raw!r}")
     return out

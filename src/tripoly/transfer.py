@@ -23,23 +23,24 @@ above the segment, A(a, b), and strictly below it, B(a, b).  Every
 table the moves read is derived from A and B.  The insertions into
 (a, b) insert the points of A(a, b), and the merge of a wedge (a, m, b)
 exists when m is in B(a, b).  An entry is the bit the move sets or
-clears plus ``e << skip_shift``, e being the number of host points that
+clears plus ``2e << skip_shift``, e being the number of host points that
 the swept triangle newly covers besides the moved point, so a move
-carries e above the code it reaches.  Those points are skipped: they
-never become vertices.  As a -> b covers the points between a and b
-outside A(a, b), an insertion of q skips |A(a, b)| − |A(a, q)| −
-|A(q, b)| − 1 points and a merge of m skips |A(a, m)| + |A(m, b)| −
-|A(a, b)|.  An immediate sweep drops the moves with e > 0; that is the
-rule that the swept closed triangle be empty (see the last paragraph).
+carries its potential step minus one above the code it reaches (see
+Folded moves).  Those points are skipped: they never become vertices.
+As a -> b covers the points between a and b outside A(a, b), an
+insertion of q skips |A(a, b)| − |A(a, q)| − |A(q, b)| − 1 points and a
+merge of m skips |A(a, m)| + |A(m, b)| − |A(a, b)|.  An immediate sweep
+drops the moves with e > 0; that is the rule that the swept closed
+triangle be empty (see the last paragraph).
 
 Moves depend on the roof suffix only.  A move at the segment or wedge
 starting at roof point x reaches the code ``x << (n - 1) | bits'``, so
-its delta ``succ - code`` is ``(x - m) << (n - 1)`` plus the bit it sets
-or clears plus its e.  Here x is a or a roof point past it, the moved
-bit lies past a, and e counts points past a.  Whether the first segment
-(a, m) takes insertions depends on m = 0.  So the deltas of a code are
-fixed by the key (a, roof bits from a on, m = 0), and every code sharing
-that key has the same move list.  ``_run`` keeps one memo per sweep from
+its delta ``succ - code`` is ``(x - m) << (n - 1)`` plus the bits it sets
+or clears plus its high field.  Here x is a or a roof point past it, the
+moved bits lie past a, and e counts points past a.  Whether the first
+segment (a, m) takes insertions depends on m = 0.  So the deltas of a
+code are fixed by the key (a, roof bits from a on, m = 0), and every
+code sharing that key has the same move list.  ``_run`` keeps one memo per sweep from
 the key to the tuple of deltas, and a code adds them to itself.  For
 a ≥ 2, m > a is a roof bit, so the key is the code with its bits before
 a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before a,
@@ -53,10 +54,11 @@ covered by a roof when it is not strictly above it, and
     Φ(bits) = 2 · (covered host points) − (roof points).
 
 An insertion covers its new roof point and a merge drops one, so every
-move raises Φ by 1 + 2e.  Φ depends on the bits alone and lies between 2
-and 2n, so the loop keeps one dict per value of Φ and expands every code
-exactly once, after every move into it has been made.  It needs no step
-bound and keeps no successor table.  This is the marked monotone-path
+move raises Φ by 1 + 2e, and a folded pair by 2 + 2(e₁ + e₂).  Φ
+depends on the bits alone and lies between 2 and 2n, so the loop keeps
+one dict per value of Φ and expands every code exactly once, after every
+move into it has been made.  It needs no step bound and keeps no
+successor table.  This is the marked monotone-path
 aggregation of Alvarez & Seidel (SoCG 2013) run over the DAG of moves.
 
 A code's multiplicity is one packed int: its field j, ``width`` bits
@@ -141,6 +143,32 @@ sets ``seen`` whatever lies before a, and the stop depends on the key
 alone.  ``successors`` returns no move for a code the sweep never meets,
 one with a bad bit before an on-ceiling roof point at or before a.
 
+Folded moves.  A pruned, untraced complete-mode sweep emits an insertion
+of q into (a, b), a walk point with left neighbour p, as the merge of a
+from p that its child is then forced to make: bits + q − a with marker p,
+skipping e₁ + e₂ points at potential Φ + 2 + 2(e₁ + e₂).  The child's
+only move is that merge when merge(p, a, q) exists, no insertion into
+(a, q) does (and no merge of q from a, as q lies above a -> b), and its
+walk stops at its step a -> q: ``fixed[a]`` flags q, and ``seen`` is set
+by ``exposed[p]`` flagging a, or by a or a required corner between a and
+q being bad.  A bad bit before a sets ``seen`` too, but then a is bad:
+the parent's walk went on from p to a, so ``fixed[p]``, which flags
+every on-ceiling point, does not flag a.  The child's walk does not stop
+at p -> a, which the parent's walk passed with a ``seen`` holding the
+child's.  So the rule depends on p, a, b and q alone, and one table
+holds the insertions of each step, indexed like the merge (p, a, b) the
+walk read one step earlier.  A move's high field is its potential step
+minus one: 2e for one move and 2(e₁ + e₂) + 1 for a folded pair.
+
+This is exact.  The child never pays off: it has a bad bit or a host
+point above a segment.  Every folded target is a code the unfolded sweep
+meets, and the rule reads only the walk's steps, so the memo-key
+argument holds.  Every term a target receives is a checked parent
+multiplicity, one per code, so the field-width argument holds.  A traced
+sweep does not fold, as it must keep every V_k state; a maximal sweep
+does not, as its sweeps are short and the table costs about what the
+fold saves; an edge sweep has no cascade rule.
+
 No host point other than a segment's two ends lies on a roof segment of
 an immediate sweep.  The floor roof of a maximal run holds every point on
 the floor, and a move with e = 0 adds no segment through a host point:
@@ -203,8 +231,8 @@ class _Sweep:
         # the number of terms of any sum the sweep forms (Field width)
         self.headroom = ((n + 1) << (n - 1)).bit_length()
         size = n + 1
-        # a move is the code it reaches plus e << skip_shift, e being the
-        # points it skips; codes stay below 1 << skip_shift
+        # a move is the code it reaches plus its potential step minus one
+        # shifted to skip_shift; codes stay below 1 << skip_shift
         self.skip_shift = self.shift + n.bit_length()
         # low[m]: the interior bits of the host points before P_m
         self.low = [0] + [(1 << (m - 1)) - 1 for m in range(1, n + 1)]
@@ -226,11 +254,11 @@ class _Sweep:
                         down |= 1 << (r - 1)
                 above[a][b], below[a][b] = up, down
         # the moves inserting a point above a -> b and merging a point below
-        # it: the bit the move sets or clears plus e << skip_shift, e being
+        # it: the bit the move sets or clears plus 2e << skip_shift, e being
         # the points it newly covers besides the moved one, as differences
         # of the counts of uncovered points; an immediate sweep skips none
         count = [[x.bit_count() for x in row] for row in above]
-        skip = self.skip_shift
+        twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
         self._ins: list[tuple[int, ...]] = [()] * (size * size)
         self._merge = [0] * (size * size * size)
         for a in range(n - 1):
@@ -241,11 +269,11 @@ class _Sweep:
                     if above[a][b] & bit:
                         e = count[a][b] - count[a][r] - count[r][b] - 1
                         if not (e and immediate):
-                            moves.append(bit | e << skip)
+                            moves.append(bit | e << twice)
                     elif below[a][b] & bit:
                         e = count[a][r] + count[r][b] - count[a][b]
                         if not (e and immediate):
-                            self._merge[(a * size + r) * size + b] = bit | e << skip
+                            self._merge[(a * size + r) * size + b] = bit | e << twice
                 self._ins[a * size + b] = tuple(moves)
         # a state pays off when (bits ^ required) & care is 0
         self.required = self.care = 0
@@ -284,12 +312,42 @@ class _Sweep:
                         if not any(self._merge[start + v + 1 : start + size]):
                             self.fixed[x] |= 1 << (v - 1)
             self.prune = any(self.fixed)
+        if self.prune and not (immediate or traced):
+            # Folded moves: the insertions into (a, b) after a step from p,
+            # at (p·size + a)·size + b
+            ins, merge, fixed = self._ins, self._merge, self.fixed
+            one = 1 << self.skip_shift
+            self._fold = fold = ins * size
+            for a, b in combinations(range(1, size), 2):
+                abit = 1 << (a - 1)
+                row = ins[a * size + b]
+                folded: dict[int, list[int]] = {}  # p -> its insertions
+                for i, move in enumerate(row):
+                    # the child's walk stops at a -> q once it is seen: q is
+                    # fixed from a, and nothing is inserted into (a, q)
+                    q = (move & self.mask).bit_length()
+                    if not fixed[a] >> (q - 1) & 1 or ins[a * size + q]:
+                        continue
+                    # seen: a is bad, a corner between a and q is missing,
+                    # or p -> a is exposed
+                    bad = abit & ~on or self.required & ((1 << (q - 1)) - 2 * abit)
+                    for p in range(a):
+                        pair = merge[(p * size + a) * size + q]
+                        if pair and (bad or self.exposed[p] & abit):
+                            pair += one - 2 * abit - ((a - p) << self.shift)
+                            folded.setdefault(p, list(row))[i] += pair
+                for p, moves in folded.items():
+                    fold[(p * size + a) * size + b] = tuple(moves)
+            self.successors = self._folded  # type: ignore[method-assign]
 
     # -- moves ---------------------------------------------------------------
 
     def successors(self, code: int) -> list[int]:
-        """Moves at or past the marker, each the code it reaches plus the
-        points it skips shifted to ``skip_shift``.
+        """Moves at or past the marker, each the code it reaches plus its
+        potential step minus one, 2e for a move skipping e points, shifted
+        to ``skip_shift``.  A pruned, untraced complete-mode sweep is built
+        with ``_folded`` in place of this walk, whose folded pairs carry
+        2(e₁ + e₂) + 1 (Folded moves).
 
         With m the marker's roof point and a the roof point before it,
         inserting q into a segment (x, y) at or past (m, ...) gives
@@ -343,6 +401,46 @@ class _Sweep:
             head += (b - a) << shift
             a, b, lowb = b, c, lowc
             insert = True
+        return out
+
+    def _folded(self, code: int) -> list[int]:
+        """``successors`` of a pruned, untraced complete-mode sweep, each
+        insertion read from the fold table (Folded moves)."""
+        n = self.n
+        size = n + 1
+        shift = self.shift
+        m = code >> shift
+        bits = code & self.mask
+        merge, fold, exposed, fixed = self._merge, self._fold, self.exposed, self.fixed
+        out: list[int] = []
+        a = (bits & self.low[m]).bit_length()
+        rest = bits >> a << a
+        lowb = rest & -rest
+        b = lowb.bit_length() if lowb else n
+        head = code + ((a - m) << shift)
+        bad = (bits ^ self.required) & self.care
+        last = (bits & self.ceiling_bits & ((1 << a) - 1)).bit_length()
+        if bad & ((1 << last) - 1):
+            return out
+        if not m:  # a = 0: the first segment takes insertions
+            for move in self._ins[b]:
+                out.append(head | move)
+        seen = 0
+        while b != n:
+            rest ^= lowb
+            lowc = rest & -rest
+            c = lowc.bit_length() if lowc else n
+            at = (a * size + b) * size + c
+            move = merge[at]
+            if move:
+                out.append(head ^ move)
+            seen |= exposed[a] & lowb | bad & (lowb - 1)
+            if seen and fixed[a] & lowb:
+                break
+            head += (b - a) << shift
+            a, b, lowb = b, c, lowc
+            for move in fold[at]:
+                out.append(head + move)
         return out
 
     def roof_code(self, code: int) -> int:
@@ -457,7 +555,7 @@ def _run(
         width, guard = _layout(data, sweep.headroom, n)
     top = 2 * (n + 1)
     limit = top - 2  # the largest potential of a roof
-    buckets: list[dict[int, int]] = [{} for _ in range(limit + 2)]
+    buckets: list[dict[int, int]] = [{} for _ in range(limit + 3)]
     for bits, skipped in _floor_roofs(sweep.points, floor, sweep.immediate):
         # the roof covers its own points and the floor points it skips
         buckets[bits.bit_count() + 2 + 2 * skipped][bits] = 1 << width * skipped
@@ -465,14 +563,17 @@ def _run(
     kept: list[tuple[int, int, dict[int, int]]] = []
     expand = sweep.successors
     shift = sweep.skip_shift
-    plain = 1 << shift  # moves below it skip no point
+    # a move's high field is its potential step minus one: moves below
+    # plain land at Φ + 1 and those below pair at Φ + 2, skipping no point
+    plain = 1 << shift
+    pair = 2 << shift
     # the memo: a move list as deltas succ - code, keyed by the code with
     # the roof bits before a cleared, code & cut[a]
     memo: dict[int, tuple[int, ...]] = {}
     shared: dict = {}  # one object per distinct delta and delta tuple
     low, marker = sweep.low, sweep.shift
     cut = [0] + [-(1 << (a - 1)) for a in range(1, n)]
-    for phi in range(limit + 2):
+    for phi in range(limit + 3):
         bucket = buckets[phi]
         if not bucket:
             continue
@@ -505,8 +606,8 @@ def _run(
                 paid[key] = paid.get(key, 0) + mult
         if trace is not None:
             kept.append((phi, width, bucket))
-        nxt = buckets[phi + 1]
-        get = nxt.get
+        nxt, after = buckets[phi + 1], buckets[phi + 2]
+        get, get2 = nxt.get, after.get
         for code, mult in bucket.items():
             a = (code & low[code >> marker]).bit_length()
             if a < 3:
@@ -529,13 +630,17 @@ def _run(
                 if succ < plain:
                     nxt[succ] = get(succ, 0) + mult
                     continue
-                e = succ >> shift
-                to = phi + 1 + 2 * e
+                if succ < pair:
+                    succ -= plain
+                    after[succ] = get2(succ, 0) + mult
+                    continue
+                step = succ >> shift
+                to = phi + 1 + step
                 if to > limit:
                     raise AssertionError(f"a roof at potential {to}, past {limit}")
                 succ &= plain - 1
                 out = buckets[to]
-                out[succ] = out.get(succ, 0) + (mult << width * e)
+                out[succ] = out.get(succ, 0) + (mult << width * (step >> 1))
     if trace is not None:
         _replay(sweep, kept, trace)
     return paid

@@ -62,6 +62,15 @@ PINS = [
      "a40e5ad659e5978387fc0edb3c8cb134528bbba12f08ea214d88cf05e0520d50"),
     ("composed 6-edge near-gon, maximal", ["neargon", *GON6, "--maximal"], "sha256",
      "4cb602cc9ccd057f0df71ad2e46c4b40c89a80389bffe0ff4d1338fb891824d5"),
+    # a traced sweep folds no move, so its V_k lines stay those of the
+    # step-by-step iteration; taken before untraced sweeps folded moves.
+    # The ceiling has valley corners at indices 2 and 9
+    ("traced poly", ["poly", "trace-12.pts", "--trace"], "sha256",
+     "c32ee40d7fc4be56d7495c1b0c69d2a106af3666858c745a50634306b9c308cf"),
+    ("traced region",
+     ["region", "trace-12.pts", "--floor", "0,1,7,11", "--ceiling", "0,2,9,11",
+      "--trace"], "sha256",
+     "17c1e0722f8605b5cdb4ed9650026abdab1ab30386f6bf155f9eeecbff2b4c69"),
     # the empty piece matches any stderr: only the exit code is checked
     ("usage error", ["weighted", "3", "x"], "exit", (1, "")),
     # the oracle loads only in the verbs that run it, so this fresh
@@ -77,11 +86,11 @@ def _lines(points) -> str:
     return "".join(f"{x} {y}\n" for x, y in points)
 
 
-def _capacity_22() -> str:
-    """The 22-point configuration of ``bench/capacity.py``, drawn as there."""
-    rng = random.Random(22)
+def _random_set(n: int) -> str:
+    """The n-point configuration of ``bench/capacity.py``, drawn as there."""
+    rng = random.Random(n)
     pts: set[tuple[int, int]] = set()
-    while len(pts) < 22:
+    while len(pts) < n:
         pts.add((rng.randrange(60), rng.randrange(60)))
     return _lines(sorted(pts))
 
@@ -95,7 +104,8 @@ def _convex_30() -> str:
 
 def write_inputs(root: Path) -> None:
     files = {
-        "capacity-22.pts": _capacity_22(),
+        "capacity-22.pts": _random_set(22),
+        "trace-12.pts": _random_set(12),
         "convex-30.pts": _convex_30(),
         "oracle-13.pts": _lines((i, i * i % 17) for i in range(13)),
         # tilted chords, a straight edge and a unit edge

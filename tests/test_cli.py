@@ -432,13 +432,14 @@ class TestInternalError:
         # triangulation without the centre pays off at a wrong potential
         from tripoly.transfer import _Sweep
 
-        real = _Sweep.successors
+        real = _Sweep._folded  # the walk of an untraced `poly`
 
         def miscounting(self, code):
-            one = 1 << self.skip_shift
+            # a move's high field is its potential step minus one
+            one = 2 << self.skip_shift
             return [m - one if m >= one else m for m in real(self, code)]
 
-        monkeypatch.setattr(_Sweep, "successors", miscounting)
+        monkeypatch.setattr(_Sweep, "_folded", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (
@@ -451,13 +452,14 @@ class TestInternalError:
         # one point too many: the move skipping the centre overshoots
         from tripoly.transfer import _Sweep
 
-        real = _Sweep.successors
+        real = _Sweep._folded  # the walk of an untraced `poly`
 
         def miscounting(self, code):
-            one = 1 << self.skip_shift
+            # a move's high field is its potential step minus one
+            one = 2 << self.skip_shift
             return [m + one if m >= one else m for m in real(self, code)]
 
-        monkeypatch.setattr(_Sweep, "successors", miscounting)
+        monkeypatch.setattr(_Sweep, "_folded", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (

@@ -25,16 +25,19 @@ roof.  No traced roof of an immediate sweep, over a near-edge or a
 maximal region, may have a host point inside one of its segments: by
 that rule the route finds covering roofs, and an immediate move that
 skips no point sweeps an empty triangle.  No successor that the pruned
-walk drops may reach a ceiling payoff in the full move DAG.  Traced
-runs, which keep only the on-ceiling part of the cascade rule, must give
-the results of untraced ones, and so must the images of a
-configuration under the integer symmetries and of a region under the
-mirrors, each of which sweeps in its own order.  The generators are
+walk drops may reach a ceiling payoff in the full move DAG, and each
+move a pruned complete-mode sweep folds must be an insertion followed by
+its child's only move, a forced merge, as the unfolded walk makes them.
+Traced runs, which keep only the on-ceiling part of the cascade rule and
+fold nothing, must give the results of untraced ones, and so must the
+images of a configuration under the integer symmetries and of a region
+under the mirrors, each of which sweeps in its own order.  The generators are
 seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -60,7 +63,14 @@ from tripoly.planar import (
     upper_hull,
 )
 from tripoly import transfer
-from tripoly.roofs import covering_roofs, decode, encode, sub_edges, successors
+from tripoly.roofs import (
+    DecoratedRoof,
+    covering_roofs,
+    decode,
+    encode,
+    sub_edges,
+    successors,
+)
 from tripoly.transfer import (
     _Sweep,
     _floor_roofs,
@@ -310,11 +320,17 @@ def stuck(points, roof, a, ceiling, immediate):
     return False
 
 
-def reference_successors(points, code, ceiling=None, immediate=False, prune=False):
-    """(code, e) of the moves from decoded roofs, e being the host points
-    newly covered besides the moved point, dropping with ``prune`` every
-    roof that is a dead end and, under a ceiling, every roof the walk
-    from a, the roof point before the marker, stops short of."""
+def reference_successors(
+    points, code, ceiling=None, immediate=False, prune=False, fold=False
+):
+    """(code, step) of the moves from decoded roofs, step being twice the
+    host points newly covered besides the moved point, dropping with
+    ``prune`` every roof that is a dead end and, under a ceiling, every
+    roof the walk from a, the roof point before the marker, stops short
+    of.  With ``fold``, an inserted roof whose moves are one merge of its
+    marker point from its left neighbour, and whose walk from that
+    neighbour stops by the step from the marker point to the next, is
+    replaced by that merge's result, with step 2(e₁ + e₂) + 1."""
     n = len(points) - 1
     roof = decode(code, n)
     a = roof.indices[roof.d - 1] if roof.d else 0
@@ -326,7 +342,19 @@ def reference_successors(points, code, ceiling=None, immediate=False, prune=Fals
         if prune and ceiling is not None and stuck(points, r, a, ceiling, immediate):
             continue
         moved = set(roof.indices) ^ set(r.indices)
-        out.append((encode(r, n), len(covered(points, r) - before - moved)))
+        step = 2 * len(covered(points, r) - before - moved)
+        if fold and r.d and len(r.indices) > len(roof.indices):
+            nxt = reference_successors(points, encode(r, n), ceiling, prune=True)
+            merged = r.indices[: r.d] + r.indices[r.d + 1 :]
+            ahead = DecoratedRoof(r.indices, r.d + 1)  # its marker at q
+            if (
+                len(nxt) == 1
+                and decode(nxt[0][0], n) == (merged, r.d - 1)
+                and stuck(points, ahead, r.indices[r.d - 1], ceiling, False)
+            ):
+                out.append((nxt[0][0], step + nxt[0][1] + 1))
+                continue
+        out.append((encode(r, n), step))
     return sorted(out)
 
 
@@ -340,7 +368,8 @@ def segment_hits(points, indices) -> int:
 
 
 def check_moves(host, ceiling):
-    """Compare the moves of every code with the decoded moves.  The moves
+    """Compare the moves of every code with the decoded moves, folded in
+    a pruned complete-mode sweep as the sweep folds them.  The moves
     of a code that is no dead end, as deltas from the code, must depend
     only on its memo key: the walk's first roof point a, the roof points
     past it and whether the marker is at P_0.  With pruning, a bad bit
@@ -368,8 +397,10 @@ def check_moves(host, ceiling):
             got = sorted(
                 (sweep.roof_code(m & ((1 << shift) - 1)), m >> shift) for m in moves
             )
-            assert got == reference_successors(host, code, **mode), (mode, code)
             immediate = mode.get("immediate", False)
+            fold = mode.get("prune", False) and not immediate
+            want = reference_successors(host, code, **mode, fold=fold)
+            assert got == want, (mode, code)
             if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
                 continue
             a = roof.indices[roof.d - 1] if roof.d else 0
@@ -413,9 +444,9 @@ def memo_free_run(sweep, floor):
                 key = ((phi + length + 1) // 2 - j, length)
                 paid[key] = paid.get(key, 0) + total
             for move in sweep.successors(code):
-                e = move >> shift
-                succ = (move & ((1 << shift) - 1), j + e)
-                out = buckets.setdefault(phi + 1 + 2 * e, {})
+                step = move >> shift  # 2e, or 2(e₁ + e₂) + 1 for a folded pair
+                succ = (move & ((1 << shift) - 1), j + step // 2)
+                out = buckets.setdefault(phi + 1 + step, {})
                 out[succ] = out.get(succ, 0) + mult
     return paid, steps
 
@@ -659,9 +690,11 @@ def test_no_host_point_lies_inside_a_roof_segment_of_an_immediate_sweep():
     assert states > 20_000
 
 
-def move_dag(sweep, floor):
-    """Every code the moves of ``sweep`` reach from the floor roofs, and
-    those from which a ceiling payoff can still be reached."""
+def move_dag(sweep, floor, expand=None):
+    """Every code the moves of ``sweep`` (or of ``expand``) reach from the
+    floor roofs, and those from which a ceiling payoff can still be
+    reached."""
+    expand = expand or sweep.successors
     codes = (1 << sweep.skip_shift) - 1
     into: dict[int, set[int]] = {}
     todo = [bits for bits, _ in _floor_roofs(sweep.points, floor, sweep.immediate)]
@@ -669,7 +702,7 @@ def move_dag(sweep, floor):
         into.setdefault(code, set())
     while todo:
         code = todo.pop()
-        for move in sweep.successors(code):
+        for move in expand(code):
             succ = move & codes
             if succ not in into:
                 into[succ] = set()
@@ -704,9 +737,10 @@ def stuck_hosts():
 def test_the_cascade_rule_drops_no_live_code():
     # the full move DAG, unpruned, marks the codes that can still pay
     # off; no successor the pruned walk drops may be one of them.  A
-    # traced walk keeps the on-ceiling part of the rule only
+    # traced walk keeps the on-ceiling part of the rule only, and a
+    # pruned complete-mode sweep folds its forced merges
     sweeps = dropped = 0
-    walked = {}  # (immediate, traced) -> codes the pruned walks reach
+    walked = {}  # (immediate, walk) -> codes the pruned walks reach
     for host, floor, ceiling in stuck_hosts():
         for immediate in (True, False):
             mode = {"ceiling": ceiling, "immediate": immediate}
@@ -717,23 +751,81 @@ def test_the_cascade_rule_drops_no_live_code():
             assert traced_sweep.exposed == [0] * n and traced_sweep.fixed == [on] * n
             assert all(fixed & on == on for fixed in pruned.fixed)
             codes = (1 << full.skip_shift) - 1
+            unfolded = partial(_Sweep.successors, pruned)
             reached, live = move_dag(full, floor)
             for code in reached:
                 every = {m & codes for m in full.successors(code)}
                 part = {m & codes for m in traced_sweep.successors(code)}
-                new = {m & codes for m in pruned.successors(code)}
+                new = {m & codes for m in unfolded(code)}
                 assert new <= part <= every
                 assert not (every - new) & live, (host, ceiling, immediate, code)
                 dropped += len(part - new)
-            for traced, sweep in ((False, pruned), (True, traced_sweep)):
-                key = (immediate, traced)
-                walked[key] = walked.get(key, 0) + len(move_dag(sweep, floor)[0])
+            for walk, sweep, expand in (
+                ("pruned", pruned, unfolded),
+                ("traced", traced_sweep, None),
+                ("folded", pruned, None),
+            ):
+                key = (immediate, walk)
+                reach = len(move_dag(sweep, floor, expand)[0])
+                walked[key] = walked.get(key, 0) + reach
             sweeps += 1
     assert sweeps > 800 and dropped > 3000
     # the frozen-prefix and stuck rules that this rule merges reached
     # 13,475 codes in immediate mode and 23,651 in complete mode
-    assert walked[True, False] < 13_475 and walked[False, False] < 23_651
-    assert walked[True, True] == 14_581 and walked[False, True] == 25_230
+    assert walked[True, "pruned"] < 13_475 and walked[False, "pruned"] < 23_651
+    assert walked[True, "traced"] == 14_581 and walked[False, "traced"] == 25_230
+    # an immediate sweep folds nothing; a complete one skips the children
+    # whose only move is a forced merge
+    assert walked[True, "folded"] == walked[True, "pruned"] == 12_264
+    assert walked[False, "pruned"] == 22_724 and walked[False, "folded"] == 16_684
+
+
+def fold_hosts():
+    """The (host, floor, ceiling) of :func:`stuck_hosts`, every fourth
+    scaled by 10^40."""
+    return [
+        tuple(scaled(path) for path in region) if i % 4 == 0 else region
+        for i, region in enumerate(stuck_hosts())
+    ]
+
+
+def test_each_forced_merge_is_folded_into_its_insertion():
+    # on every code a pruned complete sweep meets, its moves are the
+    # unfolded walk's, except that an insertion whose child does not pay
+    # off, whose only move is the merge of the child's marker point a
+    # from its left neighbour p, and whose walk stops by the step from a
+    # to the inserted point q, is that merge's result, with potential
+    # step 2(e₁ + e₂) + 1.  Only a dead child's forced merge goes unfolded
+    pairs = unfolded_dead = 0
+    for host, floor, ceiling in fold_hosts():
+        sweep = _Sweep(host, ceiling=ceiling, prune=True)
+        plain = partial(_Sweep.successors, sweep)
+        n, shift, mask = sweep.n, sweep.skip_shift, sweep.mask
+        codes = (1 << shift) - 1
+        reached = move_dag(sweep, floor)[0]
+        met, live = move_dag(sweep, floor, plain)
+        assert reached <= met  # the memo-key argument still holds
+        for code in reached:
+            want = []
+            for move in plain(code):
+                child = move & codes
+                a = child >> sweep.shift  # the child's marker point
+                inserted = child & mask & ~code and a and not sweep.payoff({child: 1})
+                nxt = plain(child) if inserted else []
+                if len(nxt) == 1 and nxt[0] & mask == child & mask ^ 1 << (a - 1):
+                    roof = decode(sweep.roof_code(child), n)
+                    ahead = DecoratedRoof(roof.indices, roof.d + 1)
+                    p = roof.indices[roof.d - 1]
+                    if stuck(host, ahead, p, ceiling, False):
+                        step = (move >> shift) + (nxt[0] >> shift) + 1
+                        want.append(nxt[0] & codes | step << shift)
+                        pairs += 1
+                        continue
+                    assert child not in live
+                    unfolded_dead += 1
+                want.append(move)
+            assert sorted(sweep.successors(code)) == sorted(want), (host, code)
+    assert pairs == 8_997 and unfolded_dead == 11
 
 
 def traced_hosts():

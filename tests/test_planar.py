@@ -326,6 +326,14 @@ class TestPointIO:
         with pytest.raises(ValueError, match="line 1"):
             parse_points("a b\n")
 
+    def test_parse_only_signed_ascii_digits(self):
+        assert parse_points("+1 -2\n-0 007\n") == [(1, -2), (0, 7)]
+        # int() reads the first two as (10, 1) and (1, 1)
+        for line in ("1_0 1", "\u0661 1", "+-1 2", "1.0 2", "1 \u00b2"):
+            with pytest.raises(ValueError) as err:
+                parse_points(f"0 0\n{line}\n")
+            assert str(err.value) == f"line 2: coordinates must be integers: {line!r}"
+
     def test_load_points(self, tmp_path):
         path = tmp_path / "pts.txt"
         path.write_text("0 0\n5 -3\n")

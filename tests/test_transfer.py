@@ -1,6 +1,8 @@
 """Transfer iteration: state vectors, regions and whole configurations."""
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from tripoly.exactmath import PolyST, PolyS, catalan, maximal_edge_basis
@@ -124,14 +126,16 @@ class TestInitialVectors:
                 assert bits >> (n - 1) == 0
 
 
-def apply_transfer(points, vec, **mode):
+def apply_transfer(points, vec, fold=True, **mode):
     """One transfer step of a state vector of :func:`encode` codes, summed
-    from the moves of ``_Sweep.successors`` whatever points they skip."""
+    from the moves of ``_Sweep.successors`` whatever points they skip;
+    without ``fold``, from the unfolded walk of a pruned complete sweep."""
     sweep = _Sweep(points, **mode)
+    expand = sweep.successors if fold else partial(_Sweep.successors, sweep)
     codes = (1 << sweep.skip_shift) - 1
     out = {}
     for code, mult in vec.items():
-        for move in sweep.successors(sweep_code(sweep, code)):
+        for move in expand(sweep_code(sweep, code)):
             succ = sweep.roof_code(move & codes)
             out[succ] = out.get(succ, 0) + mult
     return out
@@ -153,14 +157,18 @@ class TestApplyTransfer:
 
     def test_pruning_drops_dead_ends(self):
         cfg, _, ceiling = squeeze_paths()
-        rows = {4: {6}, 153: {81}, 101: {36, 103}}
+        rows = {4: {6}, 153: {81}, 101: {36, 103}, 103: {38}}
         for code, expected in rows.items():
             pruned = apply_transfer(
-                cfg.points, {code: 1}, ceiling=ceiling, prune=True
+                cfg.points, {code: 1}, fold=False, ceiling=ceiling, prune=True
             )
             assert set(pruned) == expected, f"code {code}"
             unpruned = apply_transfer(cfg.points, {code: 1})
             assert set(pruned) <= set(unpruned)
+        # the insertion reaching 103, whose only move is the forced merge
+        # to 38, is folded into that merge
+        folded = apply_transfer(cfg.points, {101: 1}, ceiling=ceiling, prune=True)
+        assert folded == {36: 1, 38: 1}
 
     def test_immediate_mode_is_a_subset(self):
         for code in EDGE_C_SUCCESSORS:
