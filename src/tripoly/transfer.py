@@ -157,8 +157,10 @@ every on-ceiling point, does not flag a.  The child's walk does not stop
 at p -> a, which the parent's walk passed with a ``seen`` holding the
 child's.  So the rule depends on p, a, b and q alone, and one table
 holds the insertions of each step, indexed like the merge (p, a, b) the
-walk read one step earlier.  A move's high field is its potential step
-minus one: 2e for one move and 2(e₁ + e₂) + 1 for a folded pair.
+walk read one step earlier.  Every sweep's walk reads that table; in a
+sweep that does not fold, row (p, a, b) holds the insertions into
+(a, b) for every p.  A move's high field is its potential step minus
+one: 2e for one move and 2(e₁ + e₂) + 1 for a folded pair.
 
 This is exact.  The child never pays off: it has a bad bit or a host
 point above a segment.  Every folded target is a code the unfolded sweep
@@ -312,12 +314,13 @@ class _Sweep:
                         if not any(self._merge[start + v + 1 : start + size]):
                             self.fixed[x] |= 1 << (v - 1)
             self.prune = any(self.fixed)
+        # the insertions into (a, b) after a step from p, at (p·size + a)·size
+        # + b: ins[a·size + b] for every p, until rows are folded
+        self._fold = fold = self._ins * size
         if self.prune and not (immediate or traced):
-            # Folded moves: the insertions into (a, b) after a step from p,
-            # at (p·size + a)·size + b
+            # fold each forced merge into its insertion (Folded moves)
             ins, merge, fixed = self._ins, self._merge, self.fixed
             one = 1 << self.skip_shift
-            self._fold = fold = ins * size
             for a, b in combinations(range(1, size), 2):
                 abit = 1 << (a - 1)
                 row = ins[a * size + b]
@@ -338,16 +341,13 @@ class _Sweep:
                             folded.setdefault(p, list(row))[i] += pair
                 for p, moves in folded.items():
                     fold[(p * size + a) * size + b] = tuple(moves)
-            self.successors = self._folded  # type: ignore[method-assign]
 
     # -- moves ---------------------------------------------------------------
 
     def successors(self, code: int) -> list[int]:
         """Moves at or past the marker, each the code it reaches plus its
-        potential step minus one, 2e for a move skipping e points, shifted
-        to ``skip_shift``.  A pruned, untraced complete-mode sweep is built
-        with ``_folded`` in place of this walk, whose folded pairs carry
-        2(e₁ + e₂) + 1 (Folded moves).
+        potential step minus one shifted to ``skip_shift``: 2e for a move
+        skipping e points, 2(e₁ + e₂) + 1 for a folded pair (Folded moves).
 
         With m the marker's roof point and a the roof point before it,
         inserting q into a segment (x, y) at or past (m, ...) gives
@@ -361,7 +361,7 @@ class _Sweep:
         shift = self.shift
         m = code >> shift
         bits = code & self.mask
-        ins, merge = self._ins, self._merge
+        merge, fold = self._merge, self._fold
         out: list[int] = []
         # a is the walk's roof point; b the next one, with bit lowb
         a = (bits & self.low[m]).bit_length()
@@ -369,7 +369,6 @@ class _Sweep:
         lowb = rest & -rest
         b = lowb.bit_length() if lowb else n
         head = code + ((a - m) << shift)  # this roof with marker a
-        insert = not m  # (a, m) lies before the marker
         prune = self.prune
         if prune:
             # roof points off the ceiling path, and the ceiling points a
@@ -382,50 +381,9 @@ class _Sweep:
                 return out
             exposed, fixed = self.exposed, self.fixed
             seen = 0  # a change is needed before the walk's next point
-        while True:
-            if insert:
-                for move in ins[a * size + b]:
-                    out.append(head | move)
-            if b == n:
-                break
-            rest ^= lowb
-            lowc = rest & -rest
-            c = lowc.bit_length() if lowc else n
-            move = merge[(a * size + b) * size + c]
-            if move:
-                out.append(head ^ move)
-            if prune:
-                seen |= exposed[a] & lowb | bad & (lowb - 1)
-                if seen and fixed[a] & lowb:
-                    break
-            head += (b - a) << shift
-            a, b, lowb = b, c, lowc
-            insert = True
-        return out
-
-    def _folded(self, code: int) -> list[int]:
-        """``successors`` of a pruned, untraced complete-mode sweep, each
-        insertion read from the fold table (Folded moves)."""
-        n = self.n
-        size = n + 1
-        shift = self.shift
-        m = code >> shift
-        bits = code & self.mask
-        merge, fold, exposed, fixed = self._merge, self._fold, self.exposed, self.fixed
-        out: list[int] = []
-        a = (bits & self.low[m]).bit_length()
-        rest = bits >> a << a
-        lowb = rest & -rest
-        b = lowb.bit_length() if lowb else n
-        head = code + ((a - m) << shift)
-        bad = (bits ^ self.required) & self.care
-        last = (bits & self.ceiling_bits & ((1 << a) - 1)).bit_length()
-        if bad & ((1 << last) - 1):
-            return out
-        if not m:  # a = 0: the first segment takes insertions
+        if not m:  # a = 0: the first segment (a, b) takes insertions
             for move in self._ins[b]:
-                out.append(head | move)
-        seen = 0
+                out.append(head + move)
         while b != n:
             rest ^= lowb
             lowc = rest & -rest
@@ -434,12 +392,13 @@ class _Sweep:
             move = merge[at]
             if move:
                 out.append(head ^ move)
-            seen |= exposed[a] & lowb | bad & (lowb - 1)
-            if seen and fixed[a] & lowb:
-                break
+            if prune:
+                seen |= exposed[a] & lowb | bad & (lowb - 1)
+                if seen and fixed[a] & lowb:
+                    break
             head += (b - a) << shift
             a, b, lowb = b, c, lowc
-            for move in fold[at]:
+            for move in fold[at]:  # the insertions into (a, b)
                 out.append(head + move)
         return out
 

@@ -432,14 +432,14 @@ class TestInternalError:
         # triangulation without the centre pays off at a wrong potential
         from tripoly.transfer import _Sweep
 
-        real = _Sweep._folded  # the walk of an untraced `poly`
+        real = _Sweep.successors
 
         def miscounting(self, code):
             # a move's high field is its potential step minus one
             one = 2 << self.skip_shift
             return [m - one if m >= one else m for m in real(self, code)]
 
-        monkeypatch.setattr(_Sweep, "_folded", miscounting)
+        monkeypatch.setattr(_Sweep, "successors", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (
@@ -452,14 +452,14 @@ class TestInternalError:
         # one point too many: the move skipping the centre overshoots
         from tripoly.transfer import _Sweep
 
-        real = _Sweep._folded  # the walk of an untraced `poly`
+        real = _Sweep.successors
 
         def miscounting(self, code):
             # a move's high field is its potential step minus one
             one = 2 << self.skip_shift
             return [m + one if m >= one else m for m in real(self, code)]
 
-        monkeypatch.setattr(_Sweep, "_folded", miscounting)
+        monkeypatch.setattr(_Sweep, "successors", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
         assert (rc, out) == (3, "")
         assert capsys.readouterr().err == (

@@ -36,8 +36,8 @@ seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
 
+import copy
 import random
-from functools import partial
 
 import pytest
 
@@ -717,6 +717,14 @@ def move_dag(sweep, floor, expand=None):
     return set(into), live
 
 
+def unfold(sweep):
+    """A copy of a sweep whose walk folds no move: every row of its fold
+    table holds the plain insertions."""
+    plain = copy.copy(sweep)
+    plain._fold = sweep._ins * (sweep.n + 1)
+    return plain
+
+
 def stuck_hosts():
     """(host, floor, ceiling) of lattice subsets, of sets on a 6x6 grid
     (collinear runs and vertical ties), of sets under ceiling runs, and of
@@ -751,7 +759,7 @@ def test_the_cascade_rule_drops_no_live_code():
             assert traced_sweep.exposed == [0] * n and traced_sweep.fixed == [on] * n
             assert all(fixed & on == on for fixed in pruned.fixed)
             codes = (1 << full.skip_shift) - 1
-            unfolded = partial(_Sweep.successors, pruned)
+            unfolded = unfold(pruned).successors
             reached, live = move_dag(full, floor)
             for code in reached:
                 every = {m & codes for m in full.successors(code)}
@@ -799,7 +807,7 @@ def test_each_forced_merge_is_folded_into_its_insertion():
     pairs = unfolded_dead = 0
     for host, floor, ceiling in fold_hosts():
         sweep = _Sweep(host, ceiling=ceiling, prune=True)
-        plain = partial(_Sweep.successors, sweep)
+        plain = unfold(sweep).successors
         n, shift, mask = sweep.n, sweep.skip_shift, sweep.mask
         codes = (1 << shift) - 1
         reached = move_dag(sweep, floor)[0]

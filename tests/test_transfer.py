@@ -1,8 +1,6 @@
 """Transfer iteration: state vectors, regions and whole configurations."""
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
 from tripoly.exactmath import PolyST, PolyS, catalan, maximal_edge_basis
@@ -131,11 +129,12 @@ def apply_transfer(points, vec, fold=True, **mode):
     from the moves of ``_Sweep.successors`` whatever points they skip;
     without ``fold``, from the unfolded walk of a pruned complete sweep."""
     sweep = _Sweep(points, **mode)
-    expand = sweep.successors if fold else partial(_Sweep.successors, sweep)
+    if not fold:
+        sweep._fold = sweep._ins * (sweep.n + 1)
     codes = (1 << sweep.skip_shift) - 1
     out = {}
     for code, mult in vec.items():
-        for move in expand(sweep_code(sweep, code)):
+        for move in sweep.successors(sweep_code(sweep, code)):
             succ = sweep.roof_code(move & codes)
             out[succ] = out.get(succ, 0) + mult
     return out
