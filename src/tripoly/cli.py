@@ -223,24 +223,14 @@ def _run_verb(args: argparse.Namespace, out) -> int:
     elif verb == "poly" or verb == "maxcount":
         cfg = Configuration(load_points(args.file))
         trace = _tracer(out, cfg.points) if args.trace else None
-        if verb == "poly":
-            result = complete_config_poly(cfg, trace=trace)
-        else:
-            # a maximal trace lists the unpruned sweep, dead ends included
-            result = max_config_count(cfg, prune=not args.trace, trace=trace)
+        solve = complete_config_poly if verb == "poly" else max_config_count
+        result = solve(cfg, trace=trace)
     elif verb == "region":
         cfg = Configuration(load_points(args.file))
         floor = _indices(args.floor, "floor")
         ceiling = _indices(args.ceiling, "ceiling")
         trace = _tracer(out, region_host(cfg, floor, ceiling)[0]) if args.trace else None
-        result = region_poly(
-            cfg,
-            floor,
-            ceiling,
-            maximal=args.maximal,
-            prune=not (args.trace and args.maximal),
-            trace=trace,
-        )
+        result = region_poly(cfg, floor, ceiling, maximal=args.maximal, trace=trace)
     else:  # oracle or oracle-region
         # imported here, so that only the brute-force verbs load it
         from .oracle import GuardExceeded, oracle_complete_poly, oracle_region_poly

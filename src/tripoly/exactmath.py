@@ -198,13 +198,6 @@ class PolyS(_Sparse):
         """Coefficient of the highest power of s."""
         return self.c[max(self.c)] if self.c else 0
 
-    def lowest(self) -> tuple[int, int]:
-        """(exponent, coefficient) of the lowest non-zero term."""
-        if not self.c:
-            return (-1, 0)
-        e = min(self.c)
-        return (e, self.c[e])
-
 
 def packed_bytes(bound: int) -> int:
     """Bytes per field that hold every value of absolute value at most

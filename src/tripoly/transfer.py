@@ -108,6 +108,10 @@ Three modes share the loop, and one payoff rule: a state pays off when
 * edge (complete moves, no ceiling): both are 0, so every state pays off
   with its length ``popcount(bits) + 1``.
 
+Every public function runs its sweep through one entry point,
+``_payoffs``, which picks the mode from ``maximal`` and the ceiling, and
+prunes every sweep but a traced maximal one.
+
 Dead-end pruning under a ceiling is one cascade rule.  Let the bad bits
 of a roof be its points off the ceiling path plus the ceiling points it
 needs and lacks: in maximal mode every on-ceiling point, in complete mode
@@ -128,10 +132,12 @@ A(x, y) is not empty.  The walk sets ``seen`` at a step from x to y that
 ``exposed[x]`` flags or when a bad bit lies before y, and stops before
 the moves whose marker is y when ``seen`` is set and ``fixed[x]`` flags
 y.
-This is exact: no state past such a move pays off.  A traced sweep keeps
-the on-ceiling part of the rule only, so that its vectors are those of
-the frozen-prefix sweep, which drops a roof whose prefix up to an
-on-ceiling point holds a bad bit.
+This is exact: no state past such a move pays off.  A traced
+complete-mode sweep keeps the on-ceiling part of the rule only, so that
+its vectors are those of the frozen-prefix sweep, which drops a roof
+whose prefix up to an on-ceiling point holds a bad bit.  A traced maximal
+sweep is unpruned: its vectors hold every state of the step-by-step
+iteration, dead ends included.
 
 Pruning needs no more in the memo key.  ``seen`` depends on the roof
 from a on and on the bad bits before a.  Take a code the sweep meets and
@@ -630,17 +636,32 @@ def _replay(
         )
 
 
-def _run_complete(
+def _payoffs(
     host: Sequence[Point],
     floor: Sequence[Point],
-    ceiling: Sequence[Point],
+    ceiling: Sequence[Point] | None = None,
     *,
-    prune: bool = True,
+    maximal: bool = False,
     trace: TraceFn | None = None,
-) -> PolyS:
-    sweep = _Sweep(host, ceiling=ceiling, prune=prune, traced=trace is not None)
+) -> dict[tuple[int, int], int]:
+    """The one sweep entry point: the payoffs of the sweep of ``host`` from
+    ``floor``, keyed by (vertices used, roof length), in maximal or complete
+    mode.  Every sweep prunes but a traced maximal one."""
+    traced = trace is not None
+    sweep = _Sweep(
+        host,
+        ceiling=ceiling,
+        immediate=maximal,
+        prune=not (traced and maximal),
+        traced=traced,
+    )
+    return _run(sweep, floor, trace)
+
+
+def _poly(payoffs: Mapping[tuple[int, int], int]) -> PolyS:
+    """The polynomial of complete-mode payoffs, s^used per triangulation."""
     total: dict[int, int] = {}
-    for (used, _), coeff in _run(sweep, floor, trace).items():
+    for (used, _), coeff in payoffs.items():
         total[used] = total.get(used, 0) + coeff
     return PolyS(total)
 
@@ -650,15 +671,11 @@ def max_region_count_points(
     floor: Sequence[Point],
     ceiling: Sequence[Point],
     *,
-    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> int:
     """Maximal triangulations of the region between two paths, hosting
     exactly the given points (all of which must be used)."""
-    sweep = _Sweep(
-        points, ceiling=ceiling, immediate=True, prune=prune, traced=trace is not None
-    )
-    return sum(_run(sweep, floor, trace).values())
+    return sum(_payoffs(points, floor, ceiling, maximal=True, trace=trace).values())
 
 
 def covering_roof_counts(points: Sequence[Point]) -> dict[int, int]:
@@ -669,9 +686,9 @@ def covering_roof_counts(points: Sequence[Point]) -> dict[int, int]:
     under every roof it reaches; the covering roofs are those under
     which it used every point.
     """
-    sweep = _Sweep(points, immediate=True)
+    payoffs = _payoffs(points, lower_hull(points), maximal=True)
     out: dict[int, int] = {}
-    for (used, length), mult in _run(sweep, lower_hull(points), None).items():
+    for (used, length), mult in payoffs.items():
         if used == len(points):
             out[length] = out.get(length, 0) + mult
     return out
@@ -683,7 +700,6 @@ def region_poly(
     ceiling: Sequence[int],
     *,
     maximal: bool = False,
-    prune: bool = True,
     trace: TraceFn | None = None,
 ) -> PolyS | int:
     """Triangulation polynomial (or maximal count) of a region.
@@ -694,9 +710,9 @@ def region_poly(
     any subset of the other participating points; the maximal count uses
     them all.
     """
-    host, floor_path, ceiling_path = region_host(config, floor, ceiling)
-    run = max_region_count_points if maximal else _run_complete
-    return run(host, floor_path, ceiling_path, prune=prune, trace=trace)
+    region = region_host(config, floor, ceiling)
+    payoffs = _payoffs(*region, maximal=maximal, trace=trace)
+    return sum(payoffs.values()) if maximal else _poly(payoffs)
 
 
 def _hull(
@@ -712,27 +728,19 @@ def _hull(
 
 
 def complete_config_poly(
-    config: Configuration,
-    *,
-    prune: bool = True,
-    trace: TraceFn | None = None,
+    config: Configuration, *, trace: TraceFn | None = None
 ) -> PolyS:
     """Complete triangulation polynomial of a configuration.
 
     Counts every triangulation of every subset containing the extremal
     points, graded by s per vertex used.
     """
-    return _run_complete(*_hull(config), prune=prune, trace=trace)
+    return _poly(_payoffs(*_hull(config), trace=trace))
 
 
-def max_config_count(
-    config: Configuration,
-    *,
-    prune: bool = True,
-    trace: TraceFn | None = None,
-) -> int:
+def max_config_count(config: Configuration, *, trace: TraceFn | None = None) -> int:
     """Number of maximal triangulations (every point a vertex)."""
-    return max_region_count_points(*_hull(config), prune=prune, trace=trace)
+    return sum(_payoffs(*_hull(config), maximal=True, trace=trace).values())
 
 
 def complete_edge_poly_tm(
@@ -745,7 +753,7 @@ def complete_edge_poly_tm(
     summing the basis images of all covering roofs over all sub-edges.
     """
     host = tuple(edge.points)
-    payoffs = _run(_Sweep(host), lower_hull(host), trace)
+    payoffs = _payoffs(host, lower_hull(host), trace=trace)
     return PolyST.from_p(
         {(used - 1, length): mult for (used, length), mult in payoffs.items()}
     )

@@ -17,7 +17,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .exactmath import PolyS, pair_edge_product
-from .planar import Configuration, NearEdge, as_integer, convex_polygon_points
+from .planar import Configuration, as_integer, convex_polygon_points
 
 # unused here; bench/tracer.py patches these names in this namespace
 from .exactmath import catalan_pair_st, catalan_pair_t  # noqa: F401
@@ -85,10 +85,3 @@ def weighted_polygon_config(weights: Sequence[int]) -> Configuration:
             pts.append((scale * bx + t * dx, scale * by + t * dy))
     return Configuration(pts)
 
-
-def straight_edge(a: int) -> NearEdge:
-    """The weight-a edge whose points all sit on one line."""
-    a = as_integer(a, "edge weight")
-    if a < 1:
-        raise ValueError("edge weight must be >= 1")
-    return NearEdge((i, 0) for i in range(a + 1))

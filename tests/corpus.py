@@ -43,6 +43,12 @@ SEVEN = ((0, 0), (1, 2), (2, -1), (3, 1), (4, -2), (5, 1), (6, 0))
 FLATTOP = ((0, 0), (1, 1), (2, 1), (3, 1), (4, -1), (5, 0))
 STRAIGHT4 = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
 
+
+def straight_edge(a: int) -> NearEdge:
+    """The weight-a edge whose points all sit on one line."""
+    return NearEdge((i, 0) for i in range(a + 1))
+
+
 # --- configurations (SQUEEZE with its floor and ceiling above)
 
 COLUMNS11 = (

@@ -12,6 +12,11 @@
 
 They share nothing with the packed routes but ``PolySUW``,
 ``Configuration``, ``NearEdge`` and ``orient``.
+
+``unpruned_sweep`` is of another kind: it runs the package's own
+transfer sweep with the cascade rule off, so that every move is made and
+none is folded.  Compared with the public functions, it checks that
+pruning drops no state that pays off.
 """
 from __future__ import annotations
 
@@ -19,8 +24,17 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from tripoly.exactmath import PolySUW
-from tripoly.planar import Configuration, NearEdge, Point, orient
+from tripoly.exactmath import PolyS, PolySUW
+from tripoly.planar import (
+    Configuration,
+    NearEdge,
+    Point,
+    lower_hull,
+    orient,
+    region_host,
+    upper_hull,
+)
+from tripoly.transfer import TraceFn, _poly, _run, _Sweep
 
 
 def schoolbook_convex_states(
@@ -153,3 +167,24 @@ def all_pairs_factorize(edge: NearEdge) -> list[NearEdge]:
     return [
         NearEdge(pts[a : b + 1]).translate_to_origin() for a, b in zip(cuts, cuts[1:])
     ]
+
+
+def unpruned_sweep(
+    config: Configuration,
+    floor: Sequence[int] | None = None,
+    ceiling: Sequence[int] | None = None,
+    *,
+    maximal: bool = False,
+    trace: TraceFn | None = None,
+) -> PolyS | int:
+    """The maximal count or the complete polynomial of the region between
+    two index paths, or of the whole configuration when they are None,
+    swept without pruning."""
+    if floor is None:
+        host = config.points
+        floor_path, ceiling_path = lower_hull(host), upper_hull(host)
+    else:
+        host, floor_path, ceiling_path = region_host(config, floor, ceiling)
+    sweep = _Sweep(host, ceiling=ceiling_path, immediate=maximal)
+    payoffs = _run(sweep, floor_path, trace)
+    return sum(payoffs.values()) if maximal else _poly(payoffs)

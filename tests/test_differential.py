@@ -28,8 +28,9 @@ skips no point sweeps an empty triangle.  No successor that the pruned
 walk drops may reach a ceiling payoff in the full move DAG, and each
 move a pruned complete-mode sweep folds must be an insertion followed by
 its child's only move, a forced merge, as the unfolded walk makes them.
-Traced runs, which keep only the on-ceiling part of the cascade rule and
-fold nothing, must give the results of untraced ones, and so must the
+Traced runs must give the results of untraced and of unpruned ones: a
+traced complete run keeps only the on-ceiling part of the cascade rule and
+folds nothing, and a traced maximal run is unpruned.  So must the
 images of a configuration under the integer symmetries and of a region
 under the mirrors, each of which sweeps in its own order.  The generators are
 seeded, so every run checks the same configurations.
@@ -94,6 +95,7 @@ from corpus import (
     sweep_code,
     valley_regions,
 )
+from reference import unpruned_sweep
 
 HUGE = 10**40
 
@@ -211,7 +213,7 @@ def test_pruned_maximal_counts_match_unpruned_and_oracle(pts):
     host = cfg.points
     want = _count_fillings(host, lower_hull(host), upper_hull(host))
     for c in (cfg, big):
-        assert max_config_count(c) == max_config_count(c, prune=False) == want
+        assert max_config_count(c) == unpruned_sweep(c, maximal=True) == want
     regions = hull_regions(cfg) + valley_regions(cfg, 3, seed=len(pts))
     for floor, ceiling in regions:
         if flat(cfg, floor, ceiling):
@@ -225,18 +227,18 @@ def test_pruned_maximal_counts_match_unpruned_and_oracle(pts):
             continue
         want = oracle_region_poly(cfg, floor, ceiling).leading()
         for c in (cfg, big):
-            for prune in (True, False):
-                got = region_poly(c, floor, ceiling, maximal=True, prune=prune)
-                assert got == want, (floor, ceiling, prune)
+            pruned = region_poly(c, floor, ceiling, maximal=True)
+            unpruned = unpruned_sweep(c, floor, ceiling, maximal=True)
+            assert pruned == unpruned == want, (floor, ceiling)
 
 
 @pytest.mark.parametrize("pts", MAXIMAL_LARGE)
 def test_pruned_maximal_counts_match_unpruned_on_larger_sets(pts):
     cfg = Configuration(pts)
-    assert max_config_count(cfg) == max_config_count(cfg, prune=False)
+    assert max_config_count(cfg) == unpruned_sweep(cfg, maximal=True)
     for floor, ceiling in hull_regions(cfg)[:2] + valley_regions(cfg, 3, seed=9):
-        assert region_poly(cfg, floor, ceiling, maximal=True) == region_poly(
-            cfg, floor, ceiling, maximal=True, prune=False
+        assert region_poly(cfg, floor, ceiling, maximal=True) == unpruned_sweep(
+            cfg, floor, ceiling, maximal=True
         ), (floor, ceiling)
 
 
@@ -852,17 +854,17 @@ def traced_hosts():
 
 @pytest.mark.parametrize("cfg,floor,ceiling", traced_hosts())
 def test_traced_runs_match_untraced_runs(cfg, floor, ceiling):
-    # a traced run keeps only the on-ceiling part of the cascade rule
-    if floor is None:
-        runs = [max_config_count, complete_config_poly]
-    else:
-        runs = [
-            lambda c, **kw: region_poly(c, floor, ceiling, maximal=True, **kw),
-            lambda c, **kw: region_poly(c, floor, ceiling, **kw),
-        ]
-    for run in runs:
+    # a traced complete run keeps only the on-ceiling part of the cascade
+    # rule, and a traced maximal run none of it
+    for maximal in (True, False):
+        if floor is None:
+            run = max_config_count if maximal else complete_config_poly
+        else:
+            def run(c, **kw):
+                return region_poly(c, floor, ceiling, maximal=maximal, **kw)
         traced = run(cfg, trace=lambda k, vec, paid: None)
-        assert traced == run(cfg) == run(cfg, prune=False)
+        unpruned = unpruned_sweep(cfg, floor, ceiling, maximal=maximal)
+        assert traced == run(cfg) == unpruned
 
 
 SYMMETRIES = [

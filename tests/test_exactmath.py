@@ -101,11 +101,9 @@ class TestPolyS:
         p = PolyS({8: 12, 7: 16, 6: 5})
         assert p.degree() == 8
         assert p.leading() == 12
-        assert p.lowest() == (6, 5)
         assert p.text() == "12*s^8 + 16*s^7 + 5*s^6"
 
     def test_empty_poly(self):
-        assert PolyS().lowest() == (-1, 0)
         assert PolyS().degree() == -1
         assert PolyS().leading() == 0
         assert PolyS().text() == "0"

@@ -29,7 +29,7 @@ from tripoly.neargon import (
 )
 from tripoly.planar import NearEdge, convex_profile, extremal_points, vertical_mirror
 from tripoly.transfer import complete_config_poly, max_config_count
-from tripoly.weighted import straight_edge, weighted_complete_poly
+from tripoly.weighted import weighted_complete_poly
 
 from corpus import (
     CATALOG_EQUAL_PAIRS,
@@ -48,6 +48,7 @@ from corpus import (
     GON_POLY,
     SMALL_EDGES,
     catalog_edge,
+    straight_edge,
     TRIANGLE_POLY,
 )
 from test_transfer import st_from_pcoeffs

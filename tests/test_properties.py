@@ -48,6 +48,7 @@ from tripoly.weighted import (
 )
 
 from corpus import valley_regions
+from reference import unpruned_sweep
 
 HUGE = 10**40
 
@@ -147,10 +148,10 @@ def grid_sets(draw) -> tuple[tuple[int, int], ...]:
 @given(grid_sets(), st.integers(0, 2**16))
 def test_pruned_sweeps_match_unpruned_ones(pts, seed):
     cfg = Configuration(pts)
-    assert complete_config_poly(cfg) == complete_config_poly(cfg, prune=False)
-    assert max_config_count(cfg) == max_config_count(cfg, prune=False)
+    assert complete_config_poly(cfg) == unpruned_sweep(cfg)
+    assert max_config_count(cfg) == unpruned_sweep(cfg, maximal=True)
     for floor, ceiling in valley_regions(cfg, 2, seed):
         for maximal in (False, True):
-            assert region_poly(cfg, floor, ceiling, maximal=maximal) == region_poly(
-                cfg, floor, ceiling, maximal=maximal, prune=False
+            assert region_poly(cfg, floor, ceiling, maximal=maximal) == unpruned_sweep(
+                cfg, floor, ceiling, maximal=maximal
             )

@@ -1,14 +1,18 @@
 """Transfer iteration: state vectors, regions and whole configurations."""
 from __future__ import annotations
 
+import io
+
 import pytest
 
+from tripoly.cli import run as run_cli
 from tripoly.exactmath import PolyST, PolyS, catalan, maximal_edge_basis
 from tripoly.planar import (
     Configuration,
     NearEdge,
     extremal_points,
     lower_hull,
+    region_host,
     upper_hull,
 )
 from tripoly.roofs import DecoratedRoof, covering_roofs, encode, skyline_points, sub_edges
@@ -42,6 +46,7 @@ from corpus import (
     all_codes,
     sweep_code,
 )
+from reference import unpruned_sweep
 
 # successor table of the decorated-roof codes over the six-point edge,
 # derived once by hand from the insertion and merge rules
@@ -219,33 +224,46 @@ class TestRegionPoly:
 
     def test_pruning_does_not_change_the_polynomial(self):
         cfg, _, _ = squeeze_paths()
-        assert region_poly(
-            cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=False
-        ) == region_poly(cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=True)
+        assert unpruned_sweep(
+            cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING
+        ) == region_poly(cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING)
 
     def test_maximal_pruning_is_transparent(self):
         cfg, _, _ = squeeze_paths()
-        for prune in (True, False):
-            count = region_poly(
-                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, maximal=True, prune=prune
-            )
+        for run in (region_poly, unpruned_sweep):
+            count = run(cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, maximal=True)
             assert count == 12
 
-    def test_traced_maximal_run_keeps_pruning(self):
+    def test_library_maximal_traces_are_the_cli_traces(self, point_file):
+        # a traced maximal sweep is the unpruned one, dead ends included,
+        # whether the library or the command line runs it
         cfg, _, _ = squeeze_paths()
-        sizes = {}
-        for prune in (True, False):
-            seen = sizes[prune] = []
-            region_poly(
-                cfg,
-                SQUEEZE_FLOOR,
-                SQUEEZE_CEILING,
-                maximal=True,
-                prune=prune,
-                trace=lambda k, vec, w: seen.append(len(vec)),
-            )
-        assert sizes[True] == [1, 1, 3, 5, 4, 4, 5, 4, 2]
-        assert sizes[False] == [1, 1, 3, 7, 10, 10, 8, 5, 2]
+        path = point_file(SQUEEZE)
+        flags = ["--floor", "0,1,7", "--ceiling", "0,2,3,5,6,7", "--maximal"]
+        for argv, paths in (
+            (["maxcount", path], ()),
+            (["region", path, *flags], (SQUEEZE_FLOOR, SQUEEZE_CEILING)),
+        ):
+            host = region_host(cfg, *paths)[0] if paths else cfg.points
+
+            def count(**kw):
+                if paths:
+                    return region_poly(cfg, *paths, maximal=True, **kw)
+                return max_config_count(cfg, **kw)
+
+            lines, sizes = [], []
+
+            def tap(k, vec, w):
+                lines.append(f"V_{k} = {render_vector(host, vec)}")
+                sizes.append(len(vec))
+
+            traced = count(trace=tap)
+            assert traced == count() == unpruned_sweep(cfg, *paths, maximal=True)
+            out = io.StringIO()
+            assert run_cli([*argv, "--trace"], out=out) == 0
+            assert out.getvalue().splitlines() == lines + [str(traced)]
+        # the region's pruned sweep met 1, 1, 3, 5, 4, 4, 5, 4, 2 of these
+        assert sizes == [1, 1, 3, 7, 10, 10, 8, 5, 2]
 
     def test_trace_w_images(self):
         cfg, _, _ = squeeze_paths()
@@ -339,7 +357,8 @@ class TestConfigPolynomials:
             cfg = Configuration(pts)
             m = len(extremal_points(cfg.points))
             poly = complete_config_poly(cfg)
-            assert poly.lowest() == (m, catalan(m - 2))
+            assert min(poly.c) == m
+            assert poly.c[m] == catalan(m - 2)
 
     def test_leading_term_is_the_maximal_count(self):
         for pts in (COLUMNS11, SQUEEZE, COLLINEAR_RUN):
@@ -358,7 +377,7 @@ class TestConfigPolynomials:
 
     def test_prune_flag_is_transparent(self):
         cfg = Configuration(SQUEEZE)
-        assert complete_config_poly(cfg, prune=False) == complete_config_poly(cfg)
+        assert unpruned_sweep(cfg) == complete_config_poly(cfg)
 
 
 class TestSweepOrder:
@@ -394,8 +413,8 @@ class TestSweepOrder:
         cfg, _, _ = squeeze_paths()
         for run in (
             lambda tap: complete_edge_poly_tm(NearEdge(EDGE_C), trace=tap),
-            lambda tap: region_poly(
-                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, prune=False, trace=tap
+            lambda tap: unpruned_sweep(
+                cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, trace=tap
             ),
         ):
             calls, vectors = self.expansions(monkeypatch, run)
