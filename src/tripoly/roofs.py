@@ -64,21 +64,6 @@ def decode(code: int, n: int) -> DecoratedRoof:
     return DecoratedRoof(tuple(idx), d)
 
 
-def skyline_points(points: Sequence[Point], roof: DecoratedRoof) -> tuple[Point, ...]:
-    return tuple(points[i] for i in roof.indices)
-
-
-def is_covering(points: Sequence[Point], indices: Sequence[int]) -> bool:
-    """True when every skipped point lies strictly below the roof line."""
-    idx = list(indices)
-    for a, b in zip(idx, idx[1:]):
-        pa, pb = points[a], points[b]
-        for q in range(a + 1, b):
-            if orient(pa, pb, points[q]) >= 0:
-                return False
-    return True
-
-
 def covering_roofs(points: Sequence[Point]) -> list[tuple[int, ...]]:
     """All index subsequences 0..n whose line shelters the skipped points."""
     n = len(points) - 1

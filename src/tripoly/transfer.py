@@ -131,7 +131,8 @@ sweep the moves already exclude e > 0.  ``exposed[x]`` flags y when
 A(x, y) is not empty.  The walk sets ``seen`` at a step from x to y that
 ``exposed[x]`` flags or when a bad bit lies before y, and stops before
 the moves whose marker is y when ``seen`` is set and ``fixed[x]`` flags
-y.
+y.  An untraced sweep also drops every merge of an on-ceiling point when
+it builds its tables, whether the walk has seen a change or not.
 This is exact: no state past such a move pays off.  A traced
 complete-mode sweep keeps the on-ceiling part of the rule only, so that
 its vectors are those of the frozen-prefix sweep, which drops a roof
@@ -149,9 +150,9 @@ sets ``seen`` whatever lies before a, and the stop depends on the key
 alone.  ``successors`` returns no move for a code the sweep never meets,
 one with a bad bit before an on-ceiling roof point at or before a.
 
-Folded moves.  A pruned, untraced complete-mode sweep emits an insertion
-of q into (a, b), a walk point with left neighbour p, as the merge of a
-from p that its child is then forced to make: bits + q − a with marker p,
+Folded moves.  A pruned, untraced sweep emits an insertion of q into
+(a, b), a walk point with left neighbour p, as the merge of a from p
+that its child is then forced to make: bits + q − a with marker p,
 skipping e₁ + e₂ points at potential Φ + 2 + 2(e₁ + e₂).  The child's
 only move is that merge when merge(p, a, q) exists, no insertion into
 (a, q) does (and no merge of q from a, as q lies above a -> b), and its
@@ -161,21 +162,22 @@ q being bad.  A bad bit before a sets ``seen`` too, but then a is bad:
 the parent's walk went on from p to a, so ``fixed[p]``, which flags
 every on-ceiling point, does not flag a.  The child's walk does not stop
 at p -> a, which the parent's walk passed with a ``seen`` holding the
-child's.  So the rule depends on p, a, b and q alone, and one table
-holds the insertions of each step, indexed like the merge (p, a, b) the
-walk read one step earlier.  Every sweep's walk reads that table; in a
-sweep that does not fold, row (p, a, b) holds the insertions into
-(a, b) for every p.  A move's high field is its potential step minus
-one: 2e for one move and 2(e₁ + e₂) + 1 for a folded pair.
+child's.  So the rule depends on p, a and q alone, and the set-up finds
+it once per (a, q) for every p.  One table holds the insertions of each
+step, indexed like the merge (p, a, b) the walk read one step earlier.
+Every sweep's walk reads that table; in a sweep that does not fold, row
+(p, a, b) holds the insertions into (a, b) for every p.  A move's high
+field is its potential step minus one: 2e for one move and
+2(e₁ + e₂) + 1 for a folded pair.
 
 This is exact.  The child never pays off: it has a bad bit or a host
 point above a segment.  Every folded target is a code the unfolded sweep
 meets, and the rule reads only the walk's steps, so the memo-key
 argument holds.  Every term a target receives is a checked parent
-multiplicity, one per code, so the field-width argument holds.  A traced
-sweep does not fold, as it must keep every V_k state; a maximal sweep
-does not, as its sweeps are short and the table costs about what the
-fold saves; an edge sweep has no cascade rule.
+multiplicity, one per code, so the field-width argument holds.  In a
+maximal sweep e₁ = e₂ = 0, so a folded pair lands at Φ + 2 with the
+parent's plain-int multiplicity.  A traced sweep does not fold, as it
+must keep every V_k state, and an edge sweep has no cascade rule.
 
 No host point other than a segment's two ends lies on a roof segment of
 an immediate sweep.  The floor roof of a maximal run holds every point on
@@ -188,11 +190,10 @@ a point off the roof is covered only when it lies strictly below it.
 
 An immediate sweep without a ceiling is the maximal mode run for every
 ceiling at once, and its payoffs tell which roofs cover the host.  A roof
-covers the host (every point off it strictly below it,
-:func:`tripoly.roofs.is_covering`) exactly when its payoffs used all
-n + 1 host points.  As each code is reached at one step only, those
-payoffs sum, by roof length, the maximal counts of the regions between
-the floor and each covering roof.
+covers the host (every point off it strictly below it) exactly when its
+payoffs used all n + 1 host points.  As each code is reached at one step
+only, those payoffs sum, by roof length, the maximal counts of the
+regions between the floor and each covering roof.
 """
 from __future__ import annotations
 
@@ -261,30 +262,8 @@ class _Sweep:
                     elif side < 0:
                         down |= 1 << (r - 1)
                 above[a][b], below[a][b] = up, down
-        # the moves inserting a point above a -> b and merging a point below
-        # it: the bit the move sets or clears plus 2e << skip_shift, e being
-        # the points it newly covers besides the moved one, as differences
-        # of the counts of uncovered points; an immediate sweep skips none
-        count = [[x.bit_count() for x in row] for row in above]
-        twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
-        self._ins: list[tuple[int, ...]] = [()] * (size * size)
-        self._merge = [0] * (size * size * size)
-        for a in range(n - 1):
-            for b in range(a + 2, size):
-                moves = []
-                for r in range(a + 1, b):
-                    bit = 1 << (r - 1)
-                    if above[a][b] & bit:
-                        e = count[a][b] - count[a][r] - count[r][b] - 1
-                        if not (e and immediate):
-                            moves.append(bit | e << twice)
-                    elif below[a][b] & bit:
-                        e = count[a][r] + count[r][b] - count[a][b]
-                        if not (e and immediate):
-                            self._merge[(a * size + r) * size + b] = bit | e << twice
-                self._ins[a * size + b] = tuple(moves)
         # a state pays off when (bits ^ required) & care is 0
-        self.required = self.care = 0
+        self.required = self.care = on = 0
         self.ceiling_bits: int | None = None
         if ceiling is not None:
             on = self.ceiling_bits = sum(
@@ -302,51 +281,83 @@ class _Sweep:
                     1 << (i - 1) for i in range(1, n) if self.points[i] in corners
                 )
             self.care = (self.mask ^ on) | self.required
+        # an untraced sweep under a ceiling runs the whole cascade rule: it
+        # drops the merges of on-ceiling points, as a merged point lies
+        # strictly under every later roof, and folds forced merges
+        whole = prune and ceiling is not None and not traced
+        # the moves inserting a point above a -> b and merging a point below
+        # it: the bit the move sets or clears plus 2e << skip_shift, e being
+        # the points it newly covers besides the moved one, as differences
+        # of the counts of uncovered points; an immediate sweep skips none
+        count = [[x.bit_count() for x in row] for row in above]
+        twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
+        self._ins: list[tuple[int, ...]] = [()] * (size * size)
+        self._merge = [0] * (size * size * size)
+        merged = [0] * size  # merged[x] flags the points some move merges from x
+        for a in range(n - 1):
+            for b in range(a + 2, size):
+                moves = []
+                for r in range(a + 1, b):
+                    bit = 1 << (r - 1)
+                    if above[a][b] & bit:
+                        e = count[a][b] - count[a][r] - count[r][b] - 1
+                        if not (e and immediate):
+                            moves.append(bit | e << twice)
+                    elif below[a][b] & bit and not (whole and on & bit):
+                        e = count[a][r] + count[r][b] - count[a][b]
+                        if not (e and immediate):
+                            self._merge[(a * size + r) * size + b] = bit | e << twice
+                            merged[a] |= bit
+                self._ins[a * size + b] = tuple(moves)
         # the cascade rule (see the module docstring): exposed[x] flags y
         # when a host point between them lies above x -> y; fixed[x] flags
         # the points never merged from x: the on-ceiling ones and, in an
-        # untraced sweep, every v that no move merges from x
+        # untraced sweep, every v past x that no move merges from x
         self.prune = False
         if prune and ceiling is not None:
             self.exposed = [0] * n
             self.fixed = [on] * n
-            if not traced:
+            if whole:
                 for x in range(n):
                     self.exposed[x] = sum(
                         1 << (y - 1) for y in range(x + 2, n) if above[x][y]
                     )
-                    for v in range(x + 1, n):
-                        start = (x * size + v) * size
-                        if not any(self._merge[start + v + 1 : start + size]):
-                            self.fixed[x] |= 1 << (v - 1)
+                    self.fixed[x] |= (self.mask ^ self.low[x + 1]) & ~merged[x]
             self.prune = any(self.fixed)
         # the insertions into (a, b) after a step from p, at (p·size + a)·size
         # + b: ins[a·size + b] for every p, until rows are folded
         self._fold = fold = self._ins * size
-        if self.prune and not (immediate or traced):
+        if self.prune and not traced:
             # fold each forced merge into its insertion (Folded moves)
             ins, merge, fixed = self._ins, self._merge, self.fixed
             one = 1 << self.skip_shift
-            for a, b in combinations(range(1, size), 2):
+            # forced[a][q]: (p, what the merge of a from p adds to an
+            # insertion of q after a) for every merge that the insertion's
+            # child is forced to make; it depends on a and q alone
+            forced: dict[int, dict[int, list[tuple[int, int]]]] = {}
+            for a, q in combinations(range(1, n), 2):
+                # the child's walk stops at a -> q once it is seen: q is
+                # fixed from a, and nothing is inserted into (a, q)
+                if not fixed[a] >> (q - 1) & 1 or ins[a * size + q]:
+                    continue
+                # seen: a is bad, a corner between a and q is missing,
+                # or p -> a is exposed
                 abit = 1 << (a - 1)
-                row = ins[a * size + b]
-                folded: dict[int, list[int]] = {}  # p -> its insertions
-                for i, move in enumerate(row):
-                    # the child's walk stops at a -> q once it is seen: q is
-                    # fixed from a, and nothing is inserted into (a, q)
-                    q = (move & self.mask).bit_length()
-                    if not fixed[a] >> (q - 1) & 1 or ins[a * size + q]:
-                        continue
-                    # seen: a is bad, a corner between a and q is missing,
-                    # or p -> a is exposed
-                    bad = abit & ~on or self.required & ((1 << (q - 1)) - 2 * abit)
-                    for p in range(a):
-                        pair = merge[(p * size + a) * size + q]
-                        if pair and (bad or self.exposed[p] & abit):
-                            pair += one - 2 * abit - ((a - p) << self.shift)
+                bad = abit & ~on or self.required & ((1 << (q - 1)) - 2 * abit)
+                for p in range(a):
+                    pair = merge[(p * size + a) * size + q]
+                    if pair and (bad or self.exposed[p] & abit):
+                        pair += one - 2 * abit - ((a - p) << self.shift)
+                        forced.setdefault(a, {}).setdefault(q, []).append((p, pair))
+            for a, pairs in forced.items():
+                for b in range(min(pairs) + 1, size):
+                    row = ins[a * size + b]
+                    folded: dict[int, list[int]] = {}  # p -> its insertions
+                    for i, move in enumerate(row):
+                        for p, pair in pairs.get((move & self.mask).bit_length(), ()):
                             folded.setdefault(p, list(row))[i] += pair
-                for p, moves in folded.items():
-                    fold[(p * size + a) * size + b] = tuple(moves)
+                    for p, moves in folded.items():
+                        fold[(p * size + a) * size + b] = tuple(moves)
 
     # -- moves ---------------------------------------------------------------
 

@@ -13,6 +13,9 @@
 They share nothing with the packed routes but ``PolySUW``,
 ``Configuration``, ``NearEdge`` and ``orient``.
 
+``skyline_points`` and ``is_covering`` read a decorated roof of
+:mod:`tripoly.roofs`: its points, and whether it covers the host.
+
 ``unpruned_sweep`` is of another kind: it runs the package's own
 transfer sweep with the cascade rule off, so that every move is made and
 none is folded.  Compared with the public functions, it checks that
@@ -34,6 +37,7 @@ from tripoly.planar import (
     region_host,
     upper_hull,
 )
+from tripoly.roofs import DecoratedRoof
 from tripoly.transfer import TraceFn, _poly, _run, _Sweep
 
 
@@ -167,6 +171,21 @@ def all_pairs_factorize(edge: NearEdge) -> list[NearEdge]:
     return [
         NearEdge(pts[a : b + 1]).translate_to_origin() for a, b in zip(cuts, cuts[1:])
     ]
+
+
+def skyline_points(points: Sequence[Point], roof: DecoratedRoof) -> tuple[Point, ...]:
+    return tuple(points[i] for i in roof.indices)
+
+
+def is_covering(points: Sequence[Point], indices: Sequence[int]) -> bool:
+    """True when every skipped point lies strictly below the roof line."""
+    idx = list(indices)
+    for a, b in zip(idx, idx[1:]):
+        pa, pb = points[a], points[b]
+        for q in range(a + 1, b):
+            if orient(pa, pb, points[q]) >= 0:
+                return False
+    return True
 
 
 def unpruned_sweep(

@@ -26,8 +26,9 @@ maximal region, may have a host point inside one of its segments: by
 that rule the route finds covering roofs, and an immediate move that
 skips no point sweeps an empty triangle.  No successor that the pruned
 walk drops may reach a ceiling payoff in the full move DAG, and each
-move a pruned complete-mode sweep folds must be an insertion followed by
-its child's only move, a forced merge, as the unfolded walk makes them.
+move a pruned sweep folds, complete or maximal, must be an insertion
+followed by its child's only move, a forced merge, as the unfolded walk
+makes them.
 Traced runs must give the results of untraced and of unpruned ones: a
 traced complete run keeps only the on-ceiling part of the cascade rule and
 folds nothing, and a traced maximal run is unpruned.  So must the
@@ -328,11 +329,12 @@ def reference_successors(
     """(code, step) of the moves from decoded roofs, step being twice the
     host points newly covered besides the moved point, dropping with
     ``prune`` every roof that is a dead end and, under a ceiling, every
-    roof the walk from a, the roof point before the marker, stops short
-    of.  With ``fold``, an inserted roof whose moves are one merge of its
-    marker point from its left neighbour, and whose walk from that
-    neighbour stops by the step from the marker point to the next, is
-    replaced by that merge's result, with step 2(e₁ + e₂) + 1."""
+    merge of an on-ceiling point and every roof the walk from a, the roof
+    point before the marker, stops short of.  With ``fold``, an inserted
+    roof whose moves are one merge of its marker point from its left
+    neighbour, and whose walk from that neighbour stops by the step from
+    the marker point to the next, is replaced by that merge's result,
+    with step 2(e₁ + e₂) + 1."""
     n = len(points) - 1
     roof = decode(code, n)
     a = roof.indices[roof.d - 1] if roof.d else 0
@@ -341,18 +343,25 @@ def reference_successors(
     for r in successors(points, roof, immediate=immediate):
         if prune and dead_end(points, r, ceiling, immediate):
             continue
-        if prune and ceiling is not None and stuck(points, r, a, ceiling, immediate):
-            continue
+        if prune and ceiling is not None:
+            # a merged point lies strictly under every later roof
+            lost = set(roof.indices) - set(r.indices)
+            if any(point_on_path(points[v], ceiling) for v in lost):
+                continue
+            if stuck(points, r, a, ceiling, immediate):
+                continue
         moved = set(roof.indices) ^ set(r.indices)
         step = 2 * len(covered(points, r) - before - moved)
         if fold and r.d and len(r.indices) > len(roof.indices):
-            nxt = reference_successors(points, encode(r, n), ceiling, prune=True)
+            nxt = reference_successors(
+                points, encode(r, n), ceiling, immediate, prune=True
+            )
             merged = r.indices[: r.d] + r.indices[r.d + 1 :]
             ahead = DecoratedRoof(r.indices, r.d + 1)  # its marker at q
             if (
                 len(nxt) == 1
                 and decode(nxt[0][0], n) == (merged, r.d - 1)
-                and stuck(points, ahead, r.indices[r.d - 1], ceiling, False)
+                and stuck(points, ahead, r.indices[r.d - 1], ceiling, immediate)
             ):
                 out.append((nxt[0][0], step + nxt[0][1] + 1))
                 continue
@@ -371,7 +380,7 @@ def segment_hits(points, indices) -> int:
 
 def check_moves(host, ceiling):
     """Compare the moves of every code with the decoded moves, folded in
-    a pruned complete-mode sweep as the sweep folds them.  The moves
+    a pruned sweep as the sweep folds them.  The moves
     of a code that is no dead end, as deltas from the code, must depend
     only on its memo key: the walk's first roof point a, the roof points
     past it and whether the marker is at P_0.  With pruning, a bad bit
@@ -400,7 +409,7 @@ def check_moves(host, ceiling):
                 (sweep.roof_code(m & ((1 << shift) - 1)), m >> shift) for m in moves
             )
             immediate = mode.get("immediate", False)
-            fold = mode.get("prune", False) and not immediate
+            fold = mode.get("prune", False)
             want = reference_successors(host, code, **mode, fold=fold)
             assert got == want, (mode, code)
             if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
@@ -747,8 +756,9 @@ def stuck_hosts():
 def test_the_cascade_rule_drops_no_live_code():
     # the full move DAG, unpruned, marks the codes that can still pay
     # off; no successor the pruned walk drops may be one of them.  A
-    # traced walk keeps the on-ceiling part of the rule only, and a
-    # pruned complete-mode sweep folds its forced merges
+    # traced walk keeps the on-ceiling part of the rule only, and an
+    # untraced one drops the merges of on-ceiling points and folds its
+    # forced merges
     sweeps = dropped = 0
     walked = {}  # (immediate, walk) -> codes the pruned walks reach
     for host, floor, ceiling in stuck_hosts():
@@ -781,13 +791,13 @@ def test_the_cascade_rule_drops_no_live_code():
             sweeps += 1
     assert sweeps > 800 and dropped > 3000
     # the frozen-prefix and stuck rules that this rule merges reached
-    # 13,475 codes in immediate mode and 23,651 in complete mode
-    assert walked[True, "pruned"] < 13_475 and walked[False, "pruned"] < 23_651
+    # 13,475 codes in immediate mode and 23,651 in complete mode; without
+    # dropping the merges of on-ceiling points the rule reached 12,264 and
+    # 22,724, and folding skipped to 10,055 and 16,684
     assert walked[True, "traced"] == 14_581 and walked[False, "traced"] == 25_230
-    # an immediate sweep folds nothing; a complete one skips the children
-    # whose only move is a forced merge
-    assert walked[True, "folded"] == walked[True, "pruned"] == 12_264
-    assert walked[False, "pruned"] == 22_724 and walked[False, "folded"] == 16_684
+    assert walked[True, "pruned"] == 11_594 and walked[False, "pruned"] == 22_700
+    # folding skips the children whose only move is a forced merge
+    assert walked[True, "folded"] == 9_415 and walked[False, "folded"] == 16_660
 
 
 def fold_hosts():
@@ -800,42 +810,44 @@ def fold_hosts():
 
 
 def test_each_forced_merge_is_folded_into_its_insertion():
-    # on every code a pruned complete sweep meets, its moves are the
-    # unfolded walk's, except that an insertion whose child does not pay
-    # off, whose only move is the merge of the child's marker point a
-    # from its left neighbour p, and whose walk stops by the step from a
-    # to the inserted point q, is that merge's result, with potential
-    # step 2(e₁ + e₂) + 1.  Only a dead child's forced merge goes unfolded
-    pairs = unfolded_dead = 0
+    # on every code a pruned sweep meets, complete or immediate, its moves
+    # are the unfolded walk's, except that an insertion whose child does
+    # not pay off and whose only move is the merge of the child's marker
+    # point a from its left neighbour p is that merge's result, with
+    # potential step 2(e₁ + e₂) + 1.  The child's walk stops by the step
+    # from a to the inserted point q, so the rule sees every such merge
+    pairs = {}
     for host, floor, ceiling in fold_hosts():
-        sweep = _Sweep(host, ceiling=ceiling, prune=True)
-        plain = unfold(sweep).successors
-        n, shift, mask = sweep.n, sweep.skip_shift, sweep.mask
-        codes = (1 << shift) - 1
-        reached = move_dag(sweep, floor)[0]
-        met, live = move_dag(sweep, floor, plain)
-        assert reached <= met  # the memo-key argument still holds
-        for code in reached:
-            want = []
-            for move in plain(code):
-                child = move & codes
-                a = child >> sweep.shift  # the child's marker point
-                inserted = child & mask & ~code and a and not sweep.payoff({child: 1})
-                nxt = plain(child) if inserted else []
-                if len(nxt) == 1 and nxt[0] & mask == child & mask ^ 1 << (a - 1):
-                    roof = decode(sweep.roof_code(child), n)
-                    ahead = DecoratedRoof(roof.indices, roof.d + 1)
-                    p = roof.indices[roof.d - 1]
-                    if stuck(host, ahead, p, ceiling, False):
+        for immediate in (False, True):
+            sweep = _Sweep(host, ceiling=ceiling, immediate=immediate, prune=True)
+            plain = unfold(sweep).successors
+            n, shift, mask = sweep.n, sweep.skip_shift, sweep.mask
+            codes = (1 << shift) - 1
+            reached = move_dag(sweep, floor)[0]
+            # the memo-key argument still holds
+            assert reached <= move_dag(sweep, floor, plain)[0]
+            for code in reached:
+                want = []
+                for move in plain(code):
+                    child = move & codes
+                    a = child >> sweep.shift  # the child's marker point
+                    inserted = (
+                        child & mask & ~code and a and not sweep.payoff({child: 1})
+                    )
+                    nxt = plain(child) if inserted else []
+                    if len(nxt) == 1 and nxt[0] & mask == child & mask ^ 1 << (a - 1):
+                        roof = decode(sweep.roof_code(child), n)
+                        ahead = DecoratedRoof(roof.indices, roof.d + 1)
+                        p = roof.indices[roof.d - 1]
+                        assert stuck(host, ahead, p, ceiling, immediate)
                         step = (move >> shift) + (nxt[0] >> shift) + 1
                         want.append(nxt[0] & codes | step << shift)
-                        pairs += 1
+                        pairs[immediate] = pairs.get(immediate, 0) + 1
                         continue
-                    assert child not in live
-                    unfolded_dead += 1
-                want.append(move)
-            assert sorted(sweep.successors(code)) == sorted(want), (host, code)
-    assert pairs == 8_997 and unfolded_dead == 11
+                    want.append(move)
+                got = sorted(sweep.successors(code))
+                assert got == sorted(want), (host, immediate, code)
+    assert pairs == {False: 8_970, True: 3_097}
 
 
 def traced_hosts():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from tripoly.planar import (
     region_host,
     upper_hull,
 )
-from tripoly.roofs import DecoratedRoof, covering_roofs, encode, skyline_points, sub_edges
+from tripoly.roofs import DecoratedRoof, covering_roofs, encode, sub_edges
 from tripoly.transfer import (
     _Sweep,
     _floor_roofs,
@@ -46,7 +47,7 @@ from corpus import (
     all_codes,
     sweep_code,
 )
-from reference import unpruned_sweep
+from reference import skyline_points, unpruned_sweep
 
 # successor table of the decorated-roof codes over the six-point edge,
 # derived once by hand from the insertion and merge rules
@@ -420,6 +421,36 @@ class TestSweepOrder:
             calls, vectors = self.expansions(monkeypatch, run)
             assert len(set(calls)) == len(calls)
             assert set(calls) <= {c for vec in vectors for c in vec}
+
+
+def capacity_set(n):
+    """The n-point configuration that ``bench/capacity.py`` draws."""
+    rng = random.Random(n)
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(60), rng.randrange(60)))
+    return Configuration(sorted(pts))
+
+
+class TestCensus:
+    # the codes an untraced maximal count expands, summed over the
+    # buckets it pays off, so that a regression of pruning or folding
+    # shows as a count; unfolded, the sweeps expanded 3,926 and 67,363
+    CODES = {16: (6_196_777, 3_318), 22: (58_236_027_758, 50_284)}
+
+    @pytest.mark.parametrize("n", sorted(CODES))
+    def test_maximal_codes_expanded(self, monkeypatch, n):
+        count, codes = self.CODES[n]
+        sizes = []
+        real = _Sweep.payoff
+
+        def payoff(self, vec, guard=0):
+            sizes.append(len(vec))
+            return real(self, vec, guard)
+
+        monkeypatch.setattr(_Sweep, "payoff", payoff)
+        assert max_config_count(capacity_set(n)) == count
+        assert sum(sizes) == codes
 
 
 class TestRegionRows:
