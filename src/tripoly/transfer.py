@@ -22,11 +22,13 @@ each segment a -> b it flags the host points P_r, a < r < b, strictly
 above the segment, A(a, b), and strictly below it, B(a, b).  Every
 table the moves read is derived from A and B.  The insertions into
 (a, b) insert the points of A(a, b), and the merge of a wedge (a, m, b)
-exists when m is in B(a, b).  An entry is the bit the move sets or
-clears plus ``2e << skip_shift``, e being the number of host points that
-the swept triangle newly covers besides the moved point, so a move
-carries its potential step minus one above the code it reaches (see
-Folded moves).  Those points are skipped: they never become vertices.
+exists when m is in B(a, b).  An entry is the move relative to the roof
+bits: its new marker ``a << (n - 1)``, plus the bit it sets or minus the
+bit it clears, plus ``2e << skip_shift``, e being the number of host
+points that the swept triangle newly covers besides the moved point.
+Adding ``code & mask`` gives the code the move reaches with its
+potential step minus one above it (see Folded moves).  Those e points
+are skipped: they never become vertices.
 As a -> b covers the points between a and b outside A(a, b), an
 insertion of q skips |A(a, b)| − |A(a, q)| − |A(q, b)| − 1 points and a
 merge of m skips |A(a, m)| + |A(m, b)| − |A(a, b)|.  An immediate sweep
@@ -34,19 +36,21 @@ drops the moves with e > 0; that is the rule that the swept closed
 triangle be empty (see the last paragraph).
 
 Moves depend on the roof suffix only.  A move at the segment or wedge
-starting at roof point x reaches the code ``x << (n - 1) | bits'``, so
-its delta ``succ - code`` is ``(x - m) << (n - 1)`` plus the bits it sets
-or clears plus its high field.  Here x is a or a roof point past it, the
-moved bits lie past a, and e counts points past a.  Whether the first
-segment (a, m) takes insertions depends on m = 0.  So the deltas of a
-code are fixed by the key (a, roof bits from a on, m = 0), and every
-code sharing that key has the same move list.  ``_run`` keeps one memo per sweep from
-the key to the tuple of deltas, and a code adds them to itself.  For
-a ≥ 2, m > a is a roof bit, so the key is the code with its bits before
-a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before a,
-so the key is the code itself, met once, and the memo is skipped.  It is
-skipped for a = 2 too: such a key holds at most two codes, P_1 on the
-roof or not, and on 18-point configurations most hold one.
+starting at roof point x is ``x << (n - 1)`` plus the bit it sets or
+minus the bit it clears plus its high field, relative to the roof bits.
+Here x is a or a roof point past it, the moved bits lie past a, and e
+counts points past a.  Whether the first segment (a, m) takes
+insertions depends on m = 0.  So the moves of a code are fixed by the
+key (a, roof bits from a on, m = 0), and every code sharing that key
+has the same move list.  ``_run`` keeps one memo per sweep from the key
+to the tuple of moves, and adds ``code & mask`` to each.  The walk
+appends whole table rows, so a memo entry holds the tables' own move
+objects.  For a ≥ 2, m > a is a roof bit, so the key is the code with
+its bits before a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no
+bit lies before a, so the key is the code itself, met once, and the
+memo is skipped.  It is skipped for a = 2 too: such a key holds at most
+two codes, P_1 on the roof or not, and on 18-point configurations most
+hold one.
 
 The sweep is one loop over codes in order of a potential.  A point is
 covered by a roof when it is not strictly above it, and
@@ -168,7 +172,9 @@ step, indexed like the merge (p, a, b) the walk read one step earlier.
 Every sweep's walk reads that table; in a sweep that does not fold, row
 (p, a, b) holds the insertions into (a, b) for every p.  A move's high
 field is its potential step minus one: 2e for one move and
-2(e₁ + e₂) + 1 for a folded pair.
+2(e₁ + e₂) + 1 for a folded pair.  A folded entry is the insertion's
+entry plus the merge's plus ``(1 << skip_shift) - (a << (n - 1))``,
+which adds that one and leaves the merge's marker p in place of a.
 
 This is exact.  The child never pays off: it has a bad bit or a host
 point above a segment.  Every folded target is a code the unfolded sweep
@@ -286,15 +292,17 @@ class _Sweep:
         # strictly under every later roof, and folds forced merges
         whole = prune and ceiling is not None and not traced
         # the moves inserting a point above a -> b and merging a point below
-        # it: the bit the move sets or clears plus 2e << skip_shift, e being
-        # the points it newly covers besides the moved one, as differences
-        # of the counts of uncovered points; an immediate sweep skips none
+        # it, relative to the roof bits: the new marker a << shift plus the
+        # bit the move sets or clears plus 2e << skip_shift, e being the
+        # points it newly covers besides the moved one, as differences of
+        # the counts of uncovered points; an immediate sweep skips none
         count = [[x.bit_count() for x in row] for row in above]
         twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
         self._ins: list[tuple[int, ...]] = [()] * (size * size)
         self._merge = [0] * (size * size * size)
         merged = [0] * size  # merged[x] flags the points some move merges from x
         for a in range(n - 1):
+            mark = a << self.shift  # the new marker of every move at a
             for b in range(a + 2, size):
                 moves = []
                 for r in range(a + 1, b):
@@ -302,11 +310,12 @@ class _Sweep:
                     if above[a][b] & bit:
                         e = count[a][b] - count[a][r] - count[r][b] - 1
                         if not (e and immediate):
-                            moves.append(bit | e << twice)
+                            moves.append(mark + (bit | e << twice))
                     elif below[a][b] & bit and not (whole and on & bit):
                         e = count[a][r] + count[r][b] - count[a][b]
                         if not (e and immediate):
-                            self._merge[(a * size + r) * size + b] = bit | e << twice
+                            at = (a * size + r) * size + b
+                            self._merge[at] = mark + (e << twice) - bit
                             merged[a] |= bit
                 self._ins[a * size + b] = tuple(moves)
         # the cascade rule (see the module docstring): exposed[x] flags y
@@ -347,7 +356,7 @@ class _Sweep:
                 for p in range(a):
                     pair = merge[(p * size + a) * size + q]
                     if pair and (bad or self.exposed[p] & abit):
-                        pair += one - 2 * abit - ((a - p) << self.shift)
+                        pair += one - (a << self.shift)
                         forced.setdefault(a, {}).setdefault(q, []).append((p, pair))
             for a, pairs in forced.items():
                 for b in range(min(pairs) + 1, size):
@@ -362,9 +371,10 @@ class _Sweep:
     # -- moves ---------------------------------------------------------------
 
     def successors(self, code: int) -> list[int]:
-        """Moves at or past the marker, each the code it reaches plus its
-        potential step minus one shifted to ``skip_shift``: 2e for a move
-        skipping e points, 2(e₁ + e₂) + 1 for a folded pair (Folded moves).
+        """Moves at or past the marker, relative to the roof bits: each is
+        the code it reaches less ``code & mask``, plus its potential step
+        minus one shifted to ``skip_shift``: 2e for a move skipping e
+        points, 2(e₁ + e₂) + 1 for a folded pair (Folded moves).
 
         With m the marker's roof point and a the roof point before it,
         inserting q into a segment (x, y) at or past (m, ...) gives
@@ -375,17 +385,14 @@ class _Sweep:
         """
         n = self.n
         size = n + 1
-        shift = self.shift
-        m = code >> shift
+        m = code >> self.shift
         bits = code & self.mask
         merge, fold = self._merge, self._fold
-        out: list[int] = []
         # a is the walk's roof point; b the next one, with bit lowb
         a = (bits & self.low[m]).bit_length()
         rest = bits >> a << a
         lowb = rest & -rest
         b = lowb.bit_length() if lowb else n
-        head = code + ((a - m) << shift)  # this roof with marker a
         prune = self.prune
         if prune:
             # roof points off the ceiling path, and the ceiling points a
@@ -395,12 +402,11 @@ class _Sweep:
             # on-ceiling roof point at or before a
             last = (bits & self.ceiling_bits & ((1 << a) - 1)).bit_length()
             if bad & ((1 << last) - 1):
-                return out
+                return []
             exposed, fixed = self.exposed, self.fixed
             seen = 0  # a change is needed before the walk's next point
-        if not m:  # a = 0: the first segment (a, b) takes insertions
-            for move in self._ins[b]:
-                out.append(head + move)
+        # a = 0: the first segment (a, b) takes insertions
+        out = [] if m else list(self._ins[b])
         while b != n:
             rest ^= lowb
             lowc = rest & -rest
@@ -408,15 +414,13 @@ class _Sweep:
             at = (a * size + b) * size + c
             move = merge[at]
             if move:
-                out.append(head ^ move)
+                out.append(move)
             if prune:
                 seen |= exposed[a] & lowb | bad & (lowb - 1)
                 if seen and fixed[a] & lowb:
                     break
-            head += (b - a) << shift
             a, b, lowb = b, c, lowc
-            for move in fold[at]:  # the insertions into (a, b)
-                out.append(head + move)
+            out += fold[at]  # the insertions into (a, b)
         return out
 
     def roof_code(self, code: int) -> int:
@@ -543,11 +547,10 @@ def _run(
     # plain land at Φ + 1 and those below pair at Φ + 2, skipping no point
     plain = 1 << shift
     pair = 2 << shift
-    # the memo: a move list as deltas succ - code, keyed by the code with
-    # the roof bits before a cleared, code & cut[a]
+    # the memo: a move list, relative to the roof bits, keyed by the code
+    # with the roof bits before a cleared, code & cut[a]
     memo: dict[int, tuple[int, ...]] = {}
-    shared: dict = {}  # one object per distinct delta and delta tuple
-    low, marker = sweep.low, sweep.shift
+    mask, low, marker = sweep.mask, sweep.low, sweep.shift
     cut = [0] + [-(1 << (a - 1)) for a in range(1, n)]
     for phi in range(limit + 3):
         bucket = buckets[phi]
@@ -585,24 +588,19 @@ def _run(
         nxt, after = buckets[phi + 1], buckets[phi + 2]
         get, get2 = nxt.get, after.get
         for code, mult in bucket.items():
-            a = (code & low[code >> marker]).bit_length()
+            base = code & mask
+            a = (base & low[code >> marker]).bit_length()
             if a < 3:
                 # a key with a < 2 is the code itself, met once; one with
                 # a = 2 holds at most two codes
-                moves, base = expand(code), 0
+                moves = expand(code)
             else:
                 key = code & cut[a]
                 moves = memo.get(key)
                 if moves is None:
-                    deltas = []
-                    for succ in expand(code):
-                        succ -= code
-                        deltas.append(shared.setdefault(succ, succ))
-                    moves = tuple(deltas)
-                    moves = memo[key] = shared.setdefault(moves, moves)
-                base = code
+                    moves = memo[key] = tuple(expand(code))
             for succ in moves:
-                succ += base  # a move is a successor less base
+                succ += base  # a move is a successor less the roof bits
                 if succ < plain:
                     nxt[succ] = get(succ, 0) + mult
                     continue

@@ -435,9 +435,11 @@ class TestInternalError:
         real = _Sweep.successors
 
         def miscounting(self, code):
-            # a move's high field is its potential step minus one
+            # a move's high field is its potential step minus one; a move
+            # is the code it reaches less the roof bits
             one = 2 << self.skip_shift
-            return [m - one if m >= one else m for m in real(self, code)]
+            bits = code & self.mask
+            return [m - one if bits + m >= one else m for m in real(self, code)]
 
         monkeypatch.setattr(_Sweep, "successors", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
@@ -455,9 +457,11 @@ class TestInternalError:
         real = _Sweep.successors
 
         def miscounting(self, code):
-            # a move's high field is its potential step minus one
+            # a move's high field is its potential step minus one; a move
+            # is the code it reaches less the roof bits
             one = 2 << self.skip_shift
-            return [m + one if m >= one else m for m in real(self, code)]
+            bits = code & self.mask
+            return [m + one if bits + m >= one else m for m in real(self, code)]
 
         monkeypatch.setattr(_Sweep, "successors", miscounting)
         rc, out = cap(["poly", point_file(TRIANGLE_PLUS_CENTER)])
@@ -478,16 +482,18 @@ class TestInternalError:
 
         def stalling(self, code):
             # the marker field of a sweep code holds the host index of the
-            # marker's roof point; P_n marks no segment
+            # marker's roof point; P_n marks no segment.  A move is the code
+            # it reaches less the roof bits, so a move to the same bits is
+            # its new marker field alone
             out = real(self, code)
             bits = code & self.mask
             top = bits.bit_length()  # the marker of the last segment
             if bits == self.ceiling_bits:
                 m = code >> self.shift
                 if m < top:
-                    out.append(self.n << self.shift | bits)
+                    out.append(self.n << self.shift)
                 elif m > top:
-                    out.append(top << self.shift | bits)
+                    out.append(top << self.shift)
             return out
 
         monkeypatch.setattr(_Sweep, "successors", stalling)

@@ -380,8 +380,8 @@ def segment_hits(points, indices) -> int:
 
 def check_moves(host, ceiling):
     """Compare the moves of every code with the decoded moves, folded in
-    a pruned sweep as the sweep folds them.  The moves
-    of a code that is no dead end, as deltas from the code, must depend
+    a pruned sweep as the sweep folds them.  The moves of a code that is
+    no dead end, each the code it reaches less the roof bits, must depend
     only on its memo key: the walk's first roof point a, the roof points
     past it and whether the marker is at P_0.  With pruning, a bad bit
     lies at or before a exactly when a is off the ceiling, so the key
@@ -405,8 +405,10 @@ def check_moves(host, ceiling):
                 continue
             ours = sweep_code(sweep, code)
             moves = sweep.successors(ours)
+            bits = ours & sweep.mask
             got = sorted(
-                (sweep.roof_code(m & ((1 << shift) - 1)), m >> shift) for m in moves
+                (sweep.roof_code(bits + m & ((1 << shift) - 1)), bits + m >> shift)
+                for m in moves
             )
             immediate = mode.get("immediate", False)
             fold = mode.get("prune", False)
@@ -415,9 +417,9 @@ def check_moves(host, ceiling):
             if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
                 continue
             a = roof.indices[roof.d - 1] if roof.d else 0
-            key = (a, (ours & sweep.mask) >> a, roof.d == 0)
-            deltas = sorted(m - ours for m in moves)
-            assert keys.setdefault(key, deltas) == deltas, (mode, code)
+            key = (a, bits >> a, roof.d == 0)
+            moves = sorted(moves)
+            assert keys.setdefault(key, moves) == moves, (mode, code)
 
 
 @pytest.mark.parametrize("pts", SMALL[::3])
@@ -455,6 +457,7 @@ def memo_free_run(sweep, floor):
                 key = ((phi + length + 1) // 2 - j, length)
                 paid[key] = paid.get(key, 0) + total
             for move in sweep.successors(code):
+                move += code & sweep.mask  # a move is less the roof bits
                 step = move >> shift  # 2e, or 2(e₁ + e₂) + 1 for a folded pair
                 succ = (move & ((1 << shift) - 1), j + step // 2)
                 out = buckets.setdefault(phi + 1 + step, {})
@@ -495,6 +498,7 @@ def test_memoised_sweep_matches_a_memo_free_loop(host, floor, ceiling):
         assert (paid, vectors) == memo_free_run(_Sweep(host, **mode), floor), mode
         expanded += len(calls)
         codes += len({code for vec in vectors.values() for code in vec})
+    assert expanded > 0
     if len(host) > 11:
         assert expanded < codes
 
@@ -714,7 +718,7 @@ def move_dag(sweep, floor, expand=None):
     while todo:
         code = todo.pop()
         for move in expand(code):
-            succ = move & codes
+            succ = (code & sweep.mask) + move & codes
             if succ not in into:
                 into[succ] = set()
                 todo.append(succ)
@@ -774,9 +778,10 @@ def test_the_cascade_rule_drops_no_live_code():
             unfolded = unfold(pruned).successors
             reached, live = move_dag(full, floor)
             for code in reached:
-                every = {m & codes for m in full.successors(code)}
-                part = {m & codes for m in traced_sweep.successors(code)}
-                new = {m & codes for m in unfolded(code)}
+                bits = code & full.mask  # a move is less the roof bits
+                every = {bits + m & codes for m in full.successors(code)}
+                part = {bits + m & codes for m in traced_sweep.successors(code)}
+                new = {bits + m & codes for m in unfolded(code)}
                 assert new <= part <= every
                 assert not (every - new) & live, (host, ceiling, immediate, code)
                 dropped += len(part - new)
@@ -827,14 +832,20 @@ def test_each_forced_merge_is_folded_into_its_insertion():
             # the memo-key argument still holds
             assert reached <= move_dag(sweep, floor, plain)[0]
             for code in reached:
+                # moves are less the roof bits; these are the codes reached
+                # plus their high fields
+                bits = code & mask
                 want = []
                 for move in plain(code):
+                    move += bits
                     child = move & codes
                     a = child >> sweep.shift  # the child's marker point
                     inserted = (
                         child & mask & ~code and a and not sweep.payoff({child: 1})
                     )
-                    nxt = plain(child) if inserted else []
+                    nxt = []
+                    if inserted:
+                        nxt = [(child & mask) + m for m in plain(child)]
                     if len(nxt) == 1 and nxt[0] & mask == child & mask ^ 1 << (a - 1):
                         roof = decode(sweep.roof_code(child), n)
                         ahead = DecoratedRoof(roof.indices, roof.d + 1)
@@ -845,7 +856,7 @@ def test_each_forced_merge_is_folded_into_its_insertion():
                         pairs[immediate] = pairs.get(immediate, 0) + 1
                         continue
                     want.append(move)
-                got = sorted(sweep.successors(code))
+                got = sorted(bits + m for m in sweep.successors(code))
                 assert got == sorted(want), (host, immediate, code)
     assert pairs == {False: 8_970, True: 3_097}
 

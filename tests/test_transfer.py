@@ -140,8 +140,10 @@ def apply_transfer(points, vec, fold=True, **mode):
     codes = (1 << sweep.skip_shift) - 1
     out = {}
     for code, mult in vec.items():
-        for move in sweep.successors(sweep_code(sweep, code)):
-            succ = sweep.roof_code(move & codes)
+        code = sweep_code(sweep, code)
+        for move in sweep.successors(code):
+            # a move is the code it reaches less the roof bits
+            succ = sweep.roof_code((code & sweep.mask) + move & codes)
             out[succ] = out.get(succ, 0) + mult
     return out
 
@@ -180,7 +182,8 @@ class TestApplyTransfer:
             fast = apply_transfer(EDGE_C, {code: 1}, immediate=True)
             assert set(fast) <= set(apply_transfer(EDGE_C, {code: 1}))
             sweep = _Sweep(EDGE_C, immediate=True)
-            moves = sweep.successors(sweep_code(sweep, code))
+            ours = sweep_code(sweep, code)
+            moves = [(ours & sweep.mask) + m for m in sweep.successors(ours)]
             assert max(moves, default=0) >> sweep.skip_shift == 0
 
 
@@ -405,7 +408,7 @@ class TestSweepOrder:
             monkeypatch, lambda tap: complete_config_poly(cfg, trace=tap)
         )
         codes = {code for vec in vectors for code in vec}
-        assert len(set(calls)) == len(calls)
+        assert calls and len(set(calls)) == len(calls)
         assert set(calls) < codes
         # the step-by-step iteration meets most codes at several steps
         assert sum(map(len, vectors)) > 2 * len(codes)
@@ -419,7 +422,7 @@ class TestSweepOrder:
             ),
         ):
             calls, vectors = self.expansions(monkeypatch, run)
-            assert len(set(calls)) == len(calls)
+            assert calls and len(set(calls)) == len(calls)
             assert set(calls) <= {c for vec in vectors for c in vec}
 
 
