@@ -112,9 +112,6 @@ class _Sparse:
     def coeff(self, exp) -> int:
         return self.c.get(exp, 0)
 
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
-
     def _plus(self, other: "_Sparse", sign: int):
         out = dict(self.c)
         for e, v in other.c.items():
@@ -282,10 +279,6 @@ class PolySUW(_Sparse):
     @staticmethod
     def _add_exp(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple:
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-    @classmethod
-    def monomial(cls, s: int, u: int, w: int, coeff: int = 1) -> "PolySUW":
-        return cls({(s, u, w): coeff})
 
     def pair_w(self) -> "PolySUW":
         """Pair the w variable against sum_n C_n w^n (collapses w to 0)."""

@@ -213,25 +213,16 @@ def convex_edge_states(
     ]
 
 
-def _convex_paired(profile: Sequence[int], mode: str) -> PolyST:
-    """The last state of the recursion paired out in u and w."""
-    states, nbytes, stride = _convex_packed(profile, mode)
+def convex_edge_complete(profile: Sequence[int]) -> PolyST:
+    """Complete polynomial of the convex edge with the given sign profile:
+    the last state of the recursion paired out in u and w."""
+    states, nbytes, stride = _convex_packed(profile, "complete")
     for r in states:
         pass
     (row,) = unpack_fields([_pair_w(r)], nbytes, stride * (len(profile) + 2))
     return PolyST.from_p(
         {(f % stride, f // stride): v for f, v in enumerate(row) if v}
     )
-
-
-def convex_edge_complete(profile: Sequence[int]) -> PolyST:
-    """Complete polynomial of the convex edge with the given sign profile."""
-    return _convex_paired(profile, "complete")
-
-
-def convex_edge_maximal(profile: Sequence[int]) -> PolyT:
-    """Maximal polynomial of the convex edge with the given sign profile."""
-    return _convex_paired(profile, "maximal").coefficient_s(0)
 
 
 def _prime_edge_poly(edge: NearEdge, method: str) -> PolyST:

@@ -58,15 +58,10 @@ def upper_hull(points: Sequence[Point]) -> tuple[Point, ...]:
 
 
 def extremal_points(points: Sequence[Point]) -> set[Point]:
-    """Corners of the convex hull."""
-    lo = lower_hull(points)
-    hi = upper_hull(points)
-    if len(lo) <= 2 and len(hi) <= 2:
-        # collinear configuration: every point of the segment hull that
-        # is an endpoint is extremal; interior collinear points are not
-        pts = sorted(set(points), key=sweep_key)
-        return {pts[0], pts[-1]} if pts else set()
-    return set(lo) | set(hi)
+    """Corners of the convex hull.  Both chains of a collinear set, or of
+    one of at most two points, are its first and last points in sweep
+    order, so those are its extremal points."""
+    return set(lower_hull(points)) | set(upper_hull(points))
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:

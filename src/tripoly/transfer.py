@@ -113,8 +113,11 @@ Three modes share the loop, and one payoff rule: a state pays off when
   with its length ``popcount(bits) + 1``.
 
 Every public function runs its sweep through one entry point,
-``_payoffs``, which picks the mode from ``maximal`` and the ceiling, and
-prunes every sweep but a traced maximal one.
+``_payoffs``, which picks the mode from ``maximal`` and the ceiling and
+tells the sweep whether it is traced.  ``_Sweep`` derives its pruning
+from those three alone: an untraced sweep under a ceiling runs the whole
+cascade rule below and folds forced merges, a traced complete-mode one
+keeps the rule's on-ceiling part, and a traced maximal one is unpruned.
 
 Dead-end pruning under a ceiling is one cascade rule.  Let the bad bits
 of a roof be its points off the ceiling path plus the ceiling points it
@@ -151,8 +154,11 @@ from at or before v to past it checked v and went on, so if a bad bit
 lies before v, v is not fixed and thus off the ceiling.  So a bad bit
 before a occurs only when a is itself bad; then the walk's first step
 sets ``seen`` whatever lies before a, and the stop depends on the key
-alone.  ``successors`` returns no move for a code the sweep never meets,
-one with a bad bit before an on-ceiling roof point at or before a.
+alone.  So no code a pruned sweep meets has a bad bit before an
+on-ceiling roof point at or before a.  ``successors`` does not check
+this; ``test_no_met_code_has_a_bad_bit_before_an_on_ceiling_point`` in
+``tests/test_differential.py`` checks it on every code that untraced and
+traced complete-mode sweeps reach.
 
 Folded moves.  A pruned, untraced sweep emits an insertion of q into
 (a, b), a walk point with left neighbour p, as the merge of a from p
@@ -170,8 +176,10 @@ child's.  So the rule depends on p, a and q alone, and the set-up finds
 it once per (a, q) for every p.  One table holds the insertions of each
 step, indexed like the merge (p, a, b) the walk read one step earlier.
 Every sweep's walk reads that table; in a sweep that does not fold, row
-(p, a, b) holds the insertions into (a, b) for every p.  A move's high
-field is its potential step minus one: 2e for one move and
+(p, a, b) holds the insertions into (a, b) for every p.  A folded pair's
+p lies before a, so no row with p ≥ a is folded, and the walk reads the
+insertions into its first segment (0, b) from row (0, 0, b).  A move's
+high field is its potential step minus one: 2e for one move and
 2(e₁ + e₂) + 1 for a folded pair.  A folded entry is the insertion's
 entry plus the merge's plus ``(1 << skip_shift) - (a << (n - 1))``,
 which adds that one and leaves the merge's marker p in place of a.
@@ -234,7 +242,6 @@ class _Sweep:
         *,
         ceiling: Sequence[Point] | None = None,
         immediate: bool = False,
-        prune: bool = False,
         traced: bool = False,
     ):
         self.points = tuple(points)
@@ -290,7 +297,7 @@ class _Sweep:
         # an untraced sweep under a ceiling runs the whole cascade rule: it
         # drops the merges of on-ceiling points, as a merged point lies
         # strictly under every later roof, and folds forced merges
-        whole = prune and ceiling is not None and not traced
+        whole = ceiling is not None and not traced
         # the moves inserting a point above a -> b and merging a point below
         # it, relative to the roof bits: the new marker a << shift plus the
         # bit the move sets or clears plus 2e << skip_shift, e being the
@@ -298,7 +305,7 @@ class _Sweep:
         # the counts of uncovered points; an immediate sweep skips none
         count = [[x.bit_count() for x in row] for row in above]
         twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
-        self._ins: list[tuple[int, ...]] = [()] * (size * size)
+        ins: list[tuple[int, ...]] = [()] * (size * size)
         self._merge = [0] * (size * size * size)
         merged = [0] * size  # merged[x] flags the points some move merges from x
         for a in range(n - 1):
@@ -317,13 +324,14 @@ class _Sweep:
                             at = (a * size + r) * size + b
                             self._merge[at] = mark + (e << twice) - bit
                             merged[a] |= bit
-                self._ins[a * size + b] = tuple(moves)
+                ins[a * size + b] = tuple(moves)
         # the cascade rule (see the module docstring): exposed[x] flags y
         # when a host point between them lies above x -> y; fixed[x] flags
         # the points never merged from x: the on-ceiling ones and, in an
-        # untraced sweep, every v past x that no move merges from x
+        # untraced sweep, every v past x that no move merges from x; a traced
+        # maximal sweep runs none of the rule
         self.prune = False
-        if prune and ceiling is not None:
+        if ceiling is not None and not (traced and immediate):
             self.exposed = [0] * n
             self.fixed = [on] * n
             if whole:
@@ -335,10 +343,10 @@ class _Sweep:
             self.prune = any(self.fixed)
         # the insertions into (a, b) after a step from p, at (p·size + a)·size
         # + b: ins[a·size + b] for every p, until rows are folded
-        self._fold = fold = self._ins * size
-        if self.prune and not traced:
+        self._fold = fold = ins * size
+        if self.prune and whole:
             # fold each forced merge into its insertion (Folded moves)
-            ins, merge, fixed = self._ins, self._merge, self.fixed
+            merge, fixed = self._merge, self.fixed
             one = 1 << self.skip_shift
             # forced[a][q]: (p, what the merge of a from p adds to an
             # insertion of q after a) for every merge that the insertion's
@@ -398,15 +406,11 @@ class _Sweep:
             # roof points off the ceiling path, and the ceiling points a
             # ceiling roof needs that this one lacks
             bad = (bits ^ self.required) & self.care
-            # a code the sweep never meets: a bad bit lies before the last
-            # on-ceiling roof point at or before a
-            last = (bits & self.ceiling_bits & ((1 << a) - 1)).bit_length()
-            if bad & ((1 << last) - 1):
-                return []
             exposed, fixed = self.exposed, self.fixed
             seen = 0  # a change is needed before the walk's next point
-        # a = 0: the first segment (a, b) takes insertions
-        out = [] if m else list(self._ins[b])
+        # a = 0: the first segment (a, b) takes insertions, from row
+        # (0, 0, b), which is never folded
+        out = [] if m else list(fold[b])
         while b != n:
             rest ^= lowb
             lowc = rest & -rest
@@ -655,15 +659,8 @@ def _payoffs(
 ) -> dict[tuple[int, int], int]:
     """The one sweep entry point: the payoffs of the sweep of ``host`` from
     ``floor``, keyed by (vertices used, roof length), in maximal or complete
-    mode.  Every sweep prunes but a traced maximal one."""
-    traced = trace is not None
-    sweep = _Sweep(
-        host,
-        ceiling=ceiling,
-        immediate=maximal,
-        prune=not (traced and maximal),
-        traced=traced,
-    )
+    mode."""
+    sweep = _Sweep(host, ceiling=ceiling, immediate=maximal, traced=trace is not None)
     return _run(sweep, floor, trace)
 
 

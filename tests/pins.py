@@ -71,6 +71,16 @@ PINS = [
      ["region", "trace-12.pts", "--floor", "0,1,7,11", "--ceiling", "0,2,9,11",
       "--trace"], "sha256",
      "17c1e0722f8605b5cdb4ed9650026abdab1ab30386f6bf155f9eeecbff2b4c69"),
+    # a traced maximal sweep is unpruned, dead ends included, and an edge
+    # sweep has no ceiling; taken while the sweep still took a prune flag
+    ("traced maxcount", ["maxcount", "trace-12.pts", "--trace"], "sha256",
+     "5122f716394f365648fc66e68329300f79bead519660845d6764075abba4cabc"),
+    ("traced maximal region",
+     ["region", "trace-12.pts", "--floor", "0,1,7,11", "--ceiling", "0,2,9,11",
+      "--maximal", "--trace"], "sha256",
+     "cf0f1112e377010d73636235227493eb177e959cd2fec13b57ef56f040f883bc"),
+    ("traced tm edge", ["edgepoly-tm", "gon6/4.pts", "--trace"], "sha256",
+     "9fa596a089a98eb5d29ff6bd1fc1342eab0eaa6f618475fc97a7ba3a771148de"),
     # the empty piece matches any stderr: only the exit code is checked
     ("usage error", ["weighted", "3", "x"], "exit", (1, "")),
     # the oracle loads only in the verbs that run it, so this fresh

@@ -16,13 +16,15 @@ They share nothing with the packed routes but ``PolySUW``,
 ``skyline_points`` and ``is_covering`` read a decorated roof of
 :mod:`tripoly.roofs`: its points, and whether it covers the host.
 
-``unpruned_sweep`` is of another kind: it runs the package's own
-transfer sweep with the cascade rule off, so that every move is made and
-none is folded.  Compared with the public functions, it checks that
-pruning drops no state that pays off.
+``unpruned`` and ``unpruned_sweep`` are of another kind: they build and
+run the package's own transfer sweep with the cascade rule off, so that
+every move is made and none is folded.  Compared with the public
+functions, they check that pruning drops no state that pays off.
+``unfold`` keeps a pruned sweep's cascade rule but folds no move.
 """
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
@@ -48,19 +50,17 @@ def schoolbook_convex_states(
     r * (s^σ u w [+ 1 in complete mode]) for +1 and
     r * s^σ w + pair_w(r) * s^σ u for -1, σ = 1 in complete mode."""
     s = {"complete": 1, "maximal": 0}[mode]
-    r = PolySUW.monomial(s, 1, 0)
+    r = PolySUW({(s, 1, 0): 1})
     out = [r]
     for eps in profile:
         if eps == 1:
-            step = PolySUW.monomial(s, 1, 1)
+            step = PolySUW({(s, 1, 1): 1})
             if mode == "complete":
-                step = step + PolySUW.monomial(0, 0, 0)
+                step = step + PolySUW({(0, 0, 0): 1})
             r = r * step
         else:
             assert eps == -1, eps
-            r = r * PolySUW.monomial(s, 0, 1) + r.pair_w() * PolySUW.monomial(
-                s, 1, 0
-            )
+            r = r * PolySUW({(s, 0, 1): 1}) + r.pair_w() * PolySUW({(s, 1, 0): 1})
         out.append(r)
     return out
 
@@ -188,6 +188,29 @@ def is_covering(points: Sequence[Point], indices: Sequence[int]) -> bool:
     return True
 
 
+def unpruned(
+    points: Sequence[Point],
+    *,
+    ceiling: Sequence[Point] | None = None,
+    immediate: bool = False,
+) -> _Sweep:
+    """A sweep of ``points`` that makes every move and folds none: a
+    traced sweep, whose tables drop no merge and fold nothing, with its
+    cascade rule turned off."""
+    sweep = _Sweep(points, ceiling=ceiling, immediate=immediate, traced=True)
+    sweep.prune = False
+    return sweep
+
+
+def unfold(sweep: _Sweep) -> _Sweep:
+    """A copy of a sweep whose walk folds no move: every row of its fold
+    table holds the plain insertions, those of a sweep without a ceiling,
+    which folds nothing; insertions do not depend on the ceiling."""
+    plain = copy.copy(sweep)
+    plain._fold = _Sweep(sweep.points, immediate=sweep.immediate)._fold
+    return plain
+
+
 def unpruned_sweep(
     config: Configuration,
     floor: Sequence[int] | None = None,
@@ -204,6 +227,6 @@ def unpruned_sweep(
         floor_path, ceiling_path = lower_hull(host), upper_hull(host)
     else:
         host, floor_path, ceiling_path = region_host(config, floor, ceiling)
-    sweep = _Sweep(host, ceiling=ceiling_path, immediate=maximal)
+    sweep = unpruned(host, ceiling=ceiling_path, immediate=maximal)
     payoffs = _run(sweep, floor_path, trace)
     return sum(payoffs.values()) if maximal else _poly(payoffs)

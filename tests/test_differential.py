@@ -25,10 +25,12 @@ roof.  No traced roof of an immediate sweep, over a near-edge or a
 maximal region, may have a host point inside one of its segments: by
 that rule the route finds covering roofs, and an immediate move that
 skips no point sweeps an empty triangle.  No successor that the pruned
-walk drops may reach a ceiling payoff in the full move DAG, and each
-move a pruned sweep folds, complete or maximal, must be an insertion
-followed by its child's only move, a forced merge, as the unfolded walk
-makes them.
+walk drops may reach a ceiling payoff in the full move DAG.  No code
+that an untraced or a traced complete-mode sweep reaches may have a bad
+bit before an on-ceiling roof point at or before the walk's start.
+Each move a pruned sweep folds, complete or maximal, must be an
+insertion followed by its child's only move, a forced merge, as the
+unfolded walk makes them.
 Traced runs must give the results of untraced and of unpruned ones: a
 traced complete run keeps only the on-ceiling part of the cascade rule and
 folds nothing, and a traced maximal run is unpruned.  So must the
@@ -38,7 +40,6 @@ seeded, so every run checks the same configurations.
 """
 from __future__ import annotations
 
-import copy
 import random
 
 import pytest
@@ -96,7 +97,7 @@ from corpus import (
     sweep_code,
     valley_regions,
 )
-from reference import unpruned_sweep
+from reference import unfold, unpruned, unpruned_sweep
 
 HUGE = 10**40
 
@@ -379,24 +380,28 @@ def segment_hits(points, indices) -> int:
 
 
 def check_moves(host, ceiling):
-    """Compare the moves of every code with the decoded moves, folded in
-    a pruned sweep as the sweep folds them.  The moves of a code that is
-    no dead end, each the code it reaches less the roof bits, must depend
-    only on its memo key: the walk's first roof point a, the roof points
-    past it and whether the marker is at P_0.  With pruning, a bad bit
-    lies at or before a exactly when a is off the ceiling, so the key
-    needs no more.  Immediate modes skip the codes with a host point
-    inside a roof segment: an immediate sweep never meets them, and only
-    on them may a move skip no point yet sweep a non-empty triangle."""
+    """Compare the moves of every code a sweep can meet with the decoded
+    moves, folded in a pruned sweep as the sweep folds them.  The moves of
+    a code that is no dead end, each the code it reaches less the roof
+    bits, must depend only on its memo key: the walk's first roof point a,
+    the roof points past it and whether the marker is at P_0.  A pruned
+    sweep meets no code with a bad bit before an on-ceiling roof point at
+    or before a, so a bad bit lies before a only when a is off the
+    ceiling, and the key needs no more; such codes are skipped, as the
+    walk does not check for them.  Immediate modes skip the codes with a
+    host point inside a roof segment: an immediate sweep never meets
+    them, and only on them may a move skip no point yet sweep a non-empty
+    triangle."""
     n = len(host) - 1
-    for mode in (
-        {"ceiling": ceiling, "prune": True},
-        {"ceiling": ceiling, "prune": False},
-        {"ceiling": ceiling, "immediate": True, "prune": True},
-        {"ceiling": ceiling, "immediate": True},
-        {},
+    for build, mode in (
+        (_Sweep, {"ceiling": ceiling, "prune": True}),
+        (unpruned, {"ceiling": ceiling}),
+        (_Sweep, {"ceiling": ceiling, "immediate": True, "prune": True}),
+        (unpruned, {"ceiling": ceiling, "immediate": True}),
+        (_Sweep, {}),
     ):
-        sweep = _Sweep(host, **mode)
+        prune = mode.pop("prune", False)
+        sweep = build(host, **mode)
         shift = sweep.skip_shift
         keys = {}
         for code in all_codes(n):
@@ -404,6 +409,8 @@ def check_moves(host, ceiling):
             if mode.get("immediate") and segment_hits(host, roof.indices):
                 continue
             ours = sweep_code(sweep, code)
+            if prune and unmet(sweep, ours):
+                continue
             moves = sweep.successors(ours)
             bits = ours & sweep.mask
             got = sorted(
@@ -411,10 +418,9 @@ def check_moves(host, ceiling):
                 for m in moves
             )
             immediate = mode.get("immediate", False)
-            fold = mode.get("prune", False)
-            want = reference_successors(host, code, **mode, fold=fold)
+            want = reference_successors(host, code, **mode, prune=prune, fold=prune)
             assert got == want, (mode, code)
-            if mode.get("prune") and dead_end(host, roof, ceiling, immediate):
+            if prune and dead_end(host, roof, ceiling, immediate):
                 continue
             a = roof.indices[roof.d - 1] if roof.d else 0
             key = (a, bits >> a, roof.d == 0)
@@ -481,21 +487,21 @@ def memo_hosts():
 def test_memoised_sweep_matches_a_memo_free_loop(host, floor, ceiling):
     # moves are memoised under the roof from the walk's first point on
     expanded = codes = 0
-    for mode in (
-        {"ceiling": ceiling, "immediate": True, "prune": True},
-        {"ceiling": ceiling, "immediate": True},
-        {"ceiling": ceiling, "prune": True},
-        {"ceiling": ceiling},
-        {"immediate": True},
-        {},
+    for build, mode in (
+        (_Sweep, {"ceiling": ceiling, "immediate": True}),
+        (unpruned, {"ceiling": ceiling, "immediate": True}),
+        (_Sweep, {"ceiling": ceiling}),
+        (unpruned, {"ceiling": ceiling}),
+        (_Sweep, {"immediate": True}),
+        (_Sweep, {}),
     ):
-        sweep = _Sweep(host, **mode)
+        sweep = build(host, **mode)
         real = sweep.successors
         calls = []
         sweep.successors = lambda code: calls.append(code) or real(code)
         vectors = {}
         paid = _run(sweep, floor, lambda k, vec, w: vec and vectors.setdefault(k, vec))
-        assert (paid, vectors) == memo_free_run(_Sweep(host, **mode), floor), mode
+        assert (paid, vectors) == memo_free_run(build(host, **mode), floor), (build, mode)
         expanded += len(calls)
         codes += len({code for vec in vectors.values() for code in vec})
     assert expanded > 0
@@ -534,7 +540,7 @@ def widening_runs():
             def traced(host=host, floor=floor, mode=mode):
                 vectors = {}
                 trace = lambda k, vec, w: vectors.update({k: (vec, w)})  # noqa: E731
-                return _run(_Sweep(host, **mode), floor, trace), vectors
+                return _run(unpruned(host, **mode), floor, trace), vectors
 
             calls.append(traced)
     return calls
@@ -672,7 +678,7 @@ def roof_segment_hits(host, floor, ceiling=None) -> tuple[int, int]:
             seen[0] += 1
             seen[1] += segment_hits(host, decode(code, n).indices)
 
-    _run(_Sweep(host, ceiling=ceiling, immediate=True), floor, trace)
+    _run(unpruned(host, ceiling=ceiling, immediate=True), floor, trace)
     return seen[0], seen[1]
 
 
@@ -732,14 +738,6 @@ def move_dag(sweep, floor, expand=None):
     return set(into), live
 
 
-def unfold(sweep):
-    """A copy of a sweep whose walk folds no move: every row of its fold
-    table holds the plain insertions."""
-    plain = copy.copy(sweep)
-    plain._fold = sweep._ins * (sweep.n + 1)
-    return plain
-
-
 def stuck_hosts():
     """(host, floor, ceiling) of lattice subsets, of sets on a 6x6 grid
     (collinear runs and vertical ties), of sets under ceiling runs, and of
@@ -760,49 +758,98 @@ def stuck_hosts():
 def test_the_cascade_rule_drops_no_live_code():
     # the full move DAG, unpruned, marks the codes that can still pay
     # off; no successor the pruned walk drops may be one of them.  A
-    # traced walk keeps the on-ceiling part of the rule only, and an
-    # untraced one drops the merges of on-ceiling points and folds its
-    # forced merges
+    # traced complete-mode walk keeps the on-ceiling part of the rule
+    # only, and an untraced one drops the merges of on-ceiling points and
+    # folds its forced merges
     sweeps = dropped = 0
-    walked = {}  # (immediate, walk) -> codes the pruned walks reach
+    walked = {}  # (immediate, walk) -> codes the walks reach
     for host, floor, ceiling in stuck_hosts():
         for immediate in (True, False):
             mode = {"ceiling": ceiling, "immediate": immediate}
-            full = _Sweep(host, **mode)
-            traced_sweep = _Sweep(host, **mode, prune=True, traced=True)
-            pruned = _Sweep(host, **mode, prune=True)
+            full = unpruned(host, **mode)
+            pruned = _Sweep(host, **mode)
             on, n = full.ceiling_bits, full.n
-            assert traced_sweep.exposed == [0] * n and traced_sweep.fixed == [on] * n
             assert all(fixed & on == on for fixed in pruned.fixed)
-            codes = (1 << full.skip_shift) - 1
             unfolded = unfold(pruned).successors
+            walks = [
+                ("unpruned", full, None),
+                ("pruned", pruned, unfolded),
+                ("folded", pruned, None),
+            ]
+            traced = full  # a traced maximal sweep is the unpruned one
+            if not immediate:
+                traced = _Sweep(host, **mode, traced=True)
+                assert traced.exposed == [0] * n and traced.fixed == [on] * n
+                walks.append(("traced", traced, None))
+            codes = (1 << full.skip_shift) - 1
             reached, live = move_dag(full, floor)
             for code in reached:
                 bits = code & full.mask  # a move is less the roof bits
                 every = {bits + m & codes for m in full.successors(code)}
-                part = {bits + m & codes for m in traced_sweep.successors(code)}
+                part = {bits + m & codes for m in traced.successors(code)}
                 new = {bits + m & codes for m in unfolded(code)}
                 assert new <= part <= every
                 assert not (every - new) & live, (host, ceiling, immediate, code)
-                dropped += len(part - new)
-            for walk, sweep, expand in (
-                ("pruned", pruned, unfolded),
-                ("traced", traced_sweep, None),
-                ("folded", pruned, None),
-            ):
+                dropped += len(every - new)
+            for walk, sweep, expand in walks:
                 key = (immediate, walk)
                 reach = len(move_dag(sweep, floor, expand)[0])
                 walked[key] = walked.get(key, 0) + reach
             sweeps += 1
     assert sweeps > 800 and dropped > 3000
+    assert walked[True, "unpruned"] == 21_004 and walked[False, "unpruned"] == 34_443
     # the frozen-prefix and stuck rules that this rule merges reached
     # 13,475 codes in immediate mode and 23,651 in complete mode; without
     # dropping the merges of on-ceiling points the rule reached 12,264 and
     # 22,724, and folding skipped to 10,055 and 16,684
-    assert walked[True, "traced"] == 14_581 and walked[False, "traced"] == 25_230
+    assert walked[False, "traced"] == 25_230
     assert walked[True, "pruned"] == 11_594 and walked[False, "pruned"] == 22_700
     # folding skips the children whose only move is a forced merge
     assert walked[True, "folded"] == 9_415 and walked[False, "folded"] == 16_660
+
+
+def unmet(sweep, code) -> bool:
+    """True when a bad bit of a sweep code lies before its last on-ceiling
+    roof point at or before a, the roof point before the marker: the bad
+    bits are the roof points off the ceiling path and the ceiling points
+    that a ceiling roof needs and this one lacks.  No pruned sweep meets
+    such a code."""
+    bits = code & sweep.mask
+    a = (bits & sweep.low[code >> sweep.shift]).bit_length()
+    last = (bits & sweep.ceiling_bits & ((1 << a) - 1)).bit_length()
+    bad = (bits ^ sweep.required) & sweep.care
+    return bool(bad & ((1 << last) - 1))
+
+
+def hull_sets():
+    """(host, floor, ceiling) of random sets of 5-18 points between their
+    lower and upper hulls."""
+    out = []
+    for pts in random_sets(8, seed=29, lo=5, hi=18, box=40):
+        cfg = Configuration(pts)
+        out.append((cfg.points, cfg.lower_boundary(), cfg.upper_boundary()))
+    return out
+
+
+def test_no_met_code_has_a_bad_bit_before_an_on_ceiling_point():
+    # the last walk that moved the marker past an on-ceiling roof point
+    # checked it and went on, so no bad bit lies before it; the walk
+    # relies on this without checking it.  The unpruned sweeps meet such
+    # codes, so the check is not empty
+    met = flagged = 0
+    for host, floor, ceiling in stuck_hosts() + hull_sets():
+        for immediate in (True, False):
+            mode = {"ceiling": ceiling, "immediate": immediate}
+            sweeps = [_Sweep(host, **mode)]
+            if not immediate:
+                sweeps.append(_Sweep(host, **mode, traced=True))
+            for sweep in sweeps:
+                for code in move_dag(sweep, floor)[0]:
+                    assert not unmet(sweep, code), (host, ceiling, mode, code)
+                    met += 1
+            full = unpruned(host, **mode)
+            flagged += sum(unmet(full, code) for code in move_dag(full, floor)[0])
+    assert met > 150_000 and flagged > 150_000
 
 
 def fold_hosts():
@@ -824,7 +871,7 @@ def test_each_forced_merge_is_folded_into_its_insertion():
     pairs = {}
     for host, floor, ceiling in fold_hosts():
         for immediate in (False, True):
-            sweep = _Sweep(host, ceiling=ceiling, immediate=immediate, prune=True)
+            sweep = _Sweep(host, ceiling=ceiling, immediate=immediate)
             plain = unfold(sweep).successors
             n, shift, mask = sweep.n, sweep.skip_shift, sweep.mask
             codes = (1 << shift) - 1

@@ -13,6 +13,7 @@ from tripoly.exactmath import (
     complete_edge_basis,
     maximal_edge_basis,
     p_basis_coefficients,
+    series_pair_uw,
 )
 from tripoly.neargon import (
     EDGE_METHODS,
@@ -20,7 +21,6 @@ from tripoly.neargon import (
     NearGon,
     compose,
     convex_edge_complete,
-    convex_edge_maximal,
     convex_edge_states,
     covering_roof_edge_poly,
     edge_poly,
@@ -163,7 +163,8 @@ class TestConvexRecursion:
     def test_maximal_variant_matches_the_top_slice(self):
         for profile in [(), (1,), (-1,), (1, -1), (1, -1, 1, -1), (-1, -1, 1)]:
             ep = EdgePolynomial(len(profile) + 1, convex_edge_complete(profile))
-            lean = convex_edge_maximal(profile)
+            lean = series_pair_uw(convex_edge_states(profile, "maximal")[-1])
+            lean = lean.coefficient_s(0)
             assert isinstance(lean, PolyT)
             assert lean == ep.maximal
 

@@ -209,6 +209,6 @@ class TestSlowCrossChecks:
     def test_convex_thirteen_gon(self):
         cfg = Configuration(convex_polygon_points(13))
         got = oracle_complete_poly(cfg, limit=13)
-        assert got.degree() == 13
+        assert max(got.c, default=-1) == 13
         assert got.leading() == catalan(11) == 58786
         assert got.c == weighted_complete_poly((1,) * 13).c

@@ -75,6 +75,17 @@ class TestHulls:
         pts = [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert extremal_points(pts) == {(0, 0), (3, 3)}
 
+    def test_vertical_and_horizontal_runs(self):
+        # a vertical run sorts top down in sweep order
+        assert extremal_points([(1, 2), (1, 0), (1, 3), (1, 1)]) == {(1, 3), (1, 0)}
+        assert extremal_points([(2, 5), (0, 5), (1, 5)]) == {(0, 5), (2, 5)}
+        assert extremal_points([(4, 4), (4, 4), (4, 7)]) == {(4, 7), (4, 4)}
+
+    def test_empty_and_single_point_sets(self):
+        assert extremal_points([]) == set()
+        assert extremal_points([(3, -1)]) == {(3, -1)}
+        assert extremal_points([(3, -1), (3, -1)]) == {(3, -1)}
+
     def test_near_edge_boundaries(self):
         e = NearEdge(EDGE_A)
         assert lower_hull(e.points) == ((0, 0), (2, -1), (4, -1), (5, 0))

@@ -47,7 +47,7 @@ from corpus import (
     all_codes,
     sweep_code,
 )
-from reference import skyline_points, unpruned_sweep
+from reference import skyline_points, unfold, unpruned_sweep
 
 # successor table of the decorated-roof codes over the six-point edge,
 # derived once by hand from the insertion and merge rules
@@ -136,7 +136,7 @@ def apply_transfer(points, vec, fold=True, **mode):
     without ``fold``, from the unfolded walk of a pruned complete sweep."""
     sweep = _Sweep(points, **mode)
     if not fold:
-        sweep._fold = sweep._ins * (sweep.n + 1)
+        sweep = unfold(sweep)
     codes = (1 << sweep.skip_shift) - 1
     out = {}
     for code, mult in vec.items():
@@ -166,15 +166,13 @@ class TestApplyTransfer:
         cfg, _, ceiling = squeeze_paths()
         rows = {4: {6}, 153: {81}, 101: {36, 103}, 103: {38}}
         for code, expected in rows.items():
-            pruned = apply_transfer(
-                cfg.points, {code: 1}, fold=False, ceiling=ceiling, prune=True
-            )
+            pruned = apply_transfer(cfg.points, {code: 1}, fold=False, ceiling=ceiling)
             assert set(pruned) == expected, f"code {code}"
             unpruned = apply_transfer(cfg.points, {code: 1})
             assert set(pruned) <= set(unpruned)
         # the insertion reaching 103, whose only move is the forced merge
         # to 38, is folded into that merge
-        folded = apply_transfer(cfg.points, {101: 1}, ceiling=ceiling, prune=True)
+        folded = apply_transfer(cfg.points, {101: 1}, ceiling=ceiling)
         assert folded == {36: 1, 38: 1}
 
     def test_immediate_mode_is_a_subset(self):
@@ -368,7 +366,7 @@ class TestConfigPolynomials:
         for pts in (COLUMNS11, SQUEEZE, COLLINEAR_RUN):
             cfg = Configuration(pts)
             poly = complete_config_poly(cfg)
-            assert poly.degree() == len(cfg)
+            assert max(poly.c, default=-1) == len(cfg)
             assert poly.leading() == max_config_count(cfg)
 
     def test_degenerate_configurations_are_rejected(self):
