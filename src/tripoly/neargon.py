@@ -11,7 +11,9 @@ near-gon as an integer configuration.
 
 The convex recursion holds a state as one packed int per power of w, so
 a factor s or u is a shift; realizations map the flattened edges in
-integer complex arithmetic over one common denominator.
+integer complex arithmetic over one common denominator.  The recursion
+runs in complete mode only: every term of a step but one adds a factor
+s, so a maximal state is the top s slice of the complete one.
 """
 from __future__ import annotations
 
@@ -145,33 +147,27 @@ def _pair_w(r: list[int]) -> int:
     return sum(map(mul, r, map(catalan, range(len(r)))))
 
 
-def _convex_run(
-    profile: Sequence[int], complete: bool, width: int, stride: int
-) -> Iterator[list[int]]:
+def _convex_run(profile: Sequence[int], width: int, stride: int) -> Iterator[list[int]]:
     """Packed states of the convex-edge recursion, the seed first.
 
     A state is a list over the powers of w whose entry packs the
-    coefficients of s^a u^j in the ``width``-bit field j * stride + a;
-    in maximal mode s stays at 0.  Width 0 runs it at s = u = 1.
+    coefficients of s^a u^j in the ``width``-bit field j * stride + a.
+    Width 0 runs it at s = u = 1.
     """
-    ds = width if complete else 0
-    su = ds + width * stride
+    su = width * (stride + 1)  # the shift of a factor s u
     r = [1 << su]
     yield r
     for eps in profile:
-        if eps == 1:  # times s^σ u w, plus 1 in complete mode
-            up = [0, *(v << su for v in r)]
-            r = list(map(add, up, [*r, 0])) if complete else up
-        elif eps == -1:  # times s^σ w, plus the w-paired state times s^σ u
-            r = [_pair_w(r) << su, *(v << ds for v in r)]
+        if eps == 1:  # times s u w, plus 1
+            r = list(map(add, [0, *(v << su for v in r)], [*r, 0]))
+        elif eps == -1:  # times s w, plus the w-paired state times s u
+            r = [_pair_w(r) << su, *(v << width for v in r)]
         else:
             raise ValueError(f"profile entries must be +1 or -1, got {eps}")
         yield r
 
 
-def _convex_packed(
-    profile: Sequence[int], mode: str
-) -> tuple[Iterator[list[int]], int, int]:
+def _convex_packed(profile: Sequence[int]) -> tuple[Iterator[list[int]], int, int]:
     """The packed states, their bytes per field and fields per power of u.
 
     Every coefficient is >= 0, so at s = u = 1 each entry of a state, and
@@ -180,14 +176,11 @@ def _convex_packed(
     entry of the previous state, shifted and plus non-negative terms,
     and every Catalan number C_w is at least 1.
     """
-    if mode not in ("complete", "maximal"):
-        raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
-    complete = mode == "complete"
-    for r in _convex_run(profile, complete, 0, 0):
+    for r in _convex_run(profile, 0, 0):
         pass
     nbytes = packed_bytes(_pair_w(r))
-    stride = len(profile) + 2 if complete else 1
-    return _convex_run(profile, complete, 8 * nbytes, stride), nbytes, stride
+    stride = len(profile) + 2
+    return _convex_run(profile, 8 * nbytes, stride), nbytes, stride
 
 
 def convex_edge_states(
@@ -199,24 +192,31 @@ def convex_edge_states(
     open rightmost pocket (w); each interior point extends the state
     according to its side of the end chord, pockets closing through the
     Catalan pairing in w.  Entry 0 is the seed, entry i the state after
-    the i-th sign.
+    the i-th sign.  Every term of a step but the +1 of a sign +1 adds one
+    s, so the maximal state i is the top slice s^(i + 1) of the complete
+    one, returned with s = 0.
     """
-    states, nbytes, stride = _convex_packed(profile, mode)
+    if mode not in ("complete", "maximal"):
+        raise ValueError(f"mode must be 'complete' or 'maximal', got {mode!r}")
+    states, nbytes, stride = _convex_packed(profile)
     fields = stride * (len(profile) + 2)
-    return [
-        PolySUW({
+    out = []
+    for i, r in enumerate(states):
+        terms = {
             (f % stride, f // stride, w): v
             for w, row in enumerate(unpack_fields(r, nbytes, fields))
             for f, v in enumerate(row)
-        })
-        for r in states
-    ]
+        }
+        if mode == "maximal":
+            terms = {(0, u, w): v for (a, u, w), v in terms.items() if a == i + 1}
+        out.append(PolySUW(terms))
+    return out
 
 
 def convex_edge_complete(profile: Sequence[int]) -> PolyST:
     """Complete polynomial of the convex edge with the given sign profile:
     the last state of the recursion paired out in u and w."""
-    states, nbytes, stride = _convex_packed(profile, "complete")
+    states, nbytes, stride = _convex_packed(profile)
     for r in states:
         pass
     (row,) = unpack_fields([_pair_w(r)], nbytes, stride * (len(profile) + 2))

@@ -45,12 +45,12 @@ key (a, roof bits from a on, m = 0), and every code sharing that key
 has the same move list.  ``_run`` keeps one memo per sweep from the key
 to the tuple of moves, and adds ``code & mask`` to each.  The walk
 appends whole table rows, so a memo entry holds the tables' own move
-objects.  For a ≥ 2, m > a is a roof bit, so the key is the code with
-its bits before a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no
-bit lies before a, so the key is the code itself, met once, and the
-memo is skipped.  It is skipped for a = 2 too: such a key holds at most
-two codes, P_1 on the roof or not, and on 18-point configurations most
-hold one.
+objects, and equal move lists share one tuple.  For a ≥ 2, m > a is a
+roof bit, so the key is the code with its bits before a cleared,
+``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before a, so the
+key is the code itself, met once, and the memo is skipped.  It is
+skipped for a = 2 too: such a key holds at most two codes, P_1 on the
+roof or not, and on 18-point configurations most hold one.
 
 The sweep is one loop over codes in order of a potential.  A point is
 covered by a roof when it is not strictly above it, and
@@ -91,10 +91,10 @@ off or expanded, and only a checked code adds terms.  A sum the sweep
 forms, the moves into one code or the codes of one payoff, has at most
 one term per code plus a floor roof's start, fewer than 2^g terms below
 2^data each, so it fits in its field and no carry crosses into the
-next.  When a check fails, the sweep doubles ``data`` until the
-bucket's largest field fits and repacks the current and pending buckets
-in place: their fields are exact sums, and the terms still to come are
-below the new 2^data.  ``data`` starts at ``_DATA_BITS`` and at least
+next.  When a check fails, the sweep doubles ``data``, repacks the
+current and pending buckets in place and checks the bucket again, until
+every field fits: their fields are exact sums, and the terms still to
+come are below the new 2^data.  ``data`` starts at ``_DATA_BITS`` and
 doubles at each widening, so a run widens a few times at most.  An
 immediate sweep skips no point: its multiplicities are plain ints, one
 field with no guard.
@@ -166,15 +166,15 @@ that its child is then forced to make: bits + q − a with marker p,
 skipping e₁ + e₂ points at potential Φ + 2 + 2(e₁ + e₂).  The child's
 only move is that merge when merge(p, a, q) exists, no insertion into
 (a, q) does (and no merge of q from a, as q lies above a -> b), and its
-walk stops at its step a -> q: ``fixed[a]`` flags q, and ``seen`` is set
-by ``exposed[p]`` flagging a, or by a or a required corner between a and
-q being bad.  A bad bit before a sets ``seen`` too, but then a is bad:
-the parent's walk went on from p to a, so ``fixed[p]``, which flags
-every on-ceiling point, does not flag a.  The child's walk does not stop
-at p -> a, which the parent's walk passed with a ``seen`` holding the
-child's.  So the rule depends on p, a and q alone, and the set-up finds
-it once per (a, q) for every p.  One table holds the insertions of each
-step, indexed like the merge (p, a, b) the walk read one step earlier.
+walk stops at its step a -> q: ``fixed[a]`` flags q, and ``seen`` is
+set by then.  A folding sweep stores no merge of an on-ceiling point, so
+when merge(p, a, q) exists a is off the ceiling, thus bad, and the step
+a -> q sets ``seen`` from a's bit whatever p is.  The child's walk does
+not stop at p -> a, which the parent's walk passed with a ``seen``
+holding the child's.  So the rule depends on p, a and q alone, and the
+set-up finds it in one loop per walk point a.  One table holds the
+insertions of each step, indexed like the merge (p, a, b) the walk read
+one step earlier.
 Every sweep's walk reads that table; in a sweep that does not fold, row
 (p, a, b) holds the insertions into (a, b) for every p.  A folded pair's
 p lies before a, so no row with p ≥ a is folded, and the walk reads the
@@ -347,27 +347,22 @@ class _Sweep:
         if self.prune and whole:
             # fold each forced merge into its insertion (Folded moves)
             merge, fixed = self._merge, self.fixed
-            one = 1 << self.skip_shift
-            # forced[a][q]: (p, what the merge of a from p adds to an
-            # insertion of q after a) for every merge that the insertion's
-            # child is forced to make; it depends on a and q alone
-            forced: dict[int, dict[int, list[tuple[int, int]]]] = {}
-            for a, q in combinations(range(1, n), 2):
-                # the child's walk stops at a -> q once it is seen: q is
-                # fixed from a, and nothing is inserted into (a, q)
-                if not fixed[a] >> (q - 1) & 1 or ins[a * size + q]:
-                    continue
-                # seen: a is bad, a corner between a and q is missing,
-                # or p -> a is exposed
-                abit = 1 << (a - 1)
-                bad = abit & ~on or self.required & ((1 << (q - 1)) - 2 * abit)
-                for p in range(a):
-                    pair = merge[(p * size + a) * size + q]
-                    if pair and (bad or self.exposed[p] & abit):
-                        pair += one - (a << self.shift)
-                        forced.setdefault(a, {}).setdefault(q, []).append((p, pair))
-            for a, pairs in forced.items():
-                for b in range(min(pairs) + 1, size):
+            for a in range(1, n - 1):
+                lift = (1 << self.skip_shift) - (a << self.shift)
+                # pairs[q]: (p, what the merge of a from p adds to an
+                # insertion of q after a) for every merge that the
+                # insertion's child is forced to make.  The child's walk
+                # stops at a -> q: q is fixed from a, nothing is inserted
+                # into (a, q), and a change has been seen, as a whole sweep
+                # stores no merge of an on-ceiling point, so a stored merge
+                # of a means that a is bad
+                pairs: dict[int, list[tuple[int, int]]] = {}
+                for q in range(a + 1, n):
+                    if fixed[a] >> (q - 1) & 1 and not ins[a * size + q]:
+                        for p in range(a):
+                            if pair := merge[(p * size + a) * size + q]:
+                                pairs.setdefault(q, []).append((p, pair + lift))
+                for b in range(a + 2, size):
                     row = ins[a * size + b]
                     folded: dict[int, list[int]] = {}  # p -> its insertions
                     for i, move in enumerate(row):
@@ -554,6 +549,7 @@ def _run(
     # the memo: a move list, relative to the roof bits, keyed by the code
     # with the roof bits before a cleared, code & cut[a]
     memo: dict[int, tuple[int, ...]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per move list
     mask, low, marker = sweep.mask, sweep.low, sweep.shift
     cut = [0] + [-(1 << (a - 1)) for a in range(1, n)]
     for phi in range(limit + 3):
@@ -564,15 +560,9 @@ def _run(
             raise AssertionError(f"a roof at potential {phi}, past {limit}")
         buckets[phi] = {}
         while (payoffs := sweep.payoff(bucket, guard)) is None:
-            # a field outgrew its data bits: double them until the
-            # bucket's largest field fits, and repack what is not expanded
-            big = max(
-                value.bit_length()
-                for mult in bucket.values()
-                for _, value in _fields(mult, width)
-            )
-            while data < big:
-                data *= 2
+            # a field outgrew its data bits: double them and repack what is
+            # not expanded, until every field of the bucket fits
+            data *= 2
             wide, guard = _layout(data, sweep.headroom, n)
             for vec in [bucket, *buckets[phi + 1 :]]:
                 for code, mult in vec.items():
@@ -602,7 +592,8 @@ def _run(
                 key = code & cut[a]
                 moves = memo.get(key)
                 if moves is None:
-                    moves = memo[key] = tuple(expand(code))
+                    moves = tuple(expand(code))
+                    moves = memo[key] = shared.setdefault(moves, moves)
             for succ in moves:
                 succ += base  # a move is a successor less the roof bits
                 if succ < plain:

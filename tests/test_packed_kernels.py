@@ -2,7 +2,8 @@
 
 * The convex-edge recursion runs on lists of packed ints; its states,
   decoded, must equal the term-by-term ``PolySUW`` recursion of
-  ``reference.py`` in both modes, and its paired result the transfer
+  ``reference.py`` in both modes (a maximal state is read off as the
+  top s slice of the complete one), and its paired result the transfer
   route on the canonical edge of the profile.
 * The fields of the convex-edge recursion are sized from the w-pairing
   of its last state at s = u = 1, which must bound every entry of every
@@ -60,14 +61,13 @@ def test_convex_states_match_the_schoolbook_recursion(profile, mode):
         assert convex_edge_complete(profile) == series_pair_uw(states[-1])
 
 
-@pytest.mark.parametrize("complete", [True, False], ids=["complete", "maximal"])
-def test_the_last_pairing_bounds_every_state(complete):
+def test_the_last_pairing_bounds_every_state():
     # the packed recursion sizes its fields from this pairing alone
     rng = random.Random(41)
     for n in range(41):
         for _ in range(6):
             profile = [rng.choice((1, -1)) for _ in range(n)]
-            states = list(_convex_run(profile, complete, 0, 0))
+            states = list(_convex_run(profile, 0, 0))
             bound = _pair_w(states[-1])
             assert all(v <= bound for r in states for v in r), profile
 

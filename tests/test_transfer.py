@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from tripoly.roofs import DecoratedRoof, covering_roofs, encode, sub_edges
 from tripoly.transfer import (
     _Sweep,
     _floor_roofs,
+    _payoffs,
     complete_config_poly,
     complete_edge_poly_tm,
     max_config_count,
@@ -328,6 +330,18 @@ class TestRegionValidation:
         with pytest.raises(ValueError, match="lies below the floor"):
             region_poly(self.make(), (0, 4), (0, 1, 4))
 
+    # region_host checks the paths first, so only a direct sweep reaches
+    # the floor checks of the sweep itself
+    def test_floor_corner_off_the_host(self):
+        host = ((0, 0), (1, 1), (2, 0))
+        with pytest.raises(ValueError, match="not a host point"):
+            _payoffs(host, ((0, 0), (1, -1), (2, 0)))
+
+    def test_floor_must_join_the_host_ends(self):
+        host = ((0, 0), (1, 1), (2, 0))
+        with pytest.raises(ValueError, match="first and last host points"):
+            _payoffs(host, ((0, 0), (1, 1)))
+
     def test_valid_region_between_center_and_top(self):
         poly = region_poly(self.make(), (0, 2, 4), (0, 3, 4))
         assert isinstance(poly, PolyS)
@@ -452,6 +466,23 @@ class TestCensus:
         monkeypatch.setattr(_Sweep, "payoff", payoff)
         assert max_config_count(capacity_set(n)) == count
         assert sum(sizes) == codes
+
+
+class TestMemo:
+    def test_equal_move_lists_share_one_tuple(self, monkeypatch):
+        # _run interns its memo's move tuples; without it, the peak RSS of
+        # poly on 30 points rose from 389 to 501 MiB
+        memos = []
+        real = _Sweep.payoff
+
+        def payoff(self, vec, guard=0):
+            memos.append(sys._getframe(1).f_locals["memo"])
+            return real(self, vec, guard)
+
+        monkeypatch.setattr(_Sweep, "payoff", payoff)
+        complete_config_poly(capacity_set(20))
+        moves = memos[-1].values()
+        assert len({id(m) for m in moves}) == len(set(moves)) < len(moves)
 
 
 class TestRegionRows:
