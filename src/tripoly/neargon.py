@@ -44,7 +44,6 @@ from .planar import (
     convex_polygon_points,
     convex_profile,
     factorize,
-    order_type_equivalent,
     orient,
 )
 from .roofs import sub_edges
@@ -52,6 +51,7 @@ from .transfer import complete_edge_poly_tm, covering_roof_counts
 
 # unused here; bench/tracer.py patches these names in this namespace
 from .exactmath import catalan_pair_st, series_pair_uw  # noqa: F401
+from .planar import order_type_equivalent  # noqa: F401
 from .roofs import covering_roofs  # noqa: F401
 from .transfer import max_region_count_points  # noqa: F401
 
@@ -230,16 +230,13 @@ def _prime_edge_poly(edge: NearEdge, method: str) -> PolyST:
         return complete_edge_poly_tm(edge)
     if method == "roofs":
         return covering_roof_edge_poly(edge).complete
-    if method == "convex":
-        profile = convex_profile(edge)
-        if profile is None:
-            raise ValueError("the edge is not strictly convex")
-        return convex_edge_complete(profile)
-    if edge.is_straight():
+    if method == "auto" and edge.is_straight():
         return complete_edge_basis(edge.weight)
     profile = convex_profile(edge)
     if profile is not None:
         return convex_edge_complete(profile)
+    if method == "convex":
+        raise ValueError("the edge is not strictly convex")
     return complete_edge_poly_tm(edge)
 
 
@@ -373,28 +370,19 @@ def realize(gon: NearGon | Sequence[NearEdge]) -> Configuration:
     Each edge's heights are scaled down, it is mapped onto a side of a
     convex polygon by an orientation-preserving similitude (interior
     points of an edge bulging above the chord end up inside), and the
-    scale is halved until the order type stops changing and is that of
-    the limit.  Two-edge near-gons have no convex carrier polygon and
-    are rejected.
+    scale is halved until the images are distinct and every triple turns
+    as its limit, so the configuration has the order type of the
+    infinitesimal near-gon.  Two-edge near-gons have no convex carrier
+    polygon and are rejected.
     """
     edges = tuple(getattr(gon, "edges", gon))
     if len(edges) < 3:
         raise ValueError("realization needs at least three edges")
     base = convex_polygon_points(len(edges))
-    prev = None
     for m in range(1, PRECISION_STEPS + 1):
         images = _realize_at(edges, base, m)
-        if images is None:
-            prev = None
-            continue
-        cfg = Configuration(set().union(*images))
-        if (
-            prev is not None
-            and order_type_equivalent(prev[0].points, cfg.points)
-            and _turns_as_limit(edges, base, prev[1])
-        ):
-            return prev[0]
-        prev = cfg, images
+        if images is not None and _turns_as_limit(edges, base, images):
+            return Configuration(set().union(*images))
     raise ValueError(
-        f"the realization did not stabilise within {PRECISION_STEPS} halvings"
+        f"the realization did not turn as its limit within {PRECISION_STEPS} halvings"
     )

@@ -3,8 +3,9 @@
 The oracle enumerates vertex subsets directly and counts the
 triangulations of each by growing triangles over a frontier of directed
 half-edges, so its only shared ground with the fast routes is the
-orientation predicate and the validation of a region's paths.  It is
-meant for cross-checking small inputs and guards its input size.
+orientation predicate, the hull check of a configuration and the
+validation of a region's paths.  It is meant for cross-checking small
+inputs and guards its input size.
 """
 from __future__ import annotations
 
@@ -15,13 +16,12 @@ from .exactmath import PolyS
 from .planar import (
     Configuration,
     Point,
-    lower_hull,
+    hull_host,
     on_segment,
     orient,
     path_corners,
     region_host,
     sweep_key,
-    upper_hull,
 )
 
 
@@ -195,16 +195,11 @@ def _region_packings(
 
 def oracle_complete_poly(config: Configuration, *, limit: int = 12) -> PolyS:
     """Complete triangulation polynomial by direct enumeration."""
-    pts = config.points
-    if len(pts) > limit:
+    if len(config) > limit:
         raise GuardExceeded(
-            f"{len(pts)} points exceed the brute-force limit {limit}"
+            f"{len(config)} points exceed the brute-force limit {limit}"
         )
-    if len(pts) < 3 or config.all_collinear():
-        raise ValueError(
-            "the configuration must have at least three non-collinear points"
-        )
-    return _region_packings(pts, lower_hull(pts), upper_hull(pts))
+    return _region_packings(*hull_host(config))
 
 
 def oracle_region_poly(

@@ -100,15 +100,11 @@ def point_vs_path(p: Point, path: Sequence[Point]) -> int:
 def path_corners(path: Sequence[Point]) -> tuple[Point, ...]:
     """Drop interior vertices that lie on the segment joining their
     neighbours, collapsing collinear runs of any length."""
-    out = list(path)
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for i in range(1, len(out) - 1):
-            if on_segment(out[i], out[i - 1], out[i + 1]):
-                del out[i]
-                changed = True
-                break
+    out: list[Point] = []
+    for p in path:
+        while len(out) >= 2 and on_segment(out[-1], out[-2], p):
+            out.pop()
+        out.append(p)
     return tuple(out)
 
 
@@ -188,6 +184,20 @@ class NearEdge(_Points):
     def translate_to_origin(self) -> "NearEdge":
         x0, y0 = self.points[0]
         return NearEdge((x - x0, y - y0) for x, y in self.points)
+
+
+def hull_host(
+    config: Configuration,
+) -> tuple[tuple[Point, ...], tuple[Point, ...], tuple[Point, ...]]:
+    """The points of a configuration in sweep order with its lower and
+    upper hulls, the floor and ceiling of the whole configuration;
+    refuses a configuration without three non-collinear points."""
+    if config.all_collinear():
+        raise ValueError(
+            "the configuration must have at least three non-collinear points"
+        )
+    pts = config.points
+    return pts, lower_hull(pts), upper_hull(pts)
 
 
 def region_host(

@@ -38,21 +38,9 @@ class DecoratedRoof(NamedTuple):
         return "(" + " ".join(parts) + ")"
 
 
-def encode(roof: DecoratedRoof, n: int) -> int:
-    """Pack a decorated roof over P_0..P_n into an integer code."""
-    idx = roof.indices
-    if idx[0] != 0 or idx[-1] != n:
-        raise ValueError(f"roof must run from 0 to {n}, got {idx}")
-    if not 0 <= roof.d <= len(idx) - 2:
-        raise ValueError(f"marker {roof.d} out of range for {idx}")
-    bits = 0
-    for i in idx[1:-1]:
-        bits |= 1 << (i - 1)
-    return roof.d * (1 << (n - 1)) + bits
-
-
 def decode(code: int, n: int) -> DecoratedRoof:
-    """Inverse of :func:`encode`; rejects codes whose marker overflows."""
+    """The decorated roof over P_0..P_n of the code ``d << (n - 1) | bits``;
+    rejects codes whose marker overflows."""
     if code < 0:
         raise ValueError(f"negative roof code {code}")
     mask = (1 << (n - 1)) - 1

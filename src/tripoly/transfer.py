@@ -10,8 +10,8 @@ A state is an integer code ``m << (n - 1) | bits``.  Bit i - 1 of
 :mod:`tripoly.roofs`.  The marker field m is the host index of the roof
 point at the marker's position d, the left end of the marked segment,
 and 0 when d = 0; :meth:`_Sweep.roof_code` translates a code to the
-``d << (n - 1) | bits`` layout of :func:`tripoly.roofs.encode`, which
-is what a trace prints.  The sweep never decodes a state.  Its walk
+``d << (n - 1) | bits`` layout that :func:`tripoly.roofs.decode` reads,
+which is what a trace prints.  The sweep never decodes a state.  Its walk
 starts at a, the roof point before m, found as
 ``(bits & low[m]).bit_length()``, and goes on with ``bits & -bits`` and
 ``bit_length()``.  A successor is one bit set (an insertion into a
@@ -219,12 +219,12 @@ from .planar import (
     Configuration,
     NearEdge,
     Point,
+    hull_host,
     lower_hull,
     orient,
     path_corners,
     point_on_path,
     region_host,
-    upper_hull,
 )
 from .roofs import decode
 
@@ -423,8 +423,9 @@ class _Sweep:
         return out
 
     def roof_code(self, code: int) -> int:
-        """The :func:`tripoly.roofs.encode` code of a sweep code, whose
-        marker field holds the host index of the marker's roof point."""
+        """The code ``d << (n - 1) | bits`` of a sweep code, whose marker
+        field holds the host index of the marker's roof point, d being that
+        point's position in the roof."""
         m = code >> self.shift
         bits = code & self.mask
         d = (bits & self.low[m]).bit_count() + 1 if m else 0
@@ -619,8 +620,8 @@ def _replay(
     sweep: _Sweep, kept: Sequence[tuple[int, int, dict[int, int]]], trace: TraceFn
 ) -> None:
     """Call ``trace`` with the vector V_k of every step k and its payoffs,
-    the states as :func:`tripoly.roofs.encode` codes; each bucket is read
-    at the field width it was paid off with."""
+    the states as codes ``d << (n - 1) | bits``; each bucket is read at
+    the field width it was paid off with."""
     steps: dict[int, dict[int, int]] = {}
     for phi, width, bucket in kept:
         for code, packed in bucket.items():
@@ -712,18 +713,6 @@ def region_poly(
     return sum(payoffs.values()) if maximal else _poly(payoffs)
 
 
-def _hull(
-    config: Configuration,
-) -> tuple[tuple[Point, ...], tuple[Point, ...], tuple[Point, ...]]:
-    """The points of a configuration between its lower and upper hulls."""
-    if len(config) < 3 or config.all_collinear():
-        raise ValueError(
-            "the configuration must have at least three non-collinear points"
-        )
-    host = config.points
-    return host, lower_hull(host), upper_hull(host)
-
-
 def complete_config_poly(
     config: Configuration, *, trace: TraceFn | None = None
 ) -> PolyS:
@@ -732,12 +721,12 @@ def complete_config_poly(
     Counts every triangulation of every subset containing the extremal
     points, graded by s per vertex used.
     """
-    return _poly(_payoffs(*_hull(config), trace=trace))
+    return _poly(_payoffs(*hull_host(config), trace=trace))
 
 
 def max_config_count(config: Configuration, *, trace: TraceFn | None = None) -> int:
     """Number of maximal triangulations (every point a vertex)."""
-    return sum(_payoffs(*_hull(config), maximal=True, trace=trace).values())
+    return sum(_payoffs(*hull_host(config), maximal=True, trace=trace).values())
 
 
 def complete_edge_poly_tm(

@@ -220,7 +220,7 @@ def small_configs():
 
 
 def all_codes(n: int) -> list[int]:
-    """Every :func:`tripoly.roofs.encode` code over P_0..P_n."""
+    """Every decorated-roof code ``d << (n - 1) | bits`` over P_0..P_n."""
     return [
         d << (n - 1) | bits
         for bits in range(1 << (n - 1))
@@ -229,10 +229,10 @@ def all_codes(n: int) -> list[int]:
 
 
 def sweep_code(sweep, code: int) -> int:
-    """The ``transfer._Sweep`` code of a :func:`tripoly.roofs.encode`
-    code: its marker field holds the host index of the roof point at the
-    marker's position, 0 at position 0.  ``sweep.roof_code`` is the
-    inverse."""
+    """The ``transfer._Sweep`` code of a decorated-roof code
+    ``d << (n - 1) | bits``: its marker field holds the host index of the
+    roof point at the marker's position, 0 at position 0.
+    ``sweep.roof_code`` is the inverse."""
     roof = decode(code, sweep.n)
     return roof.indices[roof.d] << sweep.shift | code & sweep.mask
 

@@ -13,8 +13,10 @@
 They share nothing with the packed routes but ``PolySUW``,
 ``Configuration``, ``NearEdge`` and ``orient``.
 
-``skyline_points`` and ``is_covering`` read a decorated roof of
-:mod:`tripoly.roofs`: its points, and whether it covers the host.
+``encode``, ``skyline_points`` and ``is_covering`` read a decorated
+roof of :mod:`tripoly.roofs`: its code ``d << (n - 1) | bits``, which
+:func:`tripoly.roofs.decode` inverts, its points, and whether it covers
+the host.
 
 ``unpruned`` and ``unpruned_sweep`` are of another kind: they build and
 run the package's own transfer sweep with the cascade rule off, so that
@@ -34,10 +36,9 @@ from tripoly.planar import (
     Configuration,
     NearEdge,
     Point,
-    lower_hull,
+    hull_host,
     orient,
     region_host,
-    upper_hull,
 )
 from tripoly.roofs import DecoratedRoof
 from tripoly.transfer import TraceFn, _poly, _run, _Sweep
@@ -173,6 +174,19 @@ def all_pairs_factorize(edge: NearEdge) -> list[NearEdge]:
     ]
 
 
+def encode(roof: DecoratedRoof, n: int) -> int:
+    """Pack a decorated roof over P_0..P_n into an integer code."""
+    idx = roof.indices
+    if idx[0] != 0 or idx[-1] != n:
+        raise ValueError(f"roof must run from 0 to {n}, got {idx}")
+    if not 0 <= roof.d <= len(idx) - 2:
+        raise ValueError(f"marker {roof.d} out of range for {idx}")
+    bits = 0
+    for i in idx[1:-1]:
+        bits |= 1 << (i - 1)
+    return roof.d * (1 << (n - 1)) + bits
+
+
 def skyline_points(points: Sequence[Point], roof: DecoratedRoof) -> tuple[Point, ...]:
     return tuple(points[i] for i in roof.indices)
 
@@ -223,8 +237,7 @@ def unpruned_sweep(
     two index paths, or of the whole configuration when they are None,
     swept without pruning."""
     if floor is None:
-        host = config.points
-        floor_path, ceiling_path = lower_hull(host), upper_hull(host)
+        host, floor_path, ceiling_path = hull_host(config)
     else:
         host, floor_path, ceiling_path = region_host(config, floor, ceiling)
     sweep = unpruned(host, ceiling=ceiling_path, immediate=maximal)

@@ -70,7 +70,6 @@ from tripoly.roofs import (
     DecoratedRoof,
     covering_roofs,
     decode,
-    encode,
     sub_edges,
     successors,
 )
@@ -97,7 +96,7 @@ from corpus import (
     sweep_code,
     valley_regions,
 )
-from reference import unfold, unpruned, unpruned_sweep
+from reference import encode, unfold, unpruned, unpruned_sweep
 
 HUGE = 10**40
 

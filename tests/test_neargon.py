@@ -19,6 +19,7 @@ from tripoly.neargon import (
     EDGE_METHODS,
     EdgePolynomial,
     NearGon,
+    _realize_at,
     compose,
     convex_edge_complete,
     convex_edge_states,
@@ -27,7 +28,13 @@ from tripoly.neargon import (
     realize,
     recover_edge_poly_from_counts,
 )
-from tripoly.planar import NearEdge, convex_profile, extremal_points, vertical_mirror
+from tripoly.planar import (
+    NearEdge,
+    convex_polygon_points,
+    convex_profile,
+    extremal_points,
+    vertical_mirror,
+)
 from tripoly.transfer import complete_config_poly, max_config_count
 from tripoly.weighted import weighted_complete_poly
 
@@ -321,9 +328,9 @@ class TestRealize:
         assert len(cfg) == 3
         assert complete_config_poly(cfg).c == {3: 1}
 
-    def test_waits_for_the_order_type_of_the_limit(self):
-        # the first two flattenings share an order type that is not the
-        # near-gon's: 110 maximal triangulations against 109
+    def test_rejects_flattenings_that_do_not_turn_as_the_limit(self):
+        # the first two flattenings do not turn as the limit, and they
+        # have 110 maximal triangulations against the near-gon's 109
         edges = [
             NearEdge(((0, 0), (1, 0), (2, 3), (3, 3), (4, 4))),
             NearEdge(((0, 0), (1, 1), (2, 0), (3, 0), (4, 0))),
@@ -331,6 +338,21 @@ class TestRealize:
         ]
         want = compose([edge_poly(e) for e in edges], maximal=True)
         assert max_config_count(realize(edges)) == want == 109
+
+    def test_stops_at_the_first_flattening_that_turns_as_the_limit(self):
+        # the first flattening already turns as the limit, though its
+        # sweep-sorted order type is not that of the second
+        edges = [
+            straight_edge(1),
+            straight_edge(1),
+            NearEdge(((0, 0), (1, -2), (2, 2), (3, 0))),
+        ]
+        first = _realize_at(edges, convex_polygon_points(3), 1)
+        cfg = realize(edges)
+        assert cfg == Configuration(set().union(*first))
+        want = compose([edge_poly(e) for e in edges])
+        assert complete_config_poly(cfg) == want
+        assert want.c == {5: 3, 4: 2}
 
     def test_straight_gon_matches_weighted_realization(self):
         cfg = realize([straight_edge(a) for a in (2, 3, 2)])

@@ -13,7 +13,7 @@ from tripoly.oracle import (
     segments_conflict,
 )
 from tripoly.planar import Configuration, convex_polygon_points
-from tripoly.transfer import complete_config_poly, region_poly
+from tripoly.transfer import complete_config_poly, max_config_count, region_poly
 from tripoly.weighted import weighted_complete_poly, weighted_polygon_config
 
 from corpus import (
@@ -108,6 +108,22 @@ class TestGuard:
             GuardExceeded, match=r"8 points exceed the brute-force limit 5"
         ):
             oracle_region_poly(cfg, SQUEEZE_FLOOR, SQUEEZE_CEILING, limit=5)
+
+
+class TestHullRefusal:
+    """The oracle and the transfer routes refuse a degenerate hull by the
+    one check of :func:`tripoly.planar.hull_host`."""
+
+    @pytest.mark.parametrize(
+        "count", [complete_config_poly, max_config_count, oracle_complete_poly]
+    )
+    @pytest.mark.parametrize("pts", [[(0, 0), (1, 2), (2, 4)], [(0, 0), (1, 1)]])
+    def test_same_message_everywhere(self, count, pts):
+        with pytest.raises(ValueError) as info:
+            count(Configuration(pts))
+        assert str(info.value) == (
+            "the configuration must have at least three non-collinear points"
+        )
 
 
 class TestCompleteOracle:

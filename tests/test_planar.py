@@ -13,6 +13,7 @@ from tripoly.planar import (
     convex_profile,
     extremal_points,
     factorize,
+    hull_host,
     load_points,
     lower_hull,
     on_segment,
@@ -86,6 +87,14 @@ class TestHulls:
         assert extremal_points([(3, -1)]) == {(3, -1)}
         assert extremal_points([(3, -1), (3, -1)]) == {(3, -1)}
 
+    def test_hull_host(self):
+        cfg = Configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+        assert hull_host(cfg) == (
+            ((0, 2), (0, 0), (1, 1), (2, 2), (2, 0)),
+            ((0, 2), (0, 0), (2, 0)),
+            ((0, 2), (2, 2), (2, 0)),
+        )
+
     def test_near_edge_boundaries(self):
         e = NearEdge(EDGE_A)
         assert lower_hull(e.points) == ((0, 0), (2, -1), (4, -1), (5, 0))
@@ -130,6 +139,21 @@ class TestSegmentsAndPaths:
         path = ((0, 0), (1, 0), (2, 0), (3, 1), (4, 2))
         assert path_corners(path) == ((0, 0), (2, 0), (4, 2))
         assert path_corners(((0, 0), (1, 1))) == ((0, 0), (1, 1))
+        # a vertical run
+        path = ((0, 3), (0, 2), (0, 0), (2, 0))
+        assert path_corners(path) == ((0, 3), (0, 0), (2, 0))
+        # a run of five points
+        path = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 3))
+        assert path_corners(path) == ((0, 0), (4, 4), (5, 3))
+        # runs at both ends
+        path = ((0, 0), (1, 0), (2, 0), (3, 1), (4, 2), (5, 3))
+        assert path_corners(path) == ((0, 0), (2, 0), (5, 3))
+        # two runs meeting at a corner in the middle
+        path = ((0, 2), (1, 1), (2, 0), (3, 1), (4, 2), (5, 2), (6, 2))
+        assert path_corners(path) == ((0, 2), (2, 0), (4, 2), (6, 2))
+        # every point on one line
+        path = ((0, 0), (1, 2), (2, 4), (3, 6))
+        assert path_corners(path) == ((0, 0), (3, 6))
 
 
 class TestConfiguration:

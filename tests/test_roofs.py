@@ -10,13 +10,12 @@ from tripoly.roofs import (
     closed_triangle_empty,
     covering_roofs,
     decode,
-    encode,
     sub_edges,
     successors,
 )
 
 from corpus import EDGE8, EDGE12, EDGE_A
-from reference import is_covering, skyline_points
+from reference import encode, is_covering, skyline_points
 
 heights_st = st.lists(
     st.integers(min_value=-3, max_value=3), min_size=1, max_size=6

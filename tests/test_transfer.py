@@ -17,7 +17,7 @@ from tripoly.planar import (
     region_host,
     upper_hull,
 )
-from tripoly.roofs import DecoratedRoof, covering_roofs, encode, sub_edges
+from tripoly.roofs import DecoratedRoof, covering_roofs, sub_edges
 from tripoly.transfer import (
     _Sweep,
     _floor_roofs,
@@ -49,7 +49,7 @@ from corpus import (
     all_codes,
     sweep_code,
 )
-from reference import skyline_points, unfold, unpruned_sweep
+from reference import encode, skyline_points, unfold, unpruned_sweep
 
 # successor table of the decorated-roof codes over the six-point edge,
 # derived once by hand from the insertion and merge rules
