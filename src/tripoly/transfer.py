@@ -35,22 +35,20 @@ merge of m skips |A(a, m)| + |A(m, b)| − |A(a, b)|.  An immediate sweep
 drops the moves with e > 0; that is the rule that the swept closed
 triangle be empty (see the last paragraph).
 
-Moves depend on the roof suffix only.  A move at the segment or wedge
-starting at roof point x is ``x << (n - 1)`` plus the bit it sets or
-minus the bit it clears plus its high field, relative to the roof bits.
-Here x is a or a roof point past it, the moved bits lie past a, and e
-counts points past a.  Whether the first segment (a, m) takes
-insertions depends on m = 0.  So the moves of a code are fixed by the
-key (a, roof bits from a on, m = 0), and every code sharing that key
-has the same move list.  ``_run`` keeps one memo per sweep from the key
-to the tuple of moves, and adds ``code & mask`` to each.  The walk
-appends whole table rows, so a memo entry holds the tables' own move
-objects, and equal move lists share one tuple.  For a ≥ 2, m > a is a
-roof bit, so the key is the code with its bits before a cleared,
-``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before a, so the
-key is the code itself, met once, and the memo is skipped.  It is
-skipped for a = 2 too: such a key holds at most two codes, P_1 on the
-roof or not, and on 18-point configurations most hold one.
+Moves depend on the roof suffix only: a move at the segment or wedge
+starting at roof point x has marker x, a or a roof point past it, the
+moved bits lie past a, and e counts points past a.  Whether the first
+segment (a, m) takes insertions depends on m = 0.  So the moves of a
+code are fixed by the key (a, roof bits from a on, m = 0), and every
+code sharing that key has the same move list.  ``_run`` keeps one memo
+per sweep from the key to the tuple of moves, and adds ``code & mask``
+to each.  The walk appends whole table rows, so a memo entry holds the
+tables' own move objects, and equal move lists share one tuple.  For
+a ≥ 2, m > a is a roof bit, so the key is the code with its bits before
+a cleared, ``code & -(1 << (a - 1))``.  When a ≤ 1 no bit lies before
+a, so the key is the code itself, met once, and the memo is skipped.
+It is skipped for a = 2 too: such a key holds at most two codes, P_1 on
+the roof or not, and on 18-point configurations most hold one.
 
 The sweep is one loop over codes in order of a potential.  A point is
 covered by a roof when it is not strictly above it, and
@@ -116,8 +114,9 @@ Every public function runs its sweep through one entry point,
 ``_payoffs``, which picks the mode from ``maximal`` and the ceiling and
 tells the sweep whether it is traced.  ``_Sweep`` derives its pruning
 from those three alone: an untraced sweep under a ceiling runs the whole
-cascade rule below and folds forced merges, a traced complete-mode one
-keeps the rule's on-ceiling part, and a traced maximal one is unpruned.
+cascade rule below, folds forced merges and merges twins, a traced
+complete-mode one keeps the rule's on-ceiling part, and a traced maximal
+one is unpruned.
 
 Dead-end pruning under a ceiling is one cascade rule.  Let the bad bits
 of a roof be its points off the ceiling path plus the ceiling points it
@@ -192,6 +191,20 @@ multiplicity, one per code, so the field-width argument holds.  In a
 maximal sweep e₁ = e₂ = 0, so a folded pair lands at Φ + 2 with the
 parent's plain-int multiplicity.  A traced sweep does not fold, as it
 must keep every V_k state, and an edge sweep has no cascade rule.
+
+Twins.  A marker-0 code ``bits`` and its twin ``b1 << (n - 1) | bits``,
+b1 the first roof point, walk from a = 0 with the same roof, bad bits
+and ``seen``; m only decides whether the walk takes row (0, 0, b1), the
+insertions into the first segment, which is never folded.  Both codes
+are in one bucket, as Φ depends on the bits alone.  So after the guard
+check an untraced sweep under a ceiling walks the roof once: the twin
+walks with the sum of both multiplicities, and the marker-0 code emits
+that row alone.  The sums the sweep forms stay sums of the same checked
+terms, so the field-width argument holds, and no bucket is written, so a
+trace would replay the same V_k states.  A traced sweep keeps both codes
+all the same, as it folds nothing: it is the plain walk that tests
+compare with.  So does an edge sweep, where few codes have a twin (2 % on
+``tm``).
 
 No host point other than a segment's two ends lies on a roof segment of
 an immediate sweep.  The floor roof of a maximal run holds every point on
@@ -298,6 +311,7 @@ class _Sweep:
         # drops the merges of on-ceiling points, as a merged point lies
         # strictly under every later roof, and folds forced merges
         whole = ceiling is not None and not traced
+        self.twins = whole  # it also walks a code and its twin once (Twins)
         # the moves inserting a point above a -> b and merging a point below
         # it, relative to the roof bits: the new marker a << shift plus the
         # bit the move sets or clears plus 2e << skip_shift, e being the
@@ -553,6 +567,8 @@ def _run(
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per move list
     mask, low, marker = sweep.mask, sweep.low, sweep.shift
     cut = [0] + [-(1 << (a - 1)) for a in range(1, n)]
+    twins = sweep.twins
+    fold = sweep._fold  # row (0, 0, b) is at b
     for phi in range(limit + 3):
         bucket = buckets[phi]
         if not bucket:
@@ -588,7 +604,17 @@ def _run(
             if a < 3:
                 # a key with a < 2 is the code itself, met once; one with
                 # a = 2 holds at most two codes
-                moves = expand(code)
+                if a or not twins or not base:
+                    moves = expand(code)
+                elif code != base:
+                    # a twin walks for its marker-0 code too (Twins)
+                    mult += bucket.get(base, 0)
+                    moves = expand(code)
+                else:
+                    # a marker-0 code whose twin is here emits row (0, 0, b1)
+                    first = (base & -base).bit_length()
+                    twin = first << marker | base
+                    moves = fold[first] if twin in bucket else expand(code)
             else:
                 key = code & cut[a]
                 moves = memo.get(key)

@@ -30,7 +30,10 @@ that an untraced or a traced complete-mode sweep reaches may have a bad
 bit before an on-ceiling roof point at or before the walk's start.
 Each move a pruned sweep folds, complete or maximal, must be an
 insertion followed by its child's only move, a forced merge, as the
-unfolded walk makes them.
+unfolded walk makes them.  An untraced sweep under a ceiling that walks a
+marker-0 code and its twin once must give the payoffs of the same sweep
+without that merge and of the traced sweep, on lattice, grid, random,
+ceiling-run, valley and scaled hosts.
 Traced runs must give the results of untraced and of unpruned ones: a
 traced complete run keeps only the on-ceiling part of the cascade rule and
 folds nothing, and a traced maximal run is unpruned.  So must the
@@ -905,6 +908,43 @@ def test_each_forced_merge_is_folded_into_its_insertion():
                 got = sorted(bits + m for m in sweep.successors(code))
                 assert got == sorted(want), (host, immediate, code)
     assert pairs == {False: 8_970, True: 3_097}
+
+
+def twin_hosts():
+    """The (host, floor, ceiling) of :func:`fold_hosts` and
+    :func:`hull_sets`, and of the 12-13 point sets scaled by 10^40."""
+    out = fold_hosts() + hull_sets()
+    for pts in LARGE:
+        cfg = Configuration(scaled(pts))
+        out.append((cfg.points, cfg.lower_boundary(), cfg.upper_boundary()))
+    return out
+
+
+def test_merged_twins_match_unmerged_and_traced_sweeps():
+    # an untraced sweep under a ceiling walks a marker-0 code and its
+    # first-point twin once when both are in a bucket; its payoffs must
+    # be those of the same sweep with the merge off, and of the traced
+    # sweep, which neither merges nor folds
+    walks = {True: 0, False: 0}
+    for host, floor, ceiling in twin_hosts():
+        for immediate in (False, True):
+            mode = {"ceiling": ceiling, "immediate": immediate}
+            paid = {}
+            for merge in (True, False):
+                sweep = _Sweep(host, **mode)
+                sweep.twins = merge
+                real = sweep.successors
+                sweep.successors = lambda code, real=real, merge=merge: (
+                    walks.__setitem__(merge, walks[merge] + 1) or real(code)
+                )
+                paid[merge] = _run(sweep, floor, None)
+            traced = _run(
+                _Sweep(host, **mode, traced=True), floor, lambda k, vec, paid: None
+            )
+            assert paid[True] == paid[False] == traced, (host, mode)
+    # the merged sweeps walked 8,660 marker-0 codes no further than their
+    # first segment
+    assert (walks[True], walks[False]) == (55_660, 64_320)
 
 
 def traced_hosts():

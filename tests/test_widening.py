@@ -6,12 +6,16 @@ sweep widens its fields in place when a code has a headroom bit set.
 Starting at 1 or 2 data bits makes nearly every run widen, several times
 and mid-run: the first bucket holds floor roofs of multiplicity 1, which
 fit, so every widening comes after at least one bucket was paid off and
-kept.  Every output must be byte-identical to the default run's.
+kept.  Every output must be byte-identical to the default run's, and
+the configuration commands of the benchmark's pool must print their
+pinned answers from 1, 2, 4 or 8 data bits.
 """
 from __future__ import annotations
 
 import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,7 @@ def random_points(n: int, seed: int) -> list[tuple[int, int]]:
 
 
 RAND18 = random_points(18, seed=18)
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned.json"
 
 
 def narrow(monkeypatch, data: int) -> list[tuple[int, int]]:
@@ -121,3 +126,32 @@ def test_a_maximal_count_wider_than_a_field_is_exact(monkeypatch):
     assert transfer.complete_config_poly(cfg) == poly
     assert poly.leading() == count
     assert layouts[-1][0] >= 16
+
+
+def bench_config_runs(point_file) -> list[tuple[list[str], str]]:
+    """(argv, pinned stdout) of the poly, region, maxcount and region
+    --maximal steps of the main part of the benchmark's pool: 12-18 point
+    random and lattice configurations, every fourth scaled by 10^40."""
+    items = json.loads(PINNED.read_text(encoding="utf-8"))["items"]
+    tags = ("poly", "region", "maxcount", "region-max")
+    configs = [
+        (item["files"].get("cfg"), [st for st in item["steps"] if st["tag"] in tags])
+        for item in items
+        if item["part"] == "main"
+    ]
+    runs = []
+    for i, (pts, steps) in enumerate(c for c in configs if c[1]):
+        if i % 4 == 0:
+            pts = [(x * 10**40, y * 10**40) for x, y in pts]
+        path = point_file(pts)
+        runs += [([path if a == "@cfg" else a for a in st["argv"]], st["expect"])
+                 for st in steps]
+    return runs
+
+
+@pytest.mark.parametrize("data", [1, 2, 4, 8])
+def test_bench_config_answers_are_unchanged_by_widening(point_file, monkeypatch, data):
+    runs = bench_config_runs(point_file)
+    layouts = narrow(monkeypatch, data)
+    assert [cap(argv) for argv, _ in runs] == [(0, want) for _, want in runs]
+    assert len(runs) == 76 and len({d for d, _ in layouts}) > 1
