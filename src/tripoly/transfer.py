@@ -110,6 +110,14 @@ Three modes share the loop, and one payoff rule: a state pays off when
 * edge (complete moves, no ceiling): both are 0, so every state pays off
   with its length ``popcount(bits) + 1``.
 
+When no optional point lies on the ceiling path, as always in maximal
+mode, ``care`` is every bit, so a state pays off exactly when its bits
+are ``required``.  ``payoff`` then tests the guard on the OR of the
+bucket's multiplicities and looks up ``m << (n - 1) | required`` for
+every value m of the marker field, n included: every code with those
+bits.  An edge sweep, or a
+ceiling with optional points, pays off many bit sets, so it scans.
+
 Every public function runs its sweep through one entry point,
 ``_payoffs``, which picks the mode from ``maximal`` and the ceiling and
 tells the sweep whether it is traced.  ``_Sweep`` derives its pruning
@@ -224,7 +232,9 @@ regions between the floor and each covering roof.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, repeat
+from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import PolyS, PolyST
@@ -307,6 +317,12 @@ class _Sweep:
                     1 << (i - 1) for i in range(1, n) if self.points[i] in corners
                 )
             self.care = (self.mask ^ on) | self.required
+        # with no optional point on the ceiling path only the codes with the
+        # ceiling's bits pay off: one per marker-field value (Three modes)
+        self.paying: list[int] | None = None
+        if ceiling is not None and not on & ~self.required:
+            top = 1 << n.bit_length()
+            self.paying = [m << self.shift | self.required for m in range(top)]
         # an untraced sweep under a ceiling runs the whole cascade rule: it
         # drops the merges of on-ceiling points, as a merged point lies
         # strictly under every later roof, and folds forced merges
@@ -451,6 +467,11 @@ class _Sweep:
         """Roof length -> summed multiplicity of the states that pay off:
         those whose bits match the ceiling, every state without one.
         None when a multiplicity has a bit of ``guard`` set."""
+        if self.paying is not None:
+            if guard and guard & reduce(or_, vec.values(), 0):
+                return None
+            total = sum(map(vec.get, self.paying, repeat(0)))
+            return {self.required.bit_count() + 1: total} if total else {}
         out: dict[int, int] = {}
         mask, need, care = self.mask, self.required, self.care
         for code, mult in vec.items():

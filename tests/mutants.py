@@ -48,6 +48,16 @@ TRANSFER = "src/tripoly/transfer.py"
 TWIN_TESTS = (
     "tests/test_differential.py::test_merged_twins_match_unmerged_and_traced_sweeps"
 )
+PAYOFF_TESTS = (
+    "tests/test_differential.py::test_payoff_matches_a_scan_of_every_code",
+    "tests/test_differential.py::test_payoff_reads_codes_under_every_marker",
+)
+FOLD_TESTS = (
+    "tests/test_transfer.py::TestCensus",
+    "tests/test_differential.py::test_each_forced_merge_is_folded_into_its_insertion",
+    "tests/test_differential.py::test_the_cascade_rule_drops_no_live_code",
+)
+FOLD = "if pair := merge[(p * size + a) * size + q]:"
 
 MUTANTS = [
     # -- the sweep's twins (transfer module docstring, Twins) -----------------
@@ -94,6 +104,28 @@ MUTANTS = [
         "(0, 0, b1) plus the moves of the twin it would have, which are its "
         "own moves; it walks once either way, so no count or census changes",
     ),
+    # -- the ceiling payoff (transfer module docstring, Three modes) ----------
+    Mutant(
+        "payoff lookup misses marker n",
+        TRANSFER,
+        "top = 1 << n.bit_length()",
+        "top = n",
+        PAYOFF_TESTS,
+    ),
+    Mutant(
+        "payoff lookup skips the guard test",
+        TRANSFER,
+        "if guard and guard & reduce(or_, vec.values(), 0):",
+        "if False:",
+        PAYOFF_TESTS,
+    ),
+    Mutant(
+        "payoff lookup under optional ceiling points",
+        TRANSFER,
+        "if ceiling is not None and not on & ~self.required:",
+        "if ceiling is not None:",
+        PAYOFF_TESTS,
+    ),
     # -- widening, memo and kernels --------------------------------------------
     Mutant(
         "no widening guard",
@@ -108,6 +140,30 @@ MUTANTS = [
         "key = code & cut[a]",
         "key = code & cut[a + 1]",
         ("tests/test_differential.py::test_memoised_sweep_matches_a_memo_free_loop",),
+    ),
+    Mutant(
+        "memo for a < 2 only",
+        TRANSFER,
+        "            if a < 3:\n",
+        "            if a < 2:\n",
+        ("tests/test_differential.py::test_memoised_sweep_matches_a_memo_free_loop",
+         "tests/test_pins.py"),
+        survives="equivalent: a key with a = 2 is the code with P_1's bit "
+        "cleared, so memoising it only spares walks; TestCensus counts walks "
+        "and would kill it, which is why it is not listed",
+    ),
+    Mutant(
+        "widening doubles until the largest field fits",
+        TRANSFER,
+        "            data *= 2\n",
+        "            big = max(v.bit_length() for m in bucket.values()\n"
+        "                      for _, v in _fields(m, width))\n"
+        "            while data < big:\n"
+        "                data *= 2\n",
+        ("tests/test_widening.py", "tests/test_differential.py::"
+         "test_forced_widening_keeps_every_result"),
+        survives="equivalent: the outer loop doubles once per failed check until "
+        "every field fits, so both stop at the same width",
     ),
     Mutant(
         "kernel field one byte narrower",
@@ -135,9 +191,29 @@ MUTANTS = [
         "src/tripoly/neargon.py",
         "for factor in factorize(edge):",
         "for factor in [edge]:",
-        ("tests/test_neargon.py", "tests/test_differential.py"),
-        survives="equivalent in results: every route gives the polynomial of a "
-        "whole edge, and the factors only make it cheaper",
+        ("tests/test_neargon.py",),
+    ),
+    # -- the fold test (transfer module docstring, Folded moves) ---------------
+    Mutant(
+        "fold test asks for a off the ceiling",
+        TRANSFER,
+        FOLD,
+        "if (pair := merge[(p * size + a) * size + q]) and not on >> (a - 1) & 1:",
+        FOLD_TESTS,
+        survives="equivalent: a whole sweep stores no merge of an on-ceiling "
+        "point, so a stored merge of a means that a is off the ceiling",
+    ),
+    Mutant(
+        "fold test asks for a seen change",
+        TRANSFER,
+        FOLD,
+        "if (pair := merge[(p * size + a) * size + q]) and (\n"
+        "                                1 << (a - 1) & ~on\n"
+        "                                or self.required & ((1 << (q - 1)) - (2 << (a - 1)))\n"
+        "                                or self.exposed[p] >> (a - 1) & 1):",
+        FOLD_TESTS,
+        survives="equivalent: a stored merge of a means that a is off the "
+        "ceiling, so a is bad and the first term alone holds",
     ),
     # -- the headroom (ROADMAP item 7) -----------------------------------------
     Mutant(

@@ -23,13 +23,15 @@ run the package's own transfer sweep with the cascade rule off, so that
 every move is made and none is folded.  Compared with the public
 functions, they check that pruning drops no state that pays off.
 ``unfold`` keeps a pruned sweep's cascade rule but folds no move.
+``scan_payoff`` pays off a bucket one code at a time by the payoff rule
+alone, for comparison with a sweep's own ``payoff``.
 """
 from __future__ import annotations
 
 import copy
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from tripoly.exactmath import PolyS, PolySUW
 from tripoly.planar import (
@@ -243,3 +245,21 @@ def unpruned_sweep(
     sweep = unpruned(host, ceiling=ceiling_path, immediate=maximal)
     payoffs = _run(sweep, floor_path, trace)
     return sum(payoffs.values()) if maximal else _poly(payoffs)
+
+
+def scan_payoff(
+    sweep: _Sweep, vec: Mapping[int, int], guard: int = 0
+) -> dict[int, int] | None:
+    """Roof length -> summed multiplicity of the codes of ``vec`` whose bits
+    match the sweep's ceiling, ``(bits ^ required) & care`` 0, every code
+    without one; None when a multiplicity has a bit of ``guard`` set."""
+    out: dict[int, int] = {}
+    for code, mult in vec.items():
+        if mult & guard:
+            return None
+        bits = code & sweep.mask
+        if (bits ^ sweep.required) & sweep.care:
+            continue
+        length = bits.bit_count() + 1
+        out[length] = out.get(length, 0) + mult
+    return out

@@ -33,7 +33,10 @@ insertion followed by its child's only move, a forced merge, as the
 unfolded walk makes them.  An untraced sweep under a ceiling that walks a
 marker-0 code and its twin once must give the payoffs of the same sweep
 without that merge and of the traced sweep, on lattice, grid, random,
-ceiling-run, valley and scaled hosts.
+ceiling-run, valley and scaled hosts.  On the same hosts every bucket
+that a sweep pays off or replays, whether it looks up the ceiling's
+codes or scans, must give the payoffs of ``reference.scan_payoff``, also
+when 1-bit fields overflow.
 Traced runs must give the results of untraced and of unpruned ones: a
 traced complete run keeps only the on-ceiling part of the cascade rule and
 folds nothing, and a traced maximal run is unpruned.  So must the
@@ -44,6 +47,7 @@ seeded, so every run checks the same configurations.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -99,7 +103,7 @@ from corpus import (
     sweep_code,
     valley_regions,
 )
-from reference import encode, unfold, unpruned, unpruned_sweep
+from reference import encode, scan_payoff, unfold, unpruned, unpruned_sweep
 
 HUGE = 10**40
 
@@ -945,6 +949,62 @@ def test_merged_twins_match_unmerged_and_traced_sweeps():
     # the merged sweeps walked 8,660 marker-0 codes no further than their
     # first segment
     assert (walks[True], walks[False]) == (55_660, 64_320)
+
+
+
+@pytest.mark.parametrize("data", [transfer._DATA_BITS, 1])
+def test_payoff_matches_a_scan_of_every_code(monkeypatch, data):
+    # a ceiling sweep without optional points reads its payoffs from the
+    # codes with the ceiling's bits, one per marker-field value; every
+    # bucket that maximal and complete sweeps, untraced and traced, pay
+    # off or replay must give the payoffs of a scan of every code, and
+    # None at the same guard.  At 1 data bit nearly every run widens
+    monkeypatch.setattr(transfer, "_DATA_BITS", data)
+    seen = {}  # (the lookup or the scan, outcome) -> buckets
+    for host, floor, ceiling in twin_hosts():
+        for immediate in (False, True):
+            for trace in (None, lambda k, vec, paid: None):
+                sweep = _Sweep(
+                    host, ceiling=ceiling, immediate=immediate, traced=bool(trace)
+                )
+                real = sweep.payoff
+
+                def payoff(vec, guard=0, sweep=sweep, real=real):
+                    got = real(vec, guard)
+                    assert got == scan_payoff(sweep, vec, guard), (host, ceiling)
+                    paid = None if got is None else bool(got)
+                    key = (sweep.paying is not None, paid)
+                    seen[key] = seen.get(key, 0) + 1
+                    return got
+
+                sweep.payoff = payoff
+                _run(sweep, floor, trace)
+    # both ways pay off some buckets and not others (5,083 buckets take the
+    # scan and 16,240 the lookup); only narrow fields overflow
+    assert all(seen.get(key) for key in product((True, False), repeat=2))
+    assert bool(seen.get((True, None))) == bool(seen.get((False, None))) == (data == 1)
+
+
+def test_payoff_reads_codes_under_every_marker():
+    # a code with the ceiling's bits pays off whatever its marker field
+    # holds: the host index n past the last segment, where a broken move
+    # could park a roof, or a point that is not on the roof
+    cfg = Configuration([(0, 0), (1, 3), (2, 1), (3, 4), (4, 0), (5, 2)])
+    for immediate in (True, False):
+        sweep = _Sweep(cfg.points, ceiling=cfg.upper_boundary(), immediate=immediate)
+        n, need, shift = sweep.n, sweep.required, sweep.shift
+        stray = next(m for m in range(1, n) if not need >> (m - 1) & 1)
+        vec = {
+            need: 2,
+            n << shift | need: 3,
+            stray << shift | need: 5,
+            stray << shift | need | 1 << (stray - 1): 8,  # not the ceiling's bits
+        }
+        assert sweep.paying is not None
+        want = {need.bit_count() + 1: 10}
+        assert sweep.payoff(vec) == scan_payoff(sweep, vec) == want
+        # a guard bit of a code that does not pay off is found too
+        assert sweep.payoff(vec, 8) is scan_payoff(sweep, vec, 8) is None
 
 
 def traced_hosts():

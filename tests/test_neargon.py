@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tripoly import neargon
 from tripoly.exactmath import (
     PolyST,
     PolyT,
@@ -33,6 +34,7 @@ from tripoly.planar import (
     convex_polygon_points,
     convex_profile,
     extremal_points,
+    factorize,
     vertical_mirror,
 )
 from tripoly.transfer import complete_config_poly, max_config_count
@@ -40,6 +42,7 @@ from tripoly.weighted import weighted_complete_poly
 
 from corpus import (
     CATALOG_EQUAL_PAIRS,
+    CATALOG_FACTOR_COUNTS,
     CATALOG_HEIGHTS,
     CATALOG_MIRROR_PAIRS,
     CATALOG_POLYS,
@@ -200,6 +203,29 @@ class TestCatalog:
                 edge_poly(vertical_mirror(edge)).complete
                 == edge_poly(edge).complete
             ), key
+
+    def test_every_method_routes_the_prime_factors(self, monkeypatch):
+        # the product of the factors' polynomials is the whole edge's, so
+        # only the edges that the routes receive show the split
+        received = []
+        real = neargon._prime_edge_poly
+        monkeypatch.setattr(
+            neargon,
+            "_prime_edge_poly",
+            lambda edge, method: received.append(edge) or real(edge, method),
+        )
+        for key in [k for k, count in CATALOG_FACTOR_COUNTS.items() if count > 1]:
+            edge = catalog_edge(key)
+            for method in EDGE_METHODS:
+                received.clear()
+                want = factorize(edge)
+                try:
+                    edge_poly(edge, method)
+                except ValueError:
+                    # a straight factor is not strictly convex
+                    assert method == "convex", key
+                    want = want[: len(received)]
+                assert received == want, (key, method)
 
     def test_product_identities(self):
         for key, factor_keys in CATALOG_PRODUCTS.items():
