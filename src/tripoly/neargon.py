@@ -17,6 +17,7 @@ s, so a maximal state is the top s slice of the complete one.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
@@ -249,10 +250,8 @@ def edge_poly(edge: NearEdge, method: str = "auto") -> EdgePolynomial:
     """
     if method not in EDGE_METHODS:
         raise ValueError(f"unknown method {method!r}, pick one of {EDGE_METHODS}")
-    total = PolyST({(0, 0): 1})
-    for factor in factorize(edge):
-        total = total * _prime_edge_poly(factor, method)
-    return EdgePolynomial(edge.weight, total)
+    polys = [_prime_edge_poly(factor, method) for factor in factorize(edge)]
+    return EdgePolynomial(edge.weight, reduce(mul, polys))
 
 
 def compose(

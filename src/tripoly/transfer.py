@@ -83,9 +83,10 @@ replay after the sweep uses k.
 Field width.  A field of a complete-mode multiplicity is ``data`` bits
 wide plus g bits of headroom above them, g the bit length of
 (n + 1) · 2^(n-1); there are at most n · 2^(n-1) codes.  The guard mask
-holds the headroom bits of every field.  Every code is checked with
-``mult & guard == 0``, all its fields below 2^data, before it is paid
-off or expanded, and only a checked code adds terms.  A sum the sweep
+holds the headroom bits of every field.  ``_run`` checks every bucket
+once, before it is paid off or expanded: the OR of its multiplicities
+has no guard bit exactly when every field of every code is below
+2^data, so only a checked code adds terms.  A sum the sweep
 forms, the moves into one code or the codes of one payoff, has at most
 one term per code plus a floor roof's start, fewer than 2^g terms below
 2^data each, so it fits in its field and no carry crosses into the
@@ -112,11 +113,11 @@ Three modes share the loop, and one payoff rule: a state pays off when
 
 When no optional point lies on the ceiling path, as always in maximal
 mode, ``care`` is every bit, so a state pays off exactly when its bits
-are ``required``.  ``payoff`` then tests the guard on the OR of the
-bucket's multiplicities and looks up ``m << (n - 1) | required`` for
-every value m of the marker field, n included: every code with those
-bits.  An edge sweep, or a
-ceiling with optional points, pays off many bit sets, so it scans.
+are ``required``.  ``payoff`` then looks up ``m << (n - 1) | required``
+for every value m of the marker field, n included: every code with
+those bits.  An edge sweep, or a ceiling with optional points, pays off
+many bit sets, so it scans.  Either way ``payoff`` only sums: the
+bucket's fields were checked before.
 
 Every public function runs its sweep through one entry point,
 ``_payoffs``, which picks the mode from ``maximal`` and the ceiling and
@@ -272,9 +273,6 @@ class _Sweep:
         self.shift = n - 1
         self.mask = (1 << (n - 1)) - 1
         self.immediate = immediate
-        # the headroom bits of a complete-mode field; 2^headroom exceeds
-        # the number of terms of any sum the sweep forms (Field width)
-        self.headroom = ((n + 1) << (n - 1)).bit_length()
         size = n + 1
         # a move is the code it reaches plus its potential step minus one
         # shifted to skip_shift; codes stay below 1 << skip_shift
@@ -461,22 +459,15 @@ class _Sweep:
         d = (bits & self.low[m]).bit_count() + 1 if m else 0
         return d << self.shift | bits
 
-    def payoff(
-        self, vec: Mapping[int, int], guard: int = 0
-    ) -> dict[int, int] | None:
+    def payoff(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Roof length -> summed multiplicity of the states that pay off:
-        those whose bits match the ceiling, every state without one.
-        None when a multiplicity has a bit of ``guard`` set."""
+        those whose bits match the ceiling, every state without one."""
         if self.paying is not None:
-            if guard and guard & reduce(or_, vec.values(), 0):
-                return None
             total = sum(map(vec.get, self.paying, repeat(0)))
             return {self.required.bit_count() + 1: total} if total else {}
         out: dict[int, int] = {}
         mask, need, care = self.mask, self.required, self.care
         for code, mult in vec.items():
-            if guard and mult & guard:  # an immediate sweep has no guard
-                return None
             bits = code & mask
             if (bits ^ need) & care:
                 continue
@@ -562,12 +553,15 @@ def _run(
     maximal run traces from its floor roof to its last non-empty vector.
     """
     n = sweep.n
-    # a complete-mode field is data bits plus headroom; the guard flags
-    # the headroom of fields 0 to n - 1, as a run skips at most n - 1 points
-    data = width = guard = 0
+    # a complete-mode field is data bits plus headroom, and 2^headroom
+    # exceeds the number of terms of any sum the sweep forms; the guard
+    # flags the headroom of fields 0 to n - 1, as a run skips at most
+    # n - 1 points (Field width)
+    data = width = guard = headroom = 0
     if not sweep.immediate:
         data = _DATA_BITS
-        width, guard = _layout(data, sweep.headroom, n)
+        headroom = ((n + 1) << (n - 1)).bit_length()
+        width, guard = _layout(data, headroom, n)
     top = 2 * (n + 1)
     limit = top - 2  # the largest potential of a roof
     buckets: list[dict[int, int]] = [{} for _ in range(limit + 3)]
@@ -597,16 +591,16 @@ def _run(
         if phi > limit:
             raise AssertionError(f"a roof at potential {phi}, past {limit}")
         buckets[phi] = {}
-        while (payoffs := sweep.payoff(bucket, guard)) is None:
+        while guard and guard & reduce(or_, bucket.values(), 0):
             # a field outgrew its data bits: double them and repack what is
             # not expanded, until every field of the bucket fits
             data *= 2
-            wide, guard = _layout(data, sweep.headroom, n)
+            wide, guard = _layout(data, headroom, n)
             for vec in [bucket, *buckets[phi + 1 :]]:
                 for code, mult in vec.items():
                     vec[code] = sum(v << wide * j for j, v in _fields(mult, width))
             width = wide
-        for length, total in payoffs.items():
+        for length, total in sweep.payoff(bucket).items():
             if sweep.ceiling_bits is not None and phi != top - 1 - length:
                 raise AssertionError(
                     f"ceiling payoff at potential {phi}, not {top - 1 - length}"

@@ -247,16 +247,12 @@ def unpruned_sweep(
     return sum(payoffs.values()) if maximal else _poly(payoffs)
 
 
-def scan_payoff(
-    sweep: _Sweep, vec: Mapping[int, int], guard: int = 0
-) -> dict[int, int] | None:
+def scan_payoff(sweep: _Sweep, vec: Mapping[int, int]) -> dict[int, int]:
     """Roof length -> summed multiplicity of the codes of ``vec`` whose bits
     match the sweep's ceiling, ``(bits ^ required) & care`` 0, every code
-    without one; None when a multiplicity has a bit of ``guard`` set."""
+    without one."""
     out: dict[int, int] = {}
     for code, mult in vec.items():
-        if mult & guard:
-            return None
         bits = code & sweep.mask
         if (bits ^ sweep.required) & sweep.care:
             continue

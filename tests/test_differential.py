@@ -36,7 +36,9 @@ without that merge and of the traced sweep, on lattice, grid, random,
 ceiling-run, valley and scaled hosts.  On the same hosts every bucket
 that a sweep pays off or replays, whether it looks up the ceiling's
 codes or scans, must give the payoffs of ``reference.scan_payoff``, also
-when 1-bit fields overflow.
+when 1-bit fields widen.  At 1 data bit every field of every bucket a
+traced complete sweep keeps must fit its data bits: the one overflow
+check of a bucket reads every code, whether it pays off or not.
 Traced runs must give the results of untraced and of unpruned ones: a
 traced complete run keeps only the on-ceiling part of the cascade rule and
 folds nothing, and a traced maximal run is unpruned.  So must the
@@ -567,6 +569,47 @@ def test_forced_widening_keeps_every_result(monkeypatch, data):
     assert len(calls) > 150 and sum(d > data for d, _, _ in widened) > 100
 
 
+def test_every_kept_field_fits_its_data_bits(monkeypatch):
+    # _run checks each bucket once, on the OR of its multiplicities, before
+    # it pays the bucket off or expands it: a headroom bit in any code,
+    # whether it pays off or not, must widen the fields first.  So every
+    # field of every bucket a traced complete sweep keeps is below 2^data,
+    # data the data bits of the layout the bucket was paid off with
+    layouts = []  # (data, headroom) of the current run's layouts
+    checked = widths = 0
+    real_layout, real_replay = transfer._layout, transfer._replay
+
+    def layout(data, headroom, fields):
+        layouts.append((data, headroom))
+        return real_layout(data, headroom, fields)
+
+    def replay(sweep, kept, trace):
+        nonlocal checked, widths
+        data = {d + h: d for d, h in layouts}  # one headroom per run
+        for phi, width, bucket in kept:
+            for code, packed in bucket.items():
+                for j, value in transfer._fields(packed, width):
+                    assert value < 1 << data[width], (sweep.points, phi, code, j)
+                    checked += 1
+        widths += len(data)
+        layouts.clear()
+        real_replay(sweep, kept, trace)
+
+    monkeypatch.setattr(transfer, "_DATA_BITS", 1)
+    monkeypatch.setattr(transfer, "_layout", layout)
+    monkeypatch.setattr(transfer, "_replay", replay)
+    trace = lambda k, vec, paid: None  # noqa: E731
+    runs = 0
+    for pts in LARGE[:2] + SMALL[:12:4] + SMALL[12::4]:
+        for cfg in (Configuration(pts), Configuration(scaled(pts))):
+            complete_config_poly(cfg, trace=trace)
+            runs += 1
+            for floor, ceiling in valley_regions(cfg, 1, seed=31):
+                region_poly(cfg, floor, ceiling, trace=trace)
+                runs += 1
+    assert runs > 12 and widths > 3 * runs and checked > 5_000, (runs, widths, checked)
+
+
 def weight_tuples(count: int, seed: int) -> list[tuple[int, ...]]:
     """Side weights of convex polygons with 3-6 sides and at most 13
     points: long sides put collinear runs on the hull."""
@@ -957,10 +1000,10 @@ def test_payoff_matches_a_scan_of_every_code(monkeypatch, data):
     # a ceiling sweep without optional points reads its payoffs from the
     # codes with the ceiling's bits, one per marker-field value; every
     # bucket that maximal and complete sweeps, untraced and traced, pay
-    # off or replay must give the payoffs of a scan of every code, and
-    # None at the same guard.  At 1 data bit nearly every run widens
+    # off or replay must give the payoffs of a scan of every code.  At 1
+    # data bit nearly every run widens, so widened buckets are compared too
     monkeypatch.setattr(transfer, "_DATA_BITS", data)
-    seen = {}  # (the lookup or the scan, outcome) -> buckets
+    seen = {}  # (the lookup or the scan, whether it paid) -> buckets
     for host, floor, ceiling in twin_hosts():
         for immediate in (False, True):
             for trace in (None, lambda k, vec, paid: None):
@@ -969,20 +1012,18 @@ def test_payoff_matches_a_scan_of_every_code(monkeypatch, data):
                 )
                 real = sweep.payoff
 
-                def payoff(vec, guard=0, sweep=sweep, real=real):
-                    got = real(vec, guard)
-                    assert got == scan_payoff(sweep, vec, guard), (host, ceiling)
-                    paid = None if got is None else bool(got)
-                    key = (sweep.paying is not None, paid)
+                def payoff(vec, sweep=sweep, real=real):
+                    got = real(vec)
+                    assert got == scan_payoff(sweep, vec), (host, ceiling)
+                    key = (sweep.paying is not None, bool(got))
                     seen[key] = seen.get(key, 0) + 1
                     return got
 
                 sweep.payoff = payoff
                 _run(sweep, floor, trace)
     # both ways pay off some buckets and not others (5,083 buckets take the
-    # scan and 16,240 the lookup); only narrow fields overflow
+    # scan and 16,240 the lookup)
     assert all(seen.get(key) for key in product((True, False), repeat=2))
-    assert bool(seen.get((True, None))) == bool(seen.get((False, None))) == (data == 1)
 
 
 def test_payoff_reads_codes_under_every_marker():
@@ -1003,8 +1044,6 @@ def test_payoff_reads_codes_under_every_marker():
         assert sweep.paying is not None
         want = {need.bit_count() + 1: 10}
         assert sweep.payoff(vec) == scan_payoff(sweep, vec) == want
-        # a guard bit of a code that does not pay off is found too
-        assert sweep.payoff(vec, 8) is scan_payoff(sweep, vec, 8) is None
 
 
 def traced_hosts():

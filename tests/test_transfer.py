@@ -459,9 +459,9 @@ class TestCensus:
         sizes = []
         real = _Sweep.payoff
 
-        def payoff(self, vec, guard=0):
+        def payoff(self, vec):
             sizes.append(len(vec))
-            return real(self, vec, guard)
+            return real(self, vec)
 
         monkeypatch.setattr(_Sweep, "payoff", payoff)
         assert max_config_count(capacity_set(n)) == count
@@ -497,9 +497,9 @@ class TestMemo:
         memos = []
         real = _Sweep.payoff
 
-        def payoff(self, vec, guard=0):
+        def payoff(self, vec):
             memos.append(sys._getframe(1).f_locals["memo"])
-            return real(self, vec, guard)
+            return real(self, vec)
 
         monkeypatch.setattr(_Sweep, "payoff", payoff)
         complete_config_poly(capacity_set(20))

@@ -122,8 +122,8 @@ def test_a_maximal_count_wider_than_a_field_is_exact(monkeypatch):
     layouts = narrow(monkeypatch, 1)
     assert transfer.max_config_count(cfg) == count
     assert not layouts
-    assert count.bit_length() > 1 + transfer._Sweep(cfg.points).headroom
     assert transfer.complete_config_poly(cfg) == poly
+    assert count.bit_length() > 1 + layouts[0][1]  # 1 data bit and the headroom
     assert poly.leading() == count
     assert layouts[-1][0] >= 16
 
