@@ -32,6 +32,7 @@ from .neargon import (
     NearGon,
     compose,
     edge_poly,
+    gon_poly,
     realize,
     recover_edge_poly_from_counts,
 )
@@ -213,8 +214,8 @@ def _run_verb(args: argparse.Namespace, out) -> int:
         solve = weighted_max_count if args.maximal else weighted_complete_poly
         result = solve(tuple(args.weights))
     elif verb == "neargon":
-        polys = tuple(edge_poly(NearEdge(load_points(f))) for f in args.files)
-        result = compose(polys, maximal=args.maximal)
+        gon = NearGon(tuple(NearEdge(load_points(f)) for f in args.files))
+        result = gon_poly(gon, maximal=args.maximal)
     elif verb == "recover":
         span = _indices(args.basis_range, "range")
         if len(span) != 2:

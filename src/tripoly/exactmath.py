@@ -301,11 +301,16 @@ def maximal_edge_basis(n: int) -> PolyT:
     return PolyT(dict(_edge_basis(n)))
 
 
+def complete_edge_terms(n: int) -> dict[tuple[int, int], int]:
+    """The terms {(k, k): binom(n-1, k-1)} of pbar_n over s^k p_k."""
+    return {(k, k): comb(n - 1, k - 1) for k in range(1, n + 1)}
+
+
 def complete_edge_basis(n: int) -> PolyST:
     """Complete basis pbar_n = sum_{k=1}^n binom(n-1, k-1) p_k s^k."""
     if n < 1:
         raise ValueError(f"edge weight must be >= 1, got {n}")
-    return PolyST.from_p({(k, k): comb(n - 1, k - 1) for k in range(1, n + 1)})
+    return PolyST.from_p(complete_edge_terms(n))
 
 
 def edge_product_bound(factors: Sequence[Mapping[tuple[int, int], int]]) -> int:

@@ -3,11 +3,14 @@
 A near-edge carries a complete polynomial in s and the edge basis
 p_1, p_2, ...; gluing edges around a convex polygon multiplies their
 polynomials and pairs the result against the Catalan series.  Edges
-split into prime factors first, convex edges run through a three
-variable recursion over their sign profile, and everything else falls
-back to the transfer iteration.  The inverse direction recovers an
-unknown edge polynomial from maximal counts and realizes an abstract
-near-gon as an integer configuration.
+split into prime factors, and a route gives each factor's terms over
+s^a p_j: binomials for a straight factor, a three variable recursion
+over the sign profile for a strictly convex one, and the transfer
+iteration for the rest.  The ``neargon`` verb pairs the terms of every
+factor at once; in maximal mode a factor gives only its top slice
+s^weight, which the transfer route reads off one maximal sweep.  The
+inverse direction recovers an unknown edge polynomial from maximal
+counts and realizes an abstract near-gon as an integer configuration.
 
 The convex recursion holds a state as one packed int per power of w, so
 a factor s or u is a shift; realizations map the flattened edges in
@@ -30,7 +33,7 @@ from .exactmath import (
     PolyT,
     catalan,
     catalan_pair_t,
-    complete_edge_basis,
+    complete_edge_terms,
     maximal_edge_basis,
     p_basis_coefficients,
     packed_bytes,
@@ -48,13 +51,13 @@ from .planar import (
     orient,
 )
 from .roofs import sub_edges
-from .transfer import complete_edge_poly_tm, covering_roof_counts
+from .transfer import covering_roof_counts, edge_terms_tm
 
 # unused here; bench/tracer.py patches these names in this namespace
-from .exactmath import catalan_pair_st, series_pair_uw  # noqa: F401
+from .exactmath import catalan_pair_st, complete_edge_basis, series_pair_uw  # noqa: F401
 from .planar import order_type_equivalent  # noqa: F401
 from .roofs import covering_roofs  # noqa: F401
-from .transfer import max_region_count_points  # noqa: F401
+from .transfer import complete_edge_poly_tm, max_region_count_points  # noqa: F401
 
 EDGE_METHODS = ("auto", "tm", "roofs", "convex")
 # realize halves the flattening at most this many times
@@ -122,8 +125,9 @@ class NearGon:
         return iter(self.edges)
 
 
-def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
-    """Complete polynomial summed sub-edge by sub-edge.
+def _roof_terms(edge: NearEdge) -> dict[tuple[int, int], int]:
+    """Edge-basis terms of the complete polynomial, summed sub-edge by
+    sub-edge.
 
     Every sub-edge keeps the lower-hull corners; each of its covering
     roofs R contributes its basis polynomial p_|R| weighted by τ(R), the
@@ -140,7 +144,12 @@ def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
         a = len(idxs) - 1
         for length, tau in covering_roof_counts(tuple(pts[i] for i in idxs)).items():
             out[a, length] = out.get((a, length), 0) + tau
-    return EdgePolynomial(edge.weight, PolyST.from_p(out))
+    return out
+
+
+def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
+    """Complete polynomial of a near-edge by the roofs route."""
+    return EdgePolynomial(edge.weight, PolyST.from_p(_roof_terms(edge)))
 
 
 def _pair_w(r: list[int]) -> int:
@@ -214,31 +223,43 @@ def convex_edge_states(
     return out
 
 
-def convex_edge_complete(profile: Sequence[int]) -> PolyST:
-    """Complete polynomial of the convex edge with the given sign profile:
-    the last state of the recursion paired out in u and w."""
+def _convex_terms(profile: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Edge-basis terms of the complete polynomial of the convex edge with
+    the given sign profile: the last state of the recursion paired out in
+    u and w."""
     states, nbytes, stride = _convex_packed(profile)
     for r in states:
         pass
     (row,) = unpack_fields([_pair_w(r)], nbytes, stride * (len(profile) + 2))
-    return PolyST.from_p(
-        {(f % stride, f // stride): v for f, v in enumerate(row) if v}
-    )
+    return {(f % stride, f // stride): v for f, v in enumerate(row) if v}
 
 
-def _prime_edge_poly(edge: NearEdge, method: str) -> PolyST:
-    if method == "tm":
-        return complete_edge_poly_tm(edge)
-    if method == "roofs":
-        return covering_roof_edge_poly(edge).complete
+def convex_edge_complete(profile: Sequence[int]) -> PolyST:
+    """Complete polynomial of the convex edge with the given sign profile."""
+    return PolyST.from_p(_convex_terms(profile))
+
+
+def _prime_terms(
+    edge: NearEdge, method: str, maximal: bool = False
+) -> dict[tuple[int, int], int]:
+    """Terms {(a, j): c} of a prime factor over s^a * p_j by the route
+    that method picks; with maximal, only its top slice s^weight as
+    {(0, j): c}, which a transfer-route factor reads off one maximal
+    sweep: its covering roofs."""
+    w = edge.weight
     if method == "auto" and edge.is_straight():
-        return complete_edge_basis(edge.weight)
-    profile = convex_profile(edge)
-    if profile is not None:
-        return convex_edge_complete(profile)
-    if method == "convex":
-        raise ValueError("the edge is not strictly convex")
-    return complete_edge_poly_tm(edge)
+        terms = complete_edge_terms(w)
+    elif method in ("tm", "roofs") or (profile := convex_profile(edge)) is None:
+        if method == "convex":
+            raise ValueError("the edge is not strictly convex")
+        if maximal:
+            return {(0, j): c for j, c in covering_roof_counts(edge.points).items()}
+        terms = _roof_terms(edge) if method == "roofs" else edge_terms_tm(edge.points)
+    else:
+        terms = _convex_terms(profile)
+    if maximal:
+        return {(0, j): c for (a, j), c in terms.items() if a == w}
+    return terms
 
 
 def edge_poly(edge: NearEdge, method: str = "auto") -> EdgePolynomial:
@@ -250,8 +271,18 @@ def edge_poly(edge: NearEdge, method: str = "auto") -> EdgePolynomial:
     """
     if method not in EDGE_METHODS:
         raise ValueError(f"unknown method {method!r}, pick one of {EDGE_METHODS}")
-    polys = [_prime_edge_poly(factor, method) for factor in factorize(edge)]
+    polys = [PolyST.from_p(_prime_terms(factor, method)) for factor in factorize(edge)]
     return EdgePolynomial(edge.weight, reduce(mul, polys))
+
+
+def gon_poly(gon: NearGon, *, maximal: bool = False) -> PolyS | int:
+    """Triangulation polynomial of a near-gon, or its maximal count: the
+    terms of every prime factor of every edge, by the "auto" routes,
+    paired in one product."""
+    poly = pair_edge_product(
+        [_prime_terms(f, "auto", maximal) for edge in gon for f in factorize(edge)]
+    )
+    return poly.coeff(0) if maximal else poly
 
 
 def compose(

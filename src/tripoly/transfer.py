@@ -726,11 +726,7 @@ def covering_roof_counts(points: Sequence[Point]) -> dict[int, int]:
     which it used every point.
     """
     payoffs = _payoffs(points, lower_hull(points), maximal=True)
-    out: dict[int, int] = {}
-    for (used, length), mult in payoffs.items():
-        if used == len(points):
-            out[length] = out.get(length, 0) + mult
-    return out
+    return {length: mult for (used, length), mult in payoffs.items() if used == len(points)}
 
 
 def region_poly(
@@ -770,17 +766,22 @@ def max_config_count(config: Configuration, *, trace: TraceFn | None = None) -> 
     return sum(_payoffs(*hull_host(config), maximal=True, trace=trace).values())
 
 
-def complete_edge_poly_tm(
-    edge: NearEdge, *, trace: TraceFn | None = None
-) -> PolyST:
-    """Complete polynomial of a near-edge by the transfer iteration.
+def edge_terms_tm(
+    points: Sequence[Point], *, trace: TraceFn | None = None
+) -> dict[tuple[int, int], int]:
+    """Terms {(a, j): c} over s^a * p_j of the complete polynomial of the
+    near-edge through the points, by the transfer iteration.
 
     With no ceiling every state pays off: a state of length L whose
     partial triangulation used v vertices contributes s^(v - 1) p_L,
     summing the basis images of all covering roofs over all sub-edges.
     """
-    host = tuple(edge.points)
-    payoffs = _payoffs(host, lower_hull(host), trace=trace)
-    return PolyST.from_p(
-        {(used - 1, length): mult for (used, length), mult in payoffs.items()}
-    )
+    payoffs = _payoffs(points, lower_hull(points), trace=trace)
+    return {(used - 1, length): mult for (used, length), mult in payoffs.items()}
+
+
+def complete_edge_poly_tm(
+    edge: NearEdge, *, trace: TraceFn | None = None
+) -> PolyST:
+    """Complete polynomial of a near-edge by the transfer iteration."""
+    return PolyST.from_p(edge_terms_tm(edge.points, trace=trace))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Sequence
 
-from .exactmath import PolyS, pair_edge_product
+from .exactmath import PolyS, complete_edge_terms, pair_edge_product
 from .planar import Configuration, as_integer, convex_polygon_points
 
 # unused here; bench/tracer.py patches these names in this namespace
@@ -60,9 +60,7 @@ def weighted_max_count(weights: Sequence[int]) -> int:
 def weighted_complete_poly(weights: Sequence[int]) -> PolyS:
     """Complete triangulation polynomial of a weighted convex polygon."""
     ws = _side_weights(weights, 2, "a polygon needs at least two sides")
-    return pair_edge_product(
-        [{(k, k): comb(a - 1, k - 1) for k in range(1, a + 1)} for a in ws]
-    )
+    return pair_edge_product([complete_edge_terms(a) for a in ws])
 
 
 def weighted_polygon_config(weights: Sequence[int]) -> Configuration:

@@ -48,6 +48,7 @@ class Mutant:
 
 
 TRANSFER = "src/tripoly/transfer.py"
+NEARGON = "src/tripoly/neargon.py"
 TWIN_TESTS = (
     "tests/test_differential.py::test_merged_twins_match_unmerged_and_traced_sweeps"
 )
@@ -64,6 +65,8 @@ FOLD = "if pair := merge[(p * size + a) * size + q]:"
 GUARD = "while guard and guard & reduce(or_, bucket.values(), 0):"
 KEPT_FIELDS = "tests/test_differential.py::test_every_kept_field_fits_its_data_bits"
 HEADROOM = "headroom = ((n + 1) << (n - 1)).bit_length()"
+ROUTE_TEST = "tests/test_neargon.py::TestCatalog::test_every_method_routes_the_prime_factors"
+GON_TESTS = "tests/test_neargon.py::TestCompose"
 
 MUTANTS = [
     # -- the sweep's twins (transfer module docstring, Twins) -----------------
@@ -189,7 +192,7 @@ MUTANTS = [
     ),
     Mutant(
         "realize accepts any flattening",
-        "src/tripoly/neargon.py",
+        NEARGON,
         "if images is not None and _turns_as_limit(edges, base, images):",
         "if images is not None:",
         ("tests/test_neargon.py",),
@@ -203,10 +206,49 @@ MUTANTS = [
     ),
     Mutant(
         "edge_poly does not factorize",
-        "src/tripoly/neargon.py",
+        NEARGON,
         "for factor in factorize(edge)]",
         "for factor in [edge]]",
         ("tests/test_neargon.py",),
+    ),
+    # -- near-gons paired from their factors' edge-basis terms -----------------
+    Mutant(
+        "gon_poly does not factorize",
+        NEARGON,
+        "for edge in gon for f in factorize(edge)]",
+        "for edge in gon for f in [edge]]",
+        (ROUTE_TEST,),
+    ),
+    Mutant(
+        "top slice read at s^1 instead of s^weight",
+        NEARGON,
+        "for (a, j), c in terms.items() if a == w}",
+        "for (a, j), c in terms.items() if a == 1}",
+        (GON_TESTS,),
+    ),
+    Mutant(
+        "covering roofs counted from every roof",
+        TRANSFER,
+        "payoffs.items() if used == len(points)}",
+        "payoffs.items()}",
+        (GON_TESTS,),
+    ),
+    Mutant(
+        "maximal transfer-route factor sweeps in complete mode",
+        NEARGON,
+        "        if maximal:\n            return {(0, j): c for j, c in covering_roof_counts",
+        "        if False:\n            return {(0, j): c for j, c in covering_roof_counts",
+        (GON_TESTS, ROUTE_TEST),
+        survives="equivalent: the covering-roof counts of the maximal sweep are "
+        "the complete sweep's top slice (tests/test_differential.py checks that "
+        "identity between the roofs and tm routes); only the time differs",
+    ),
+    Mutant(
+        "neargon verb skips the two-edge refusal",
+        "src/tripoly/cli.py",
+        "gon = NearGon(tuple(NearEdge(load_points(f)) for f in args.files))",
+        "gon = tuple(NearEdge(load_points(f)) for f in args.files)",
+        ("tests/test_cli.py::TestNeargon",),
     ),
     # -- the fold test (transfer module docstring, Folded moves) ---------------
     Mutant(

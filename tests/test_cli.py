@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from tripoly import neargon
 from tripoly.cli import _build_parser, run
 from tripoly.exactmath import PolyS
 
@@ -336,10 +337,15 @@ class TestNeargon:
         got = {term["s"]: int(term["coeff"]) for term in json.loads(out)["terms"]}
         assert got == GON_POLY
 
-    def test_single_edge(self, point_file, capsys):
-        rc, out = cap(["neargon", point_file(EDGE_A)])
-        assert rc == 1
-        assert "two edges" in capsys.readouterr().err
+    def test_single_edge(self, point_file, capsys, monkeypatch):
+        # refused before any factor is routed
+        routed = []
+        monkeypatch.setattr(neargon, "_prime_terms", lambda *args: routed.append(args))
+        for flags in ([], ["--maximal"]):
+            rc, out = cap(["neargon", point_file(EDGE_A), *flags])
+            assert rc == 1
+            assert "two edges" in capsys.readouterr().err
+        assert routed == []
 
 
 class TestRecover:

@@ -26,6 +26,7 @@ from tripoly.neargon import (
     convex_edge_states,
     covering_roof_edge_poly,
     edge_poly,
+    gon_poly,
     realize,
     recover_edge_poly_from_counts,
 )
@@ -35,6 +36,7 @@ from tripoly.planar import (
     convex_profile,
     extremal_points,
     factorize,
+    profile_realization,
     vertical_mirror,
 )
 from tripoly.transfer import complete_config_poly, max_config_count
@@ -208,24 +210,41 @@ class TestCatalog:
         # the product of the factors' polynomials is the whole edge's, so
         # only the edges that the routes receive show the split
         received = []
-        real = neargon._prime_edge_poly
-        monkeypatch.setattr(
-            neargon,
-            "_prime_edge_poly",
-            lambda edge, method: received.append(edge) or real(edge, method),
-        )
+        real = neargon._prime_terms
+
+        def route(edge, method, maximal=False):
+            received.append((edge, method, maximal))
+            return real(edge, method, maximal)
+
+        monkeypatch.setattr(neargon, "_prime_terms", route)
         for key in [k for k, count in CATALOG_FACTOR_COUNTS.items() if count > 1]:
             edge = catalog_edge(key)
+            want = factorize(edge)
             for method in EDGE_METHODS:
                 received.clear()
-                want = factorize(edge)
                 try:
                     edge_poly(edge, method)
                 except ValueError:
                     # a straight factor is not strictly convex
                     assert method == "convex", key
                     want = want[: len(received)]
-                assert received == want, (key, method)
+                assert received == [(f, method, False) for f in want], (key, method)
+            # the near-gon routes every edge's factors by "auto"
+            want = factorize(edge)
+            for maximal in (False, True):
+                received.clear()
+                gon_poly(NearGon((edge, edge)), maximal=maximal)
+                assert received == [(f, "auto", maximal) for f in 2 * want], key
+
+    def test_near_gons_of_catalog_edges_pair_as_composed(self):
+        keys = sorted(CATALOG_HEIGHTS)
+        for i in range(len(keys)):
+            for size in (2, 3, 4):
+                edges = [catalog_edge(k) for k in (keys * 2)[i : i + size]]
+                polys = [edge_poly(e) for e in edges]
+                gon = NearGon(edges)
+                assert gon_poly(gon) == compose(polys), edges
+                assert gon_poly(gon, maximal=True) == compose(polys, maximal=True), edges
 
     def test_product_identities(self):
         for key, factor_keys in CATALOG_PRODUCTS.items():
@@ -259,6 +278,8 @@ class TestCompose:
         polys = [edge_poly(e) for e in gon_edges()]
         assert compose(polys).c == GON_POLY
         assert compose(polys, maximal=True) == 194939
+        assert gon_poly(NearGon(gon_edges())).c == GON_POLY
+        assert gon_poly(NearGon(gon_edges()), maximal=True) == 194939
 
     def test_maximal_equals_leading_coefficient(self):
         polys = [edge_poly(e) for e in gon_edges()]
@@ -272,6 +293,40 @@ class TestCompose:
     def test_digon_composition(self):
         polys = [edge_poly(straight_edge(a)) for a in (9, 7)]
         assert compose(polys, maximal=True) == 792
+        assert gon_poly(NearGon([straight_edge(a) for a in (9, 7)]), maximal=True) == 792
+
+    def test_seeded_near_gons_pair_as_composed(self):
+        # edges of weight 1-8 with heights in [-3, 3], some straight and
+        # some strictly convex; every kind of factor and edge must occur
+        rng = random.Random(32)
+        seen = {"straight": 0, "convex": 0, "tm": 0, "split": 0, "unit": 0}
+        for _ in range(120):
+            edges = []
+            for _ in range(rng.randint(2, 5)):
+                w = rng.randint(1, 8)
+                signs = [rng.choice((1, -1)) for _ in range(w - 1)]
+                kind = rng.randrange(3)
+                if kind == 0:
+                    edge = straight_edge(w)
+                elif kind == 1:
+                    edge = profile_realization(signs)
+                else:
+                    heights = [rng.randint(-3, 3) for _ in range(w - 1)]
+                    edge = NearEdge([(0, 0), *enumerate(heights, 1), (w, 0)])
+                edges.append(edge)
+                factors = factorize(edge)
+                seen["split"] += len(factors) > 1
+                seen["unit"] += w == 1
+                for f in factors:
+                    if f.is_straight():
+                        seen["straight"] += 1
+                    else:
+                        seen["convex" if convex_profile(f) else "tm"] += 1
+            polys = [edge_poly(e) for e in edges]
+            gon = NearGon(edges)
+            assert gon_poly(gon) == compose(polys), edges
+            assert gon_poly(gon, maximal=True) == compose(polys, maximal=True), edges
+        assert all(seen.values()), seen
 
     def test_needs_two_polynomials(self):
         with pytest.raises(ValueError, match="two edges"):

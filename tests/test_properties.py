@@ -20,7 +20,9 @@ states of a sign profile, and ``auto`` picks one per prime factor.
 ``convex`` applies exactly when every prime factor is strictly convex.
 
 A near-gon of such edges, realized as an integer configuration, has as
-many maximal triangulations as its edge polynomials give when composed.
+many maximal triangulations as its edge polynomials give when composed,
+and pairing its prime factors' edge-basis terms gives the composed
+polynomial and count.
 A weighted convex polygon, realized with its side points, sweeps to the
 polynomial and the count that the packed edge-basis product gives; the
 sweep shares no code with that product.
@@ -31,7 +33,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from tripoly.neargon import compose, edge_poly, realize
+from tripoly.neargon import NearGon, compose, edge_poly, gon_poly, realize
 from tripoly.oracle import oracle_complete_poly
 from tripoly.planar import (
     Configuration,
@@ -118,8 +120,11 @@ def near_gons(draw) -> list[NearEdge]:
 @settings(max_examples=100, deadline=None)
 @given(near_gons())
 def test_realized_near_gons_count_as_composed(edges):
-    want = compose([edge_poly(e) for e in edges], maximal=True)
+    polys = [edge_poly(e) for e in edges]
+    want = compose(polys, maximal=True)
     assert max_config_count(realize(edges)) == want
+    assert gon_poly(NearGon(edges), maximal=True) == want
+    assert gon_poly(NearGon(edges)) == compose(polys)
 
 
 @settings(max_examples=60, deadline=None)
