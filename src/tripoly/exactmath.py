@@ -14,7 +14,9 @@ adds on top:
 * ``PolyST``  -- bivariate in ``(s, t)``.  Edge polynomials are sums of
   terms ``c * s^a * p_j`` over the edge basis ``p_j``; ``PolyST.from_p``
   builds one from its terms ``{(a, j): c}`` and ``PolyST.p_terms``, by
-  the in-place expansion ``_p_expand``, reads them back.
+  the in-place expansion ``_p_expand``, reads them back.  It is the one
+  conversion into the edge basis: ``tripoly.neargon`` groups its terms
+  by power of s, refusing a p_0 term, or keeps the top power alone.
 * ``PolySUW`` -- trivariate in ``(s, u, w)``: a decoded state of the
   convex-edge recursion, which ``tripoly.neargon`` runs on packed ints.
 
@@ -455,10 +457,3 @@ def hankel_recover(values: Sequence[int], alpha: int, d: int) -> PolyT:
         raise ValueError(f"monomial recovery failed: {exc}") from None
     return PolyT({alpha + j: c for j, c in enumerate(solution)})
 
-
-def p_basis_coefficients(q: PolyT) -> dict[int, int]:
-    """Express q as sum c_j p_j over j >= 1; fails if q is not in their span."""
-    out = _p_expand(dict(q.c))
-    if 0 in out:
-        raise ValueError("polynomial is not a combination of the edge basis")
-    return dict(sorted(out.items()))

@@ -35,7 +35,6 @@ from .exactmath import (
     catalan_pair_t,
     complete_edge_terms,
     maximal_edge_basis,
-    p_basis_coefficients,
     packed_bytes,
     pair_edge_product,
     solve_integer_system,
@@ -91,10 +90,12 @@ class EdgePolynomial:
 
     def p_coefficients(self) -> dict[int, dict[int, int]]:
         """Per s degree, the expansion over the edge basis p_j."""
-        return {
-            a: p_basis_coefficients(self.complete.coefficient_s(a))
-            for a in sorted({a for a, _ in self.complete.c})
-        }
+        out: dict[int, dict[int, int]] = {}
+        for (a, j), c in sorted(self.complete.p_terms().items()):
+            if j == 0:
+                raise ValueError("polynomial is not a combination of the edge basis")
+            out.setdefault(a, {})[j] = c
+        return out
 
 
 class NearGon:
@@ -150,6 +151,12 @@ def _roof_terms(edge: NearEdge) -> dict[tuple[int, int], int]:
 def covering_roof_edge_poly(edge: NearEdge) -> EdgePolynomial:
     """Complete polynomial of a near-edge by the roofs route."""
     return EdgePolynomial(edge.weight, PolyST.from_p(_roof_terms(edge)))
+
+
+def _top_slice(terms: dict[tuple, int], weight: int) -> dict[tuple, int]:
+    """The top slice of complete terms: those whose first exponent, that
+    of s, is ``weight``, with that exponent set to 0."""
+    return {(0, *key[1:]): c for key, c in terms.items() if key[0] == weight}
 
 
 def _pair_w(r: list[int]) -> int:
@@ -217,9 +224,7 @@ def convex_edge_states(
             for w, row in enumerate(unpack_fields(r, nbytes, fields))
             for f, v in enumerate(row)
         }
-        if mode == "maximal":
-            terms = {(0, u, w): v for (a, u, w), v in terms.items() if a == i + 1}
-        out.append(PolySUW(terms))
+        out.append(PolySUW(_top_slice(terms, i + 1) if mode == "maximal" else terms))
     return out
 
 
@@ -257,9 +262,7 @@ def _prime_terms(
         terms = _roof_terms(edge) if method == "roofs" else edge_terms_tm(edge.points)
     else:
         terms = _convex_terms(profile)
-    if maximal:
-        return {(0, j): c for (a, j), c in terms.items() if a == w}
-    return terms
+    return _top_slice(terms, w) if maximal else terms
 
 
 def edge_poly(edge: NearEdge, method: str = "auto") -> EdgePolynomial:
@@ -298,8 +301,8 @@ def compose(
     if len(polys) < 2:
         raise ValueError("a near-gon needs at least two edges")
     if maximal:
-        tops = [PolyST.from_t(ep.maximal) for ep in polys]
-        return pair_edge_product([top.p_terms() for top in tops]).coeff(0)
+        tops = [_top_slice(ep.complete.p_terms(), ep.length) for ep in polys]
+        return pair_edge_product(tops).coeff(0)
     return pair_edge_product([ep.complete.p_terms() for ep in polys])
 
 
@@ -333,10 +336,8 @@ def recover_edge_poly_from_counts(
         coeffs = solve_integer_system(matrix, list(counts))
     except ValueError as exc:
         raise ValueError(f"edge recovery failed: {exc}") from None
-    out = PolyT()
-    for j, c in enumerate(coeffs):
-        out = out + c * maximal_edge_basis(alpha + j)
-    return out
+    terms = {(0, alpha + j): c for j, c in enumerate(coeffs)}
+    return PolyST.from_p(terms).coefficient_s(0)
 
 
 def _realize_at(

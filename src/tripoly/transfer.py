@@ -82,21 +82,22 @@ replay after the sweep uses k.
 
 Field width.  A field of a complete-mode multiplicity is ``data`` bits
 wide plus g bits of headroom above them, g the bit length of
-(n + 1) · 2^(n-1); there are at most n · 2^(n-1) codes.  The guard mask
-holds the headroom bits of every field.  ``_run`` checks every bucket
-once, before it is paid off or expanded: the OR of its multiplicities
-has no guard bit exactly when every field of every code is below
-2^data, so only a checked code adds terms.  A sum the sweep
-forms, the moves into one code or the codes of one payoff, has at most
-one term per code plus a floor roof's start, fewer than 2^g terms below
-2^data each, so it fits in its field and no carry crosses into the
-next.  When a check fails, the sweep doubles ``data``, repacks the
-current and pending buckets in place and checks the bucket again, until
-every field fits: their fields are exact sums, and the terms still to
-come are below the new 2^data.  ``data`` starts at ``_DATA_BITS`` and
-doubles at each widening, so a run widens a few times at most.  An
-immediate sweep skips no point: its multiplicities are plain ints, one
-field with no guard.
+(n + 1) · 2^(n-1).  A roof with k interior points has k + 1 markers, so
+there are exactly Σ_k C(n - 1, k)(k + 1) = (n + 1) · 2^(n-2) codes,
+fewer than 2^(g-1).  The guard mask holds the headroom bits of every
+field.  ``_run`` checks every bucket once, before it is paid off or
+expanded: the OR of its multiplicities has no guard bit exactly when
+every field of every code is below 2^data, so only a checked code adds
+terms.  A sum the sweep forms, the moves into one code or the codes of
+one payoff, has at most one term per code plus a floor roof's start, at
+most 2^(g-1) terms below 2^data each, so it fits in data + g - 1 bits
+and no carry crosses into the next field.  When a check fails, the
+sweep doubles ``data``, repacks the current and pending buckets in
+place and checks the bucket again, until every field fits: their fields
+are exact sums, and the terms still to come are below the new 2^data.
+``data`` starts at ``_DATA_BITS`` and doubles at each widening, so a
+run widens a few times at most.  An immediate sweep skips no point: its
+multiplicities are plain ints, one field with no guard.
 
 Three modes share the loop, and one payoff rule: a state pays off when
 ``(bits ^ required) & care`` is 0.

@@ -9,15 +9,18 @@ pairs the product of the pbar_{a_i} = sum_k binom(a_i - 1, k - 1) s^k p_k.
 Both go through ``exactmath.pair_edge_product``, the kernel that
 ``tripoly.neargon.compose`` also runs.  The pairing stays valid for
 two-sided polygons; digon_max_count gives the same numbers in closed
-binomial form and also covers weight 0 by convention.
+binomial form and also covers weight 0 by convention.  A realization
+places straight edges on the sides of a convex polygon as
+``tripoly.neargon.realize`` does, unflattened: they sit at their limit.
 """
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 from .exactmath import PolyS, complete_edge_terms, pair_edge_product
-from .planar import Configuration, as_integer, convex_polygon_points
+from .neargon import _realize_at
+from .planar import Configuration, NearEdge, as_integer, convex_polygon_points
 
 # unused here; bench/tracer.py patches these names in this namespace
 from .exactmath import catalan_pair_st, catalan_pair_t  # noqa: F401
@@ -64,22 +67,11 @@ def weighted_complete_poly(weights: Sequence[int]) -> PolyS:
 
 
 def weighted_polygon_config(weights: Sequence[int]) -> Configuration:
-    """An integer realization of the weighted polygon.
-
-    The corner polygon is scaled by the least common multiple of the
-    weights so that the equal subdivision points of every side land on
-    integer coordinates.
-    """
+    """An integer realization of the weighted polygon: side i of a convex
+    polygon split into a_i equal parts, the straight edge of weight a_i
+    placed on it as ``realize`` places an edge, at no flattening."""
     ws = _side_weights(weights, 3, "a realizable polygon needs at least three sides")
-    base = convex_polygon_points(len(ws))
-    scale = lcm(*ws)
-    pts = []
-    for i, a in enumerate(ws):
-        bx, by = base[i]
-        nx, ny = base[(i + 1) % len(ws)]
-        dx, dy = nx - bx, ny - by
-        for j in range(a):
-            t = j * (scale // a)
-            pts.append((scale * bx + t * dx, scale * by + t * dy))
-    return Configuration(pts)
+    sides = [NearEdge((x, 0) for x in range(a + 1)) for a in ws]
+    images = _realize_at(sides, convex_polygon_points(len(ws)), 0)
+    return Configuration(set().union(*images))
 

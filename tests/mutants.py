@@ -67,6 +67,14 @@ KEPT_FIELDS = "tests/test_differential.py::test_every_kept_field_fits_its_data_b
 HEADROOM = "headroom = ((n + 1) << (n - 1)).bit_length()"
 ROUTE_TEST = "tests/test_neargon.py::TestCatalog::test_every_method_routes_the_prime_factors"
 GON_TESTS = "tests/test_neargon.py::TestCompose"
+TOP_SLICE_TESTS = (
+    GON_TESTS,
+    "tests/test_neargon.py::TestCatalog::test_near_gons_of_catalog_edges_pair_as_composed",
+    "tests/test_neargon.py::TestRealize::"
+    "test_rejects_flattenings_that_do_not_turn_as_the_limit",
+    "tests/test_neargon.py::TestConvexRecursion::test_maximal_variant_matches_the_top_slice",
+    "tests/test_packed_kernels.py",
+)
 
 MUTANTS = [
     # -- the sweep's twins (transfer module docstring, Twins) -----------------
@@ -222,9 +230,9 @@ MUTANTS = [
     Mutant(
         "top slice read at s^1 instead of s^weight",
         NEARGON,
-        "for (a, j), c in terms.items() if a == w}",
-        "for (a, j), c in terms.items() if a == 1}",
-        (GON_TESTS,),
+        "for key, c in terms.items() if key[0] == weight}",
+        "for key, c in terms.items() if key[0] == 1}",
+        TOP_SLICE_TESTS,
     ),
     Mutant(
         "covering roofs counted from every roof",
@@ -242,6 +250,21 @@ MUTANTS = [
         survives="equivalent: the covering-roof counts of the maximal sweep are "
         "the complete sweep's top slice (tests/test_differential.py checks that "
         "identity between the roofs and tm routes); only the time differs",
+    ),
+    # -- one conversion into the edge basis, one side placement ---------------
+    Mutant(
+        "p_coefficients keeps a p_0 term",
+        NEARGON,
+        "            if j == 0:\n",
+        "            if False:\n",
+        ("tests/test_neargon.py::TestEdgePolynomial", "tests/test_exactmath.py"),
+    ),
+    Mutant(
+        "weighted sides lose their last subdivision point",
+        "src/tripoly/weighted.py",
+        "for x in range(a + 1)",
+        "for x in (*range(a - 1), a)",
+        ("tests/test_weighted.py",),
     ),
     Mutant(
         "neargon verb skips the two-edge refusal",
@@ -289,7 +312,10 @@ MUTANTS = [
         HEADROOM,
         HEADROOM + " - 1",
         ("tests",),
-        survives="gap: no test drives a sum to its term bound",
+        survives="equivalent: a sweep over P_0..P_n has exactly "
+        "sum_k C(n - 1, k)(k + 1) = (n + 1) 2^(n - 2) codes, fewer than "
+        "2^(g - 1), so every sum it forms, one term per code plus a floor "
+        "roof's start, still fits in g - 1 bits of headroom",
     ),
 ]
 

@@ -5,13 +5,17 @@
 * ``fraction_realize_at`` -- one flattening of ``realize`` in
   ``Fraction`` complex arithmetic, scaled by the lcm of the reduced
   denominators.
+* ``lcm_polygon_points`` -- a weighted convex polygon placed on
+  ``convex_polygon_points`` scaled by the lcm of its weights, so that
+  every subdivision point is an integer.
 * ``residue_max_count`` -- the maximal count of a weighted convex
   polygon as a residue, with binomials only.
 * ``all_pairs_factorize`` -- the prime factors of a near-edge, each
   split tested against the line through every pair of points.
 
 They share nothing with the packed routes but ``PolySUW``,
-``Configuration``, ``NearEdge`` and ``orient``.
+``Configuration``, ``NearEdge``, ``orient`` and
+``convex_polygon_points``.
 
 ``encode``, ``skyline_points`` and ``is_covering`` read a decorated
 roof of :mod:`tripoly.roofs`: its code ``d << (n - 1) | bits``, which
@@ -38,6 +42,7 @@ from tripoly.planar import (
     Configuration,
     NearEdge,
     Point,
+    convex_polygon_points,
     hull_host,
     orient,
     region_host,
@@ -111,6 +116,22 @@ def fraction_realize_at(
         return None
     denom = lcm(*(c.denominator for p in out for c in p))
     return Configuration((int(p[0] * denom), int(p[1] * denom)) for p in out)
+
+
+def lcm_polygon_points(weights: Sequence[int]) -> Configuration:
+    """Side i of ``convex_polygon_points(l)`` split into a_i equal parts,
+    the polygon scaled by the lcm of the weights."""
+    base = convex_polygon_points(len(weights))
+    scale = lcm(*weights)
+    pts = []
+    for i, a in enumerate(weights):
+        bx, by = base[i]
+        nx, ny = base[(i + 1) % len(weights)]
+        dx, dy = nx - bx, ny - by
+        for j in range(a):
+            t = j * (scale // a)
+            pts.append((scale * bx + t * dx, scale * by + t * dy))
+    return Configuration(pts)
 
 
 def _one_minus_w_power(m: int, j: int) -> int:

@@ -20,7 +20,6 @@ from tripoly.exactmath import (
     complete_edge_basis,
     hankel_recover,
     maximal_edge_basis,
-    p_basis_coefficients,
     series_pair_uw,
     solve_integer_system,
 )
@@ -428,15 +427,15 @@ class TestHankelRecovery:
 
 class TestPBasisCoefficients:
     def test_t_squared(self):
-        assert p_basis_coefficients(tmono(2)) == {1: 1, 2: 1}
+        assert PolyST.from_t(tmono(2)).p_terms() == {(0, 1): 1, (0, 2): 1}
 
     def test_basis_is_recovered_exactly(self):
         for n in range(1, 9):
-            assert p_basis_coefficients(maximal_edge_basis(n)) == {n: 1}
+            assert PolyST.from_t(maximal_edge_basis(n), 2).p_terms() == {(2, n): 1}
 
     def test_not_in_span_raises(self):
-        with pytest.raises(ValueError):
-            p_basis_coefficients(tmono(0))
+        with pytest.raises(ValueError, match="not a combination of the edge basis"):
+            EdgePolynomial(0, PolyST.from_t(tmono(0))).p_coefficients()
 
     @given(
         st.dictionaries(
@@ -449,5 +448,7 @@ class TestPBasisCoefficients:
         q = PolyT()
         for j, c in coeffs.items():
             q = q + c * maximal_edge_basis(j)
-        got = p_basis_coefficients(q)
-        assert got == {j: c for j, c in coeffs.items() if c}
+        want = {j: c for j, c in sorted(coeffs.items()) if c}
+        assert PolyST.from_t(q).p_terms() == {(0, j): c for j, c in want.items()}
+        got = EdgePolynomial(1, PolyST.from_t(q)).p_coefficients()
+        assert got == ({0: want} if want else {})

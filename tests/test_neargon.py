@@ -13,7 +13,6 @@ from tripoly.exactmath import (
     catalan_pair_t,
     complete_edge_basis,
     maximal_edge_basis,
-    p_basis_coefficients,
     series_pair_uw,
 )
 from tripoly.neargon import (
@@ -98,7 +97,15 @@ class TestEdgePolynomial:
 
     def test_maximal_of_the_zigzag(self):
         q = edge_poly(NearEdge(EDGE_A)).maximal
-        assert p_basis_coefficients(q) == {3: 14, 4: 7, 5: 1}
+        assert PolyST.from_t(q).p_terms() == {(0, 3): 14, (0, 4): 7, (0, 5): 1}
+
+    def test_p_coefficients_refuse_a_p0_term(self):
+        edge = PolyST.from_p({(2, 2): 1, (1, 1): 3})
+        for extra in ({(0, 0): 1}, {(1, 0): -2}, {(2, 0): 5}):
+            ep = EdgePolynomial(2, edge + PolyST(extra))
+            with pytest.raises(ValueError, match="not a combination of the edge basis"):
+                ep.p_coefficients()
+        assert EdgePolynomial(2, edge).p_coefficients() == {1: {1: 3}, 2: {2: 1}}
 
 
 class TestEdgeMethods:
@@ -363,15 +370,15 @@ class TestRecovery:
         assert counts == [19, 87, 334]
         recovered = recover_edge_poly_from_counts(counts, (3, 5))
         assert recovered == edge_poly(NearEdge(EDGE_C)).maximal
-        assert p_basis_coefficients(recovered) == {3: 10, 4: 7, 5: 2}
+        assert PolyST.from_t(recovered).p_terms() == {(0, 3): 10, (0, 4): 7, (0, 5): 2}
 
     def test_unit_edge(self):
         assert recover_edge_poly_from_counts((1,), (1, 1)) == maximal_edge_basis(1)
 
     def test_round_trip_for_known_edges(self):
         for pts in (EDGE_A, EDGE_B, EDGE_C):
-            q = edge_poly(NearEdge(pts)).maximal
-            pc = p_basis_coefficients(q)
+            ep = edge_poly(NearEdge(pts))
+            q, pc = ep.maximal, ep.p_coefficients()[ep.length]
             alpha, d = min(pc), max(pc)
             counts = [
                 catalan_pair_t(q.shift(r + 2)) for r in range(d - alpha + 1)

@@ -1,6 +1,8 @@
 """Weighted convex polygons: closed forms, pairings and realizations."""
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -17,7 +19,7 @@ from tripoly.weighted import (
 )
 
 from corpus import PENTAGON_POLY, TRIANGLE_POLY, straight_edge
-from reference import residue_max_count
+from reference import lcm_polygon_points, residue_max_count
 
 weights_st = st.lists(
     st.integers(min_value=1, max_value=3), min_size=2, max_size=5
@@ -181,6 +183,25 @@ class TestRealization:
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError, match=">= 1"):
             weighted_polygon_config((1, 1, 0))
+
+    def test_points_are_a_positive_multiple_of_the_lcm_placement(self):
+        # both split side i of one convex polygon into a_i equal parts,
+        # so they can differ only by a common positive factor, which
+        # keeps the sweep order: point k matches point k
+        rng = random.Random(33)
+        for i in range(60):
+            ws = [rng.randint(1, 6) for _ in range(rng.randint(3, 7))]
+            if i % 3 == 0:
+                ws[rng.randrange(len(ws))] = 1
+            got = weighted_polygon_config(ws).points
+            want = lcm_polygon_points(ws).points
+            assert len(got) == len(want), ws
+            factor = Fraction(got[0][0], want[0][0])
+            assert factor > 0, ws
+            assert all(
+                (gx, gy) == (factor * wx, factor * wy)
+                for (gx, gy), (wx, wy) in zip(got, want)
+            ), ws
 
     def test_realizations_agree_with_the_transfer_engine(self):
         for ws in ((1, 2, 2), (2, 2, 2), (1, 1, 1, 2), (1, 3, 2)):
