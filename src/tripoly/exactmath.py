@@ -231,11 +231,6 @@ class PolyST(_Sparse):
     __slots__ = ()
 
     @classmethod
-    def from_t(cls, p: PolyT, a: int = 0) -> "PolyST":
-        """Embed a t-polynomial times s^a."""
-        return cls({(a, e): v for e, v in p.c.items()})
-
-    @classmethod
     def from_p(cls, coeffs: Mapping[tuple[int, int], int]) -> "PolyST":
         """Sum of c * s^a * p_j over the terms {(a, j): c}, every j >= 1."""
         out: dict[tuple[int, int], int] = {}

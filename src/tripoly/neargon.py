@@ -83,11 +83,6 @@ class EdgePolynomial:
     def __repr__(self) -> str:
         return f"EdgePolynomial(length={self.length!r}, complete={self.complete!r})"
 
-    @property
-    def maximal(self) -> PolyT:
-        """Top s slice: the basis image of the maximal triangulations."""
-        return self.complete.coefficient_s(self.length)
-
     def p_coefficients(self) -> dict[int, dict[int, int]]:
         """Per s degree, the expansion over the edge basis p_j."""
         out: dict[int, dict[int, int]] = {}

@@ -17,12 +17,12 @@ starts at a, the roof point before m, found as
 ``bit_length()``.  A successor is one bit set (an insertion into a
 segment) or cleared (a merge of a wedge) plus its new marker, the host
 index of the left end of the move's segment.  One pass of exact
-``orient`` tests, C(n + 1, 3) of them, runs when a sweep is built: for
-each segment a -> b it flags the host points P_r, a < r < b, strictly
-above the segment, A(a, b), and strictly below it, B(a, b).  Every
-table the moves read is derived from A and B.  The insertions into
-(a, b) insert the points of A(a, b), and the merge of a wedge (a, m, b)
-exists when m is in B(a, b).  An entry is the move relative to the roof
+``orient`` tests, C(n + 1, 3) of them, runs when a sweep is built.  For
+each segment a -> b it records only the count |A(a, b)|, A(a, b) being
+the host points P_r, a < r < b, strictly above the segment, and emits
+the segment's moves: the insertions into (a, b) insert the points of
+A(a, b), and the merge of a wedge (a, m, b) exists when P_m lies
+strictly below a -> b.  An entry is the move relative to the roof
 bits: its new marker ``a << (n - 1)``, plus the bit it sets or minus the
 bit it clears, plus ``2e << skip_shift``, e being the number of host
 points that the swept triangle newly covers besides the moved point.
@@ -31,9 +31,11 @@ potential step minus one above it (see Folded moves).  Those e points
 are skipped: they never become vertices.
 As a -> b covers the points between a and b outside A(a, b), an
 insertion of q skips |A(a, b)| − |A(a, q)| − |A(q, b)| − 1 points and a
-merge of m skips |A(a, m)| + |A(m, b)| − |A(a, b)|.  An immediate sweep
-drops the moves with e > 0; that is the rule that the swept closed
-triangle be empty (see the last paragraph).
+merge of m skips |A(a, m)| + |A(m, b)| − |A(a, b)|.  The pass takes a
+from n − 2 down and b from a + 2 up, so both smaller counts are known
+when a -> b is tested.  An immediate sweep drops the moves with e > 0;
+that is the rule that the swept closed triangle be empty (see the last
+paragraph).
 
 Moves depend on the roof suffix only: a move at the segment or wedge
 starting at roof point x has marker x, a or a roof point past it, the
@@ -280,41 +282,15 @@ class _Sweep:
         self.skip_shift = self.shift + n.bit_length()
         # low[m]: the interior bits of the host points before P_m
         self.low = [0] + [(1 << (m - 1)) - 1 for m in range(1, n + 1)]
-        # above[a][b] and below[a][b] flag, by bit r - 1, the host points
-        # P_r with a < r < b strictly above and strictly below a -> b
-        p = self.points
-        above = [[0] * size for _ in range(size)]
-        below = [[0] * size for _ in range(size)]
-        for a in range(n - 1):
-            pa = p[a]
-            for b in range(a + 2, size):
-                pb = p[b]
-                up = down = 0
-                for r in range(a + 1, b):
-                    side = orient(pa, pb, p[r])
-                    if side > 0:
-                        up |= 1 << (r - 1)
-                    elif side < 0:
-                        down |= 1 << (r - 1)
-                above[a][b], below[a][b] = up, down
         # a state pays off when (bits ^ required) & care is 0
         self.required = self.care = on = 0
         self.ceiling_bits: int | None = None
         if ceiling is not None:
-            on = self.ceiling_bits = sum(
-                1 << (i - 1)
-                for i in range(1, n)
-                if point_on_path(self.points[i], ceiling)
-            )
+            corners, on = _path_bits(self.points, path_corners(tuple(ceiling)))
+            self.ceiling_bits = on
             # the bits a ceiling roof must have; the others off the ceiling
             # path it must not
-            if immediate:
-                self.required = on
-            else:
-                corners = set(path_corners(tuple(ceiling))[1:-1])
-                self.required = sum(
-                    1 << (i - 1) for i in range(1, n) if self.points[i] in corners
-                )
+            self.required = on if immediate else corners
             self.care = (self.mask ^ on) | self.required
         # with no optional point on the ceiling path only the codes with the
         # ceiling's bits pay off: one per marker-field value (Three modes)
@@ -327,47 +303,52 @@ class _Sweep:
         # strictly under every later roof, and folds forced merges
         whole = ceiling is not None and not traced
         self.twins = whole  # it also walks a code and its twin once (Twins)
-        # the moves inserting a point above a -> b and merging a point below
-        # it, relative to the roof bits: the new marker a << shift plus the
-        # bit the move sets or clears plus 2e << skip_shift, e being the
-        # points it newly covers besides the moved one, as differences of
-        # the counts of uncovered points; an immediate sweep skips none
-        count = [[x.bit_count() for x in row] for row in above]
+        # one pass of orient tests over the segments a -> b records only
+        # count[a][b] = |A(a, b)| and emits the moves of a -> b relative to
+        # the roof bits: the new marker a << shift plus the bit the move
+        # sets or clears plus 2e << skip_shift, e being the points it newly
+        # covers besides the moved one, read from the counts of (a, r) and
+        # (r, b), already known; an immediate sweep skips none
+        p = self.points
+        count = [[0] * size for _ in range(size)]
         twice = self.skip_shift + 1  # e << twice is 2e << skip_shift
         ins: list[tuple[int, ...]] = [()] * (size * size)
         self._merge = [0] * (size * size * size)
         merged = [0] * size  # merged[x] flags the points some move merges from x
-        for a in range(n - 1):
+        exposed = [0] * n  # exposed[x] flags y < n when A(x, y) is not empty
+        for a in range(n - 2, -1, -1):
+            pa, row = p[a], count[a]
             mark = a << self.shift  # the new marker of every move at a
             for b in range(a + 2, size):
+                pb = p[b]
+                sides = [orient(pa, pb, p[r]) for r in range(a + 1, b)]
+                up = row[b] = sides.count(1)
+                if up and b < n:
+                    exposed[a] |= 1 << (b - 1)
                 moves = []
-                for r in range(a + 1, b):
+                for r, side in enumerate(sides, a + 1):
                     bit = 1 << (r - 1)
-                    if above[a][b] & bit:
-                        e = count[a][b] - count[a][r] - count[r][b] - 1
+                    if side > 0:
+                        e = up - row[r] - count[r][b] - 1
                         if not (e and immediate):
                             moves.append(mark + (bit | e << twice))
-                    elif below[a][b] & bit and not (whole and on & bit):
-                        e = count[a][r] + count[r][b] - count[a][b]
+                    elif side < 0 and not (whole and on & bit):
+                        e = row[r] + count[r][b] - up
                         if not (e and immediate):
                             at = (a * size + r) * size + b
                             self._merge[at] = mark + (e << twice) - bit
                             merged[a] |= bit
                 ins[a * size + b] = tuple(moves)
-        # the cascade rule (see the module docstring): exposed[x] flags y
-        # when a host point between them lies above x -> y; fixed[x] flags
-        # the points never merged from x: the on-ceiling ones and, in an
-        # untraced sweep, every v past x that no move merges from x; a traced
-        # maximal sweep runs none of the rule
+        # the cascade rule (see the module docstring): fixed[x] flags the
+        # points never merged from x: the on-ceiling ones and, in an untraced
+        # sweep, every v past x that no move merges from x; a traced maximal
+        # sweep runs none of the rule, a traced complete one no exposed part
         self.prune = False
         if ceiling is not None and not (traced and immediate):
-            self.exposed = [0] * n
+            self.exposed = exposed if whole else [0] * n
             self.fixed = [on] * n
             if whole:
                 for x in range(n):
-                    self.exposed[x] = sum(
-                        1 << (y - 1) for y in range(x + 2, n) if above[x][y]
-                    )
                     self.fixed[x] |= (self.mask ^ self.low[x + 1]) & ~merged[x]
             self.prune = any(self.fixed)
         # the insertions into (a, b) after a step from p, at (p·size + a)·size
@@ -502,6 +483,21 @@ def _layout(data: int, headroom: int, fields: int) -> tuple[int, int]:
     return width, sum(head << width * j for j in range(fields))
 
 
+def _path_bits(points: Sequence[Point], corners: Sequence[Point]) -> tuple[int, int]:
+    """The bits of the interior host points that are interior corners of a
+    path, and of those that lie on it, given the path's corners: a point
+    lies on a path exactly when it lies on its corner path."""
+    inner = set(corners[1:-1])
+    bits = on = 0
+    for i, p in enumerate(points[1:-1]):  # host point i + 1 has bit i
+        if p in inner:
+            bits |= 1 << i
+        elif not point_on_path(p, corners):
+            continue
+        on |= 1 << i
+    return bits, on
+
+
 def _floor_roofs(
     points: Sequence[Point], floor: Sequence[Point], maximal: bool
 ) -> Iterator[tuple[int, int]]:
@@ -511,21 +507,14 @@ def _floor_roofs(
     other host points lying on the floor path; a maximal run starts from
     the one roof through all of them.
     """
-    n = len(points) - 1
-    pos = {p: i for i, p in enumerate(points)}
-    corners = []
-    for c in path_corners(tuple(floor)):
-        if c not in pos:
+    corners = path_corners(tuple(floor))
+    for c in corners:
+        if c not in points:
             raise ValueError(f"floor corner {c} is not a host point")
-        corners.append(pos[c])
-    if corners[0] != 0 or corners[-1] != n:
+    if (corners[0], corners[-1]) != (points[0], points[-1]):
         raise ValueError("floor must join the first and last host points")
-    bits = sum(1 << (i - 1) for i in corners[1:-1])
-    optional = [
-        1 << (i - 1)
-        for i in range(1, n)
-        if i not in corners and point_on_path(points[i], floor)
-    ]
+    bits, on = _path_bits(points, corners)
+    optional = [1 << i for i in range(len(points) - 2) if (on & ~bits) >> i & 1]
     sizes = [len(optional)] if maximal else range(len(optional) + 1)
     for r in sizes:
         for extra in combinations(optional, r):

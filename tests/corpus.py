@@ -33,6 +33,8 @@ from tripoly.planar import (
 from tripoly.roofs import decode
 from tripoly.weighted import weighted_polygon_config
 
+from reference import from_t
+
 # --- near-edges used all over the suite (EDGE_A, EDGE_B, EDGE_C above)
 
 EDGE8 = tuple((i, y) for i, y in enumerate((0, -1, 1, 1, -2, -3, -2, -1, 0)))
@@ -119,7 +121,7 @@ def _st(layers: dict[int, PolyT]) -> PolyST:
     """Assemble a complete polynomial from {s exponent: t layer}."""
     out = PolyST()
     for s, q in layers.items():
-        out = out + PolyST.from_t(q, s)
+        out = out + from_t(q, s)
     return out
 
 

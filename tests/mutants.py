@@ -77,6 +77,23 @@ TOP_SLICE_TESTS = (
 )
 
 MUTANTS = [
+    # -- the sweep's set-up: one pass of orient tests, one rule for path bits --
+    Mutant(
+        "set-up runs a upward",
+        TRANSFER,
+        "for a in range(n - 2, -1, -1):",
+        "for a in range(n - 1):",
+        ("tests/test_differential.py::test_bitmask_moves_match_the_decoded_moves",
+         "tests/test_transfer.py::TestCensus"),
+    ),
+    Mutant(
+        "every on-path point counts as a corner",
+        TRANSFER,
+        "if p in inner:",
+        "if point_on_path(p, corners):",
+        ("tests/test_transfer.py", "tests/test_differential.py::"
+         "test_bitmask_moves_match_under_ceiling_runs_and_valleys"),
+    ),
     # -- the sweep's twins (transfer module docstring, Twins) -----------------
     Mutant(
         "twin head drops its first-segment row",

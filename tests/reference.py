@@ -29,6 +29,10 @@ functions, they check that pruning drops no state that pays off.
 ``unfold`` keeps a pruned sweep's cascade rule but folds no move.
 ``scan_payoff`` pays off a bucket one code at a time by the payoff rule
 alone, for comparison with a sweep's own ``payoff``.
+
+``from_t`` writes a t-polynomial times s^a in (s, t), and
+``maximal_slice`` reads the top s slice of an edge polynomial, its
+maximal part; the package itself needs neither.
 """
 from __future__ import annotations
 
@@ -37,7 +41,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping, Sequence
 
-from tripoly.exactmath import PolyS, PolySUW
+from tripoly.exactmath import PolyS, PolyST, PolySUW, PolyT
+from tripoly.neargon import EdgePolynomial
 from tripoly.planar import (
     Configuration,
     NearEdge,
@@ -49,6 +54,17 @@ from tripoly.planar import (
 )
 from tripoly.roofs import DecoratedRoof
 from tripoly.transfer import TraceFn, _poly, _run, _Sweep
+
+
+def from_t(p: PolyT, a: int = 0) -> PolyST:
+    """A t-polynomial times s^a, as a polynomial in (s, t)."""
+    return PolyST({(a, e): v for e, v in p.c.items()})
+
+
+def maximal_slice(ep: EdgePolynomial) -> PolyT:
+    """The top s slice of an edge polynomial: the basis image of the
+    maximal triangulations."""
+    return ep.complete.coefficient_s(ep.length)
 
 
 def schoolbook_convex_states(

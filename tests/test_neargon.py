@@ -62,6 +62,7 @@ from corpus import (
     straight_edge,
     TRIANGLE_POLY,
 )
+from reference import from_t, maximal_slice
 from test_transfer import st_from_pcoeffs
 
 from tripoly.planar import Configuration
@@ -75,7 +76,7 @@ class TestEdgePolynomial:
     def test_maximal_is_the_top_slice(self):
         ep = edge_poly(NearEdge(EDGE_C))
         assert ep.length == 5
-        assert ep.maximal.c == ep.complete.coefficient_s(5).c
+        assert maximal_slice(ep).c == ep.complete.coefficient_s(5).c
 
     def test_p_coefficient_tables(self):
         assert edge_poly(NearEdge(EDGE_A)).p_coefficients() == EDGE_A_PCOEFFS
@@ -96,8 +97,8 @@ class TestEdgePolynomial:
         assert len({ep, twin, EdgePolynomial(4, ep.complete)}) == 2
 
     def test_maximal_of_the_zigzag(self):
-        q = edge_poly(NearEdge(EDGE_A)).maximal
-        assert PolyST.from_t(q).p_terms() == {(0, 3): 14, (0, 4): 7, (0, 5): 1}
+        q = maximal_slice(edge_poly(NearEdge(EDGE_A)))
+        assert from_t(q).p_terms() == {(0, 3): 14, (0, 4): 7, (0, 5): 1}
 
     def test_p_coefficients_refuse_a_p0_term(self):
         edge = PolyST.from_p({(2, 2): 1, (1, 1): 3})
@@ -185,7 +186,7 @@ class TestConvexRecursion:
             lean = series_pair_uw(convex_edge_states(profile, "maximal")[-1])
             lean = lean.coefficient_s(0)
             assert isinstance(lean, PolyT)
-            assert lean == ep.maximal
+            assert lean == maximal_slice(ep)
 
     def test_empty_profile_is_the_unit_edge(self):
         assert convex_edge_complete(()) == complete_edge_basis(1)
@@ -356,7 +357,7 @@ class TestCompose:
                 polys.append(EdgePolynomial(length, PolyST(terms)))
             complete, top = PolyST({(0, 0): 1}), PolyT({0: 1})
             for ep in polys:
-                complete, top = complete * ep.complete, top * ep.maximal
+                complete, top = complete * ep.complete, top * maximal_slice(ep)
             assert compose(polys) == catalan_pair_st(complete), polys
             assert compose(polys, maximal=True) == catalan_pair_t(top), polys
 
@@ -369,8 +370,8 @@ class TestRecovery:
         ]
         assert counts == [19, 87, 334]
         recovered = recover_edge_poly_from_counts(counts, (3, 5))
-        assert recovered == edge_poly(NearEdge(EDGE_C)).maximal
-        assert PolyST.from_t(recovered).p_terms() == {(0, 3): 10, (0, 4): 7, (0, 5): 2}
+        assert recovered == maximal_slice(edge_poly(NearEdge(EDGE_C)))
+        assert from_t(recovered).p_terms() == {(0, 3): 10, (0, 4): 7, (0, 5): 2}
 
     def test_unit_edge(self):
         assert recover_edge_poly_from_counts((1,), (1, 1)) == maximal_edge_basis(1)
@@ -378,7 +379,7 @@ class TestRecovery:
     def test_round_trip_for_known_edges(self):
         for pts in (EDGE_A, EDGE_B, EDGE_C):
             ep = edge_poly(NearEdge(pts))
-            q, pc = ep.maximal, ep.p_coefficients()[ep.length]
+            q, pc = maximal_slice(ep), ep.p_coefficients()[ep.length]
             alpha, d = min(pc), max(pc)
             counts = [
                 catalan_pair_t(q.shift(r + 2)) for r in range(d - alpha + 1)

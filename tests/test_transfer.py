@@ -49,7 +49,7 @@ from corpus import (
     all_codes,
     sweep_code,
 )
-from reference import encode, skyline_points, unfold, unpruned_sweep
+from reference import encode, from_t, skyline_points, unfold, unpruned_sweep
 
 # successor table of the decorated-roof codes over the six-point edge,
 # derived once by hand from the insertion and merge rules
@@ -84,7 +84,7 @@ def st_from_pcoeffs(pcoeffs):
     out = PolyST()
     for s, layer in pcoeffs.items():
         for j, c in layer.items():
-            out = out + c * PolyST.from_t(maximal_edge_basis(j), s)
+            out = out + c * from_t(maximal_edge_basis(j), s)
     return out
 
 
