@@ -29,14 +29,13 @@ the triangulation polynomial of a convex near-gon as the pairing of the
 product of its edge polynomials, has one kernel of its own,
 ``pair_edge_product``; a weighted convex polygon is the near-gon whose
 edges are straight.  It takes each factor over the edge basis and keeps,
-per power of s, one int whose signed W-bit fields are the
-t-coefficients, so the factor t of p_j = t (p_(j-1) - p_(j-2)) is a
-shift and no big int multiplies another.  W holds the product over the
-factors of their l1 norms (``edge_product_bound``) plus a sign bit,
-rounded up to whole bytes (``packed_bytes``), so the final fields do not
-carry.  ``unpack_fields`` reads them back for the pairing, as it does
-for the convex-edge recursion of ``tripoly.neargon``.  The terms of
-each ``p_n`` are built once, in ``_edge_basis``.
+per power of s, one int whose signed W-bit fields are the live band of
+its t-coefficients, top degree first, so a factor 1/t is a shift and no
+big int multiplies another.  W holds the product over the factors of
+their l1 norms (``edge_product_bound``) plus a sign bit, rounded up to
+whole bytes (``packed_bytes``), so the final fields do not carry.
+``unpack_fields`` reads them back for the pairing, as it does for the
+convex-edge recursion of ``tripoly.neargon``; ``_edge_basis`` builds p_n.
 """
 from __future__ import annotations
 
@@ -329,42 +328,43 @@ def pair_edge_product(factors: Sequence[Mapping[tuple[int, int], int]]) -> PolyS
     """Pair t out of the product of the factors, each given by its terms
     {(a, j): c} over s^a * p_j, with p_0 = 1.
 
-    Per power of s the product is one int whose signed W-bit fields are
-    its t-coefficients, its value at t = 2^W.  Every p_j comes from
-    p_j = t (p_(j-1) - p_(j-2)), p_(-1) = 0, where a factor t is a W-bit
-    shift, so no big int multiplies another.  W fits the bound of
-    ``edge_product_bound``.  A term raises t - s by at most j - a and
-    2t - s by at least j - a, which fixes the fields each power of s
-    reads when it is paired against the Catalan numbers.
+    A term raises t - s by at most j - a and 2t - s by at least j - a, so
+    the rise R and the fall of the factors so far bound them.  Per power
+    of s the product is one int of signed W-bit fields, W fit to
+    ``edge_product_bound``, whose field d is the coefficient of
+    s^s t^(s + R - d): only the live band, down to t = (s + fall) / 2, is
+    stored.  There q_j = p_j / t^j = q_(j-1) - q_(j-2) / t is a W-bit
+    shift and no multiply, and a term s^a p_j of a factor of rise ``up``
+    lands a - j + up fields higher, never lower.
     """
     nbytes = packed_bytes(edge_product_bound(factors))
     width = 8 * nbytes
-    groups = [1]  # groups[s]: coefficient of s^s at t = 2^width
+    groups = [1]  # groups[s]: the band of s^s at 1/t = 2^width
     top = rise = fall = 0  # t-degree, most and least t - s
     for terms in factors:
         if not terms:
             return PolyS()
-        ordered = sorted((j, a, c) for (a, j), c in terms.items())
+        up = max(j - a for a, j in terms)  # the factor's rise, so no shift is < 0
+        ordered = sorted((j, a, c, width * (a - j + up)) for (a, j), c in terms.items())
         out = [0] * (len(groups) + max(a for a, _ in terms))
         for s0, x in enumerate(groups):
             if x:
-                at, before, now = 0, 0, x  # now = x * p_at
-                for j, a, c in ordered:
+                at, before, now = 0, 0, x  # now = x * q_at
+                for j, a, c, shift in ordered:
                     while at < j:
-                        at, before, now = at + 1, now, (now - before) << width
-                    out[s0 + a] += c * now
+                        at, before, now = at + 1, now, now - (before << width)
+                    out[s0 + a] += c * now << shift if shift else c * now  # << 0 copies
         groups = out
         top += ordered[-1][0]
-        rise += max(j - a for a, j in terms)
-        fall += min(j - a for a, j in terms)
-    cats = [0, 0, *map(catalan, range(top - 1))]  # t^n pairs to cats[n]
+        rise, fall = rise + up, fall + min(j - a for a, j in terms)
+    cats = [*map(catalan, range(top - 2, -1, -1)), 0, 0]  # t^n pairs to cats[top - n]
     poly: dict[int, int] = {}
     for s, x in enumerate(groups):
-        if x:
-            low = max((s + fall + 1) // 2, 0)  # the fields below are 0
-            high = min(s + rise, top)
-            (fields,) = unpack_fields([x >> (width * low)], nbytes, high - low + 1)
-            poly[s] = sum(map(mul, fields, cats[low:]))
+        if x:  # the fields above t = top and below t = (s + fall) / 2 are 0
+            high, low = min(s + rise, top), max((s + fall + 1) // 2, 0)
+            x >>= width * (s + rise - high)
+            (fields,) = unpack_fields([x], nbytes, high - low + 1)
+            poly[s] = sum(map(mul, fields, cats[top - high :]))
     return PolyS(poly)
 
 

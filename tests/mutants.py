@@ -49,6 +49,7 @@ class Mutant:
 
 TRANSFER = "src/tripoly/transfer.py"
 NEARGON = "src/tripoly/neargon.py"
+EXACTMATH = "src/tripoly/exactmath.py"
 TWIN_TESTS = (
     "tests/test_differential.py::test_merged_twins_match_unmerged_and_traced_sweeps"
 )
@@ -210,10 +211,32 @@ MUTANTS = [
     ),
     Mutant(
         "kernel field one byte narrower",
-        "src/tripoly/exactmath.py",
+        EXACTMATH,
         "return (bound.bit_length() + 8) // 8",
         "return (bound.bit_length() + 8) // 8 - 1",
         ("tests/test_packed_kernels.py", "tests/test_exactmath.py"),
+    ),
+    # -- the edge-basis kernel's band layout (pair_edge_product) ---------------
+    Mutant(
+        "pairing reads the Catalan numbers low to high",
+        EXACTMATH,
+        "cats = [*map(catalan, range(top - 2, -1, -1)), 0, 0]",
+        "cats = [0, 0, *map(catalan, range(top - 1))]",
+        (GON_TESTS, "tests/test_weighted.py"),
+    ),
+    Mutant(
+        "band recurrence shifts the wrong term",
+        EXACTMATH,
+        "now - (before << width)",
+        "(now - before) << width",
+        (GON_TESTS, "tests/test_weighted.py"),
+    ),
+    Mutant(
+        "band terms land unshifted",
+        EXACTMATH,
+        "out[s0 + a] += c * now << shift if shift else c * now",
+        "out[s0 + a] += c * now",
+        (GON_TESTS,),
     ),
     Mutant(
         "realize accepts any flattening",

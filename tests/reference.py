@@ -10,6 +10,10 @@
   every subdivision point is an integer.
 * ``residue_max_count`` -- the maximal count of a weighted convex
   polygon as a residue, with binomials only.
+* ``substituted_max_count`` and ``substituted_complete_poly`` -- the
+  maximal count and the complete polynomial of a weighted convex
+  polygon after the substitution t = (1 + z)^2 / z, with binomials and
+  dicts of plain ints only.
 * ``all_pairs_factorize`` -- the prime factors of a near-edge, each
   split tested against the line through every pair of points.
 
@@ -184,6 +188,70 @@ def residue_max_count(weights: Sequence[int]) -> int:
         )
         count += -coeff if len(taken) % 2 else coeff
     return count
+
+
+def _paired(m: int, k: int) -> int:
+    """[z^k] (1 - z)(1 + z)^m, read from (1 - w)^m at w = -z."""
+    if k < 0:
+        return 0
+    below = _one_minus_w_power(m, k - 1) if k else 0
+    return (-1) ** k * (_one_minus_w_power(m, k) + below)
+
+
+def _times_run(poly: dict, k: int) -> dict:
+    """The z-polynomial ``poly`` times 1 + z + ... + z^k."""
+    out: dict[int, int] = {}
+    for r, v in poly.items():
+        for x in range(k + 1):
+            out[r + x] = out.get(r + x, 0) + v
+    return out
+
+
+def substituted_max_count(weights: Sequence[int]) -> int:
+    """Maximal triangulations of a weighted convex polygon, with z for t.
+
+    Under t = (1 + z)^2 / z the edge basis is
+    p_n = ((1 + z) / z)^n (1 + z + ... + z^n), and pairing t^n against the
+    Catalan numbers is [z^-2] of t^n (1 - z)(1 + z)^-4.  With
+    N = sum a_i that gives
+
+        M = [z^(N - 2)] (1 - z)(1 + z)^(N - 4) prod_i (1 + ... + z^(a_i)),
+
+    where (1 + z)^(N - 4) is the binomial series when N < 4.
+    """
+    runs = {0: 1}
+    for a in weights:
+        runs = _times_run(runs, a)
+    n = sum(weights)
+    return sum(v * _paired(n - 4, n - 2 - r) for r, v in runs.items())
+
+
+def substituted_complete_poly(weights: Sequence[int]) -> dict[int, int]:
+    """Complete polynomial {K: c} of a weighted convex polygon, with z for t.
+
+    With the complete basis pbar_a = sum_k C(a - 1, k - 1) s^k p_k, the
+    coefficient of s^K in the product of the sides is ((1 + z) / z)^K
+    times [u^K] Phi(u, z), where
+
+        Phi(u, z) = prod_i sum_(k = 1..a_i) C(a_i - 1, k - 1) u^k (1 + ... + z^k),
+
+    so s^K pairs to sum_r Phi_(K, r) [z^(K - 2 - r)] (1 - z)(1 + z)^(K - 4),
+    as in ``substituted_max_count``.
+    """
+    phi = {0: {0: 1}}  # phi[K][r]: [u^K z^r] Phi
+    for a in weights:
+        out: dict[int, dict[int, int]] = {}
+        for big_k, runs in phi.items():
+            for k in range(1, a + 1):
+                row = out.setdefault(big_k + k, {})
+                for r, v in _times_run(runs, k).items():
+                    row[r] = row.get(r, 0) + comb(a - 1, k - 1) * v
+        phi = out
+    poly = {
+        big_k: sum(v * _paired(big_k - 4, big_k - 2 - r) for r, v in runs.items())
+        for big_k, runs in phi.items()
+    }
+    return {big_k: c for big_k, c in poly.items() if c}
 
 
 def all_pairs_factorize(edge: NearEdge) -> list[NearEdge]:

@@ -340,9 +340,36 @@ class TestCompose:
         with pytest.raises(ValueError, match="two edges"):
             compose([edge_poly(NearEdge(EDGE_A))])
 
+    # factor lists over the edge basis, {(a, j): c} for c * s^a * p_j, that
+    # reach every shift of the kernel's band layout: a factor of negative
+    # rise (every a > j), p_0 terms with a > 0, single-term factors,
+    # factors of different rises in one list and coefficients of +-10^30
+    BAND_CASES = [
+        [{(3, 1): 2, (4, 2): -1}, {(0, 5): 1, (2, 2): 3}, {(1, 4): -7}],
+        [{(2, 0): 5, (0, 3): 1}, {(1, 0): -1}, {(0, 2): 1, (2, 6): 4}],
+        [{(0, 1): 1}, {(4, 0): 10**30}, {(2, 5): -(10**30)}],
+        [{(5, 1): 3, (6, 3): -1, (7, 0): 2}, {(2, 2): 1, (0, 4): -1}],
+        [
+            {(1, 1): 10**30, (0, 6): -1, (5, 2): 3},
+            {(6, 1): -(10**30), (2, 3): 1},
+            {(0, 0): 2, (3, 3): -1},
+            {(3, 0): -(10**30)},
+        ],
+        [{(2, 2): 1}, {(0, 3): -2}, {(4, 1): 1, (1, 1): 10**30}],
+    ]
+
     def test_signed_polynomials_match_the_schoolbook_product(self):
         # t^0 and t^1 terms expand to p_0 and p_1; both pair to 0, so a
         # negative field below t^2 must not borrow from the fields above
+        cases = []
+        for factors in self.BAND_CASES:
+            polys = []
+            for terms in factors:
+                p0 = PolyST({k: c for k, c in terms.items() if not k[1]})
+                poly = PolyST.from_p({k: c for k, c in terms.items() if k[1]}) + p0
+                assert poly.p_terms() == terms
+                polys.append(EdgePolynomial(max(a for a, _ in terms), poly))
+            cases.append(polys)
         rng = random.Random(17)
         for i in range(400):
             polys = []
@@ -355,6 +382,8 @@ class TestCompose:
                     for _ in range(0 if empty else rng.randint(1, 6))
                 }
                 polys.append(EdgePolynomial(length, PolyST(terms)))
+            cases.append(polys)
+        for polys in cases:
             complete, top = PolyST({(0, 0): 1}), PolyT({0: 1})
             for ep in polys:
                 complete, top = complete * ep.complete, top * maximal_slice(ep)

@@ -19,7 +19,12 @@ from tripoly.weighted import (
 )
 
 from corpus import PENTAGON_POLY, TRIANGLE_POLY, straight_edge
-from reference import lcm_polygon_points, residue_max_count
+from reference import (
+    lcm_polygon_points,
+    residue_max_count,
+    substituted_complete_poly,
+    substituted_max_count,
+)
 
 weights_st = st.lists(
     st.integers(min_value=1, max_value=3), min_size=2, max_size=5
@@ -100,6 +105,7 @@ class TestWeightedCounts:
         ws = (20, 22, 17, 21, 20, 18)
         want = 75098475640700197827962587644701620676
         assert residue_max_count(ws) == want
+        assert substituted_max_count(ws) == want
         assert weighted_max_count(ws) == want
 
     @settings(max_examples=200, deadline=None)
@@ -111,6 +117,21 @@ class TestWeightedCounts:
     def test_kernel_matches_the_residue(self, ws):
         # the residue shares no code with pair_edge_product
         assert weighted_max_count(ws) == residue_max_count(ws)
+
+    def test_kernel_matches_the_z_substitution(self):
+        # t = (1 + z)^2 / z turns both pairings into binomial sums that
+        # share nothing with the edge basis or the packed fields; sums of
+        # weights below 4 take the binomial series of a negative power
+        rng = random.Random(35)
+        for _ in range(1000):
+            ws = [rng.randint(1, 9) for _ in range(rng.randint(2, 7))]
+            assert weighted_max_count(ws) == substituted_max_count(ws), ws
+        for _ in range(200):
+            ws = [rng.randint(1, 7) for _ in range(rng.randint(2, 5))]
+            assert weighted_complete_poly(ws).c == substituted_complete_poly(ws), ws
+        for ws in ((1, 1), (1, 2), (2, 1, 1)):
+            assert substituted_complete_poly(ws) == weighted_complete_poly(ws).c
+        assert substituted_complete_poly((1, 5, 2, 3, 4)) == PENTAGON_POLY
 
 
 class TestWeightedCompletePoly:
